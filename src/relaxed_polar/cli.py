@@ -53,6 +53,9 @@ def fmt(x: float) -> str:
 def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         return _jsonify(obj.tolist())
+    # bool before int: bool is a subclass of int
+    if isinstance(obj, (bool, np.bool_)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -153,7 +156,7 @@ def _solve_report(W: CosseratWeights, F: DeformationGradient) -> dict:
         rho = W.singular_radius
         if sol.bifurcated:
             report["domain"] = "non-classical"
-        elif abs(tr_u - rho) <= 1e-12 * rho:
+        elif abs(tr_u - rho) <= spatial.BOUNDARY_RTOL * rho:
             report["domain"] = "boundary"
         else:
             report["domain"] = "classical"
@@ -206,7 +209,7 @@ def cmd_solve(args) -> int:
         cfg = oracle.OracleConfig(
             seed=resolve_seed(args.seed), samples=args.samples, tol_grad=1e-9
         )
-        res = oracle.global_minimize(W, F, cfg, threads=args.threads)
+        res = oracle.global_minimize(W, F, cfg)
         report["oracle"] = {
             "best_energy": res.best_energy,
             "gap": res.best_energy - report["reduced_energy"],
@@ -277,7 +280,7 @@ def cmd_scatter_mc(args) -> int:
         cfg = oracle.OracleConfig(
             seed=int(rng.integers(2**32)), samples=args.samples, tol_grad=1e-9
         )
-        res = oracle.global_minimize(W, F, cfg, warm_starts=False, threads=args.threads)
+        res = oracle.global_minimize(W, F, cfg, warm_starts=False)
         beta_mc = _z_angle(relative_rotation(res.best_rotation, F))
         if W.is_classical:
             beta_pred = 0.0
@@ -296,9 +299,6 @@ def cmd_scatter_mc(args) -> int:
 
 
 def cmd_iso_grid(args) -> int:
-    levels = [float(v) for v in args.levels]
-    if any(v <= 0.0 for v in levels):
-        raise ValueError("isosurface levels must be positive")
     lo, hi, count = args.grid
     count = int(count)
     if count < 2 or not 0.0 < lo < hi:
@@ -355,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_oracle(p):
         p.add_argument("--seed", type=int, default=None, help="RNG seed (beats env)")
         p.add_argument("--samples", type=int, default=200, help="oracle restarts")
-        p.add_argument("--threads", type=int, default=1, help="oracle thread count")
 
     p = sub.add_parser("solve", help="minimizer set for one matrix")
     src = p.add_mutually_exclusive_group()
@@ -383,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scatter_mc)
 
     p = sub.add_parser("iso-grid", help="reduced-energy grid samples (CSV)")
-    p.add_argument("--levels", nargs="+", type=float, default=[0.1, 0.4, 0.8],
-                   help="target contour levels (metadata for the consumer)")
     p.add_argument("--grid", nargs=3, type=float, required=True, metavar=("MIN", "MAX", "COUNT"))
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_iso_grid)

@@ -208,47 +208,40 @@ def nonclassical_pair_energy(W: CosseratWeights, nu_i: float, nu_j: float) -> fl
     """
     rho = W.singular_radius
     s = nu_i + nu_j
-    return (
-        0.5 * W.mu * (nu_i - nu_j) ** 2
-        + 0.5 * W.mu * (rho - 2.0) ** 2
-        + 0.5 * W.muc * (s * s - rho * rho)
-    )
-
-
-def _wred_general(W: CosseratWeights, nus: np.ndarray) -> float:
-    """Reduced energy for non-classical weights in any dimension.
-
-    Pairs consecutive descending singular values while the pair sum
-    exceeds the singular radius; paired blocks contribute the bifurcated
-    closed form, the rest contribute mu (nu - 1)^2 each.
-    """
-    rho = W.singular_radius
-    n = len(nus)
-    total = 0.0
-    i = 0
-    while i + 1 < n and nus[i] + nus[i + 1] > rho:
-        total += nonclassical_pair_energy(W, float(nus[i]), float(nus[i + 1]))
-        i += 2
-    total += W.mu * float(np.sum((nus[i:] - 1.0) ** 2))
+    total = 0.5 * W.mu * (nu_i - nu_j) ** 2 + 0.5 * W.mu * (rho - 2.0) ** 2
+    if W.muc:  # s * s overflows above ~1e154, and 0 * inf would be nan
+        total += 0.5 * W.muc * (s * s - rho * rho)
     return total
+
+
+def reduced_energy_values(W: CosseratWeights, nus) -> tuple[int, float]:
+    """Pair count k and minimum energy over rotations, from singular values.
+
+    The values may come in any order. With d the values in descending
+    order, non-classical weights pair d[2i], d[2i+1] for i < k, where k is
+    the longest prefix whose pair sums all exceed the singular radius rho;
+    each pair contributes :func:`nonclassical_pair_energy`. Every value
+    left over contributes mu (d - 1)^2, and classical weights give k = 0.
+    Terms are added left to right. This one rule covers every dimension:
+    the planar and spatial closed forms are its n = 2 and n = 3 cases.
+    """
+    d = sorted(map(float, nus), reverse=True)
+    k = 0
+    total = 0.0
+    if not W.is_classical:
+        rho = W.singular_radius
+        while 2 * k + 1 < len(d) and d[2 * k] + d[2 * k + 1] > rho:
+            total += nonclassical_pair_energy(W, d[2 * k], d[2 * k + 1])
+            k += 1
+    for v in d[2 * k :]:
+        total += W.mu * (v - 1.0) ** 2
+    return k, total
 
 
 def reduced_energy(W: CosseratWeights, F: DeformationGradient) -> float:
     """Minimum of the shear-stretch energy over all rotations.
 
-    Dispatches to the closed form of the appropriate dimension. For
-    classical weights the minimum is mu ||U - 1||^2 (the skew part
+    For classical weights the minimum is mu ||U - 1||^2 (the skew part
     vanishes at the polar factor).
     """
-    nus = F.singular_values
-    if W.is_classical:
-        return W.mu * float(np.sum((nus - 1.0) ** 2))
-    if F.dim == 2:
-        from .planar import wred_2d
-
-        return wred_2d(W, F)
-    if F.dim == 3:
-        from .spatial import wred_3d
-
-        return wred_3d(W, F)
-    return _wred_general(W, nus)
+    return reduced_energy_values(W, F.singular_values)[1]

@@ -25,9 +25,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .energy import CosseratWeights, reduced_energy_values
 from .errors import InadmissiblePartition, OrientationError, TooLarge
 
 ENUMERATION_MAX_DIM = 10
+_W10 = CosseratWeights(1.0, 0.0)
 
 
 def _as_descending(nus) -> np.ndarray:
@@ -300,20 +302,11 @@ def global_min_value_10(nus) -> tuple[int, float]:
     k is the largest number of consecutive descending pairs with
     nu_{2i} + nu_{2i+1} > 2; the minimum is
     1/2 sum over pairs (nu_{2i} - nu_{2i+1})^2 + sum of (nu_i - 1)^2 over
-    the remaining singletons. O(n), no enumeration.
+    the remaining singletons. O(n), no enumeration; the terms are added
+    left to right, bit-identical to critical_value on the canonical
+    partition.
     """
-    d = _as_descending(nus)
-    n = len(d)
-    k = 0
-    total = 0.0
-    while 2 * k + 1 < n and d[2 * k] + d[2 * k + 1] > 2.0:
-        total += 0.5 * (d[2 * k] - d[2 * k + 1]) ** 2
-        k += 1
-    # plain left-to-right accumulation, bit-identical to critical_value on
-    # the canonical partition
-    for v in d[2 * k :]:
-        total += (float(v) - 1.0) ** 2
-    return k, total
+    return reduced_energy_values(_W10, _as_descending(nus))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ are bit-identical for a fixed seed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,7 +207,6 @@ def global_minimize(
     cfg: OracleConfig,
     *,
     warm_starts: bool = True,
-    threads: int = 1,
 ) -> OracleResult:
     """Best rotation over Haar restarts, optionally seeded with warm starts.
 
@@ -216,7 +214,7 @@ def global_minimize(
     them off (``warm_starts=False``) for unbiased verification of those
     same closed forms. Restarts are independent, reduction picks the
     lowest energy with ties broken by start index, so the result does not
-    depend on thread count.
+    depend on the order the restarts run in.
     """
     starts: list[np.ndarray] = []
     if warm_starts:
@@ -226,14 +224,7 @@ def global_minimize(
     for i in range(cfg.samples):
         starts.append(haar_sample(n, np.random.default_rng((cfg.seed, i))))
 
-    def run(r0):
-        return riemannian_descent(W, F, r0, cfg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, starts))
-    else:
-        results = [run(r0) for r0 in starts]
+    results = [riemannian_descent(W, F, r0, cfg) for r0 in starts]
 
     best_idx = min(range(len(results)), key=lambda i: (results[i][1], i))
     r_best, _, gn_best = results[best_idx]

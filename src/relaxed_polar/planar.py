@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import CosseratWeights, DeformationGradient, nonclassical_pair_energy
+from .energy import CosseratWeights, DeformationGradient, reduced_energy_values
 from .errors import DimensionMismatch
 
 # fixed planar generator; J @ v rotates v by +pi/2
@@ -90,23 +90,10 @@ def relative_angles_10(d) -> tuple[float, ...]:
     return (b, -b)
 
 
-def wred_2d_values(W: CosseratWeights, nu1: float, nu2: float) -> float:
-    """Reduced planar energy as a function of the singular values.
-
-    Independent of the ordering of the two values.
-    """
-    if W.is_classical:
-        return W.mu * ((nu1 - 1.0) ** 2 + (nu2 - 1.0) ** 2)
-    if nu1 + nu2 > W.singular_radius:
-        return nonclassical_pair_energy(W, nu1, nu2)
-    return W.mu * ((nu1 - 1.0) ** 2 + (nu2 - 1.0) ** 2)
-
-
 def wred_2d(W: CosseratWeights, F: DeformationGradient) -> float:
     """Reduced planar shear-stretch energy min over all rotation angles."""
     _require_2d(F)
-    nu = F.singular_values
-    return wred_2d_values(W, float(nu[0]), float(nu[1]))
+    return reduced_energy_values(W, F.singular_values)[1]
 
 
 def optimal_angles(W: CosseratWeights, F: DeformationGradient) -> PlanarSolution:

@@ -70,17 +70,6 @@ def tangent_bundle_dist_sq(F: "DeformationGradient") -> float:
     evaluated here. The numeric-infimum route lives in the oracle module
     as a verification tool only.
     """
-    from .energy import CosseratWeights
+    from .energy import CosseratWeights, reduced_energy_values
 
-    w10 = CosseratWeights(1.0, 0.0)
-    if F.dim == 2:
-        from .planar import wred_2d
-
-        return wred_2d(w10, F)
-    if F.dim == 3:
-        from .spatial import wred_3d
-
-        return wred_3d(w10, F)
-    from .ndim import global_min_value_10
-
-    return global_min_value_10(F.singular_values)[1]
+    return reduced_energy_values(CosseratWeights(1.0, 0.0), F.singular_values)[1]

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import (
-    CosseratWeights,
-    DeformationGradient,
-    nonclassical_pair_energy,
-    rescale,
-)
+from .energy import CosseratWeights, DeformationGradient, reduced_energy_values
 from .errors import DegenerateSpectrum, DimensionMismatch, RegimeError
 from .polar import dist_sq_so_n
 
@@ -102,22 +97,8 @@ def relative_rotation_3d(
 
 
 def wred_3d_values(W: CosseratWeights, nus) -> float:
-    """Reduced 3D energy as a function of descending singular values.
-
-    Classical weights (muc >= mu) give mu ||U - 1||^2. Non-classical
-    weights give mu ||U - 1||^2 on the classical domain and the
-    bifurcated pair contribution plus mu (nu_3 - 1)^2 beyond it; the two
-    expressions agree on the boundary nu_1 + nu_2 = rho.
-    """
-    nu = np.sort(np.asarray(nus, dtype=float))[::-1]
-    classical_value = W.mu * float(np.sum((nu - 1.0) ** 2))
-    if W.is_classical:
-        return classical_value
-    if nu[0] + nu[1] <= W.singular_radius:
-        return classical_value
-    return nonclassical_pair_energy(W, float(nu[0]), float(nu[1])) + W.mu * (
-        float(nu[2]) - 1.0
-    ) ** 2
+    """Reduced 3D energy as a function of the singular values, in any order."""
+    return reduced_energy_values(W, nus)[1]
 
 
 def wred_3d(W: CosseratWeights, F: DeformationGradient) -> float:
@@ -139,54 +120,38 @@ def rpolar_3d(W: CosseratWeights, F: DeformationGradient) -> SpatialSolution:
     nu = F.singular_values
     pol = F.polar.rotation
     frame = F.polar.spectral.frame
-    axis = frame[:, 2].copy()
-    wred = wred_3d(W, F)
+    s = float(nu[0] + nu[1])
+    minimizers, angles = (pol.copy(),), (0.0,)
+    degenerate = False
     if W.is_classical:
+        domain = Domain.CLASSICAL
+        u = s / 2.0
         degenerate = bool(nu[0] - nu[2] <= DEGENERACY_RTOL * nu[0])
-        u = float(nu[0] + nu[1]) / 2.0
-        return SpatialSolution(
-            minimizers=(pol.copy(),),
-            relative_angles=(0.0,),
-            axis=axis,
-            reduced_energy=wred,
-            domain=Domain.CLASSICAL,
-            u_mmp=u,
-            s_mmp=u - 1.0,
-            degenerate=degenerate,
-        )
-    ft = rescale(W, F)
-    nut = ft.singular_values
-    u = float(nut[0] + nut[1]) / 2.0
-    domain = classify_domain(W, F)
-    if domain is Domain.NON_CLASSICAL:
-        s = float(nu[0] + nu[1])
-        c = W.singular_radius / s
-        b = float(np.arccos(c))
-        plus = pol @ frame @ _block_z(c, -1.0) @ frame.T
-        minus = pol @ frame @ _block_z(c, +1.0) @ frame.T
-        degenerate = bool(
-            nu[0] - nu[1] <= DEGENERACY_RTOL * nu[0]
-            or nu[1] - nu[2] <= DEGENERACY_RTOL * nu[0]
-        )
-        return SpatialSolution(
-            minimizers=(plus, minus),
-            relative_angles=(b, -b),
-            axis=axis,
-            reduced_energy=wred,
-            domain=domain,
-            u_mmp=u,
-            s_mmp=u - 1.0,
-            degenerate=degenerate,
-        )
+    else:
+        domain = classify_domain(W, F)
+        # the rescaled gradient F / lam has singular values nu / lam
+        u = s / (2.0 * W.scaling)
+        if domain is Domain.NON_CLASSICAL:
+            c = W.singular_radius / s
+            b = float(np.arccos(c))
+            minimizers = (
+                pol @ frame @ _block_z(c, -1.0) @ frame.T,
+                pol @ frame @ _block_z(c, +1.0) @ frame.T,
+            )
+            angles = (b, -b)
+            degenerate = bool(
+                nu[0] - nu[1] <= DEGENERACY_RTOL * nu[0]
+                or nu[1] - nu[2] <= DEGENERACY_RTOL * nu[0]
+            )
     return SpatialSolution(
-        minimizers=(pol.copy(),),
-        relative_angles=(0.0,),
-        axis=axis,
-        reduced_energy=wred,
+        minimizers=minimizers,
+        relative_angles=angles,
+        axis=frame[:, 2].copy(),
+        reduced_energy=wred_3d(W, F),
         domain=domain,
         u_mmp=u,
         s_mmp=u - 1.0,
-        degenerate=False,
+        degenerate=degenerate,
     )
 
 

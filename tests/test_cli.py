@@ -1,0 +1,233 @@
+"""The rpolar command line, run in process: outputs against the library, exit codes."""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from relaxed_polar import (
+    CosseratWeights,
+    DeformationGradient,
+    absolute_rotation,
+    cli,
+    critical_value,
+    enumerate_critical_partitions,
+    global_minimizers_nd,
+    optimal_angles,
+    reduce_parameters,
+    reduced_energy,
+    rpolar_3d,
+)
+from relaxed_polar.planar import rotation_2d
+from relaxed_polar.spatial import wred_3d_values
+
+
+def run(argv, capsys):
+    code = cli.main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def solve(matrix, mu, muc, capsys):
+    code, out, _ = run(
+        ["solve", "--matrix", json.dumps(matrix), "--mu", repr(mu), "--muc", repr(muc)], capsys
+    )
+    assert code == cli.EXIT_OK
+    return json.loads(out), out
+
+
+def read_csv(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    return rows[0], rows[1:]
+
+
+def assert_rotations_equal(reported, expected):
+    assert len(reported) == len(expected)
+    for r, e in zip(reported, expected):
+        np.testing.assert_array_equal(np.array(r), e)
+
+
+class TestSolve:
+    def test_planar_bifurcated(self, capsys):
+        m = [[3.0, 0.2], [0.1, 0.5]]
+        W, F = CosseratWeights(2.0, 0.5), DeformationGradient(m)
+        rep, _ = solve(m, 2.0, 0.5, capsys)
+        sol = optimal_angles(W, F)
+        assert rep["dim"] == 2 and rep["regime"] == "non-classical"
+        assert rep["domain"] == "non-classical" and rep["branch_labels"] == ["+", "-"]
+        assert rep["reduced_energy"] == reduced_energy(W, F)
+        assert rep["branch_angles"] == list(sol.branch_angles)
+        assert rep["relative_angles"] == list(sol.relative_angles)
+        assert rep["polar_angle"] == sol.polar_angle
+        assert_rotations_equal(rep["minimizers"], [rotation_2d(a) for a in sol.branch_angles])
+
+    def test_planar_boundary_band(self, capsys):
+        # tr U = rho = 2 at weights (1, 0), and just below it inside the band;
+        # in 2D any tr U > rho bifurcates, so the band has no upper half
+        for nu1 in (1.5, 1.5 * (1.0 - 5e-13)):
+            rep, _ = solve([[nu1, 0.0], [0.0, 0.5]], 1.0, 0.0, capsys)
+            assert rep["domain"] == "boundary" and rep["branch_labels"] == ["polar"]
+        rep, _ = solve([[1.5 * (1.0 - 1e-10), 0.0], [0.0, 0.5]], 1.0, 0.0, capsys)
+        assert rep["domain"] == "classical"
+        rep, _ = solve([[1.5 * (1.0 + 5e-13), 0.0], [0.0, 0.5]], 1.0, 0.0, capsys)
+        assert rep["domain"] == "non-classical"
+
+    def test_spatial(self, capsys):
+        m = [[2.0, 0.3, 0.1], [0.0, 1.5, 0.2], [0.1, 0.0, 0.4]]
+        W, F = CosseratWeights(1.7, 0.3), DeformationGradient(m)
+        rep, _ = solve(m, 1.7, 0.3, capsys)
+        sol = rpolar_3d(W, F)
+        assert rep["domain"] == sol.domain.value == "non-classical"
+        assert rep["reduced_energy"] == reduced_energy(W, F)
+        assert rep["relative_angles"] == list(sol.relative_angles)
+        assert rep["u_mmp"] == sol.u_mmp and rep["s_mmp"] == sol.s_mmp
+        np.testing.assert_array_equal(rep["axis"], sol.axis)
+        assert_rotations_equal(rep["minimizers"], sol.minimizers)
+
+    def test_degenerate_is_a_json_bool(self, capsys):
+        rep, out = solve([[2.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]], 1.0, 0.0, capsys)
+        assert rep["degenerate"] is True and '"degenerate": true' in out
+        rep, out = solve([[3.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]], 1.0, 0.0, capsys)
+        assert rep["degenerate"] is False and '"degenerate": false' in out
+
+    def test_general_dimension(self, capsys):
+        m = [[1.5, 0.2, 0.0, 0.1], [0.0, 1.2, 0.3, 0.0], [0.0, 0.0, 0.9, 0.2], [0.1, 0.0, 0.0, 0.7]]
+        W, F = CosseratWeights(1.0, 0.0), DeformationGradient(m)
+        rep, _ = solve(m, 1.0, 0.0, capsys)
+        _, _, ft = reduce_parameters(W, F)
+        gm = global_minimizers_nd(ft.singular_values)
+        assert rep["k"] == gm.k == 1 and rep["domain"] == "non-classical"
+        assert rep["branch_labels"] == ["+", "-"]
+        assert rep["reduced_energy"] == reduced_energy(W, F)
+        assert_rotations_equal(rep["minimizers"], [absolute_rotation(r, F) for r in gm.rotations])
+
+    def test_classical_weights_give_the_polar_factor(self, capsys):
+        m = [[2.0, 0.3, 0.1], [0.0, 1.5, 0.2], [0.1, 0.0, 0.4]]
+        F = DeformationGradient(m)
+        rep, _ = solve(m, 1.0, 2.0, capsys)
+        assert rep["regime"] == "classical" and rep["domain"] == "classical"
+        assert_rotations_equal(rep["minimizers"], [F.polar.rotation])
+
+    def test_verify_reports_the_oracle(self, capsys):
+        code, out, _ = run(
+            ["solve", "--shear", "2.0", "--verify", "--samples", "3", "--seed", "5"], capsys
+        )
+        assert code == cli.EXIT_OK
+        rep = json.loads(out)
+        assert set(rep["oracle"]) == {"best_energy", "gap", "grad_norm", "restarts_converged"}
+        assert rep["oracle"]["gap"] == rep["oracle"]["best_energy"] - rep["reduced_energy"]
+        assert rep["oracle"]["gap"] >= -1e-9
+
+
+def test_sweep_planar(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run(
+        ["sweep-planar", "--range", "0.5", "6", "12", "--nu2", "0.25", "--mu", "1.7",
+         "--muc", "0.3", "--out", str(out)], capsys
+    )
+    assert code == cli.EXIT_OK
+    header, rows = read_csv(out)
+    assert header == ["tr_U", "beta_plus", "beta_minus", "wred", "bifurcated"]
+    W = CosseratWeights(1.7, 0.3)
+    for tr_u, row in zip(np.linspace(0.5, 6.0, 12), rows):
+        sol = optimal_angles(W, DeformationGradient(np.diag([tr_u - 0.25, 0.25])))
+        betas = sol.relative_angles if sol.bifurcated else (0.0, 0.0)
+        assert row == [cli.fmt(tr_u), *map(cli.fmt, betas), cli.fmt(sol.reduced_energy),
+                       "true" if sol.bifurcated else "false"]
+    assert [r[4] for r in rows].count("true") > 0 and rows[0][4] == "false"
+
+
+def test_scatter_mc(tmp_path, capsys):
+    out = tmp_path / "mc.csv"
+    code, _, _ = run(
+        ["scatter-mc", "--range", "2.5", "5", "2", "--samples", "2", "--seed", "7",
+         "--mu", "1.0", "--muc", "0.0", "--out", str(out)], capsys
+    )
+    assert code == cli.EXIT_OK
+    header, rows = read_csv(out)
+    assert header == ["nu1_plus_nu2", "beta_mc", "beta_predicted", "weights_mu",
+                      "weights_muc", "seed"]
+    assert len(rows) == 2
+    for s, row in zip((2.5, 5.0), rows):
+        beta_mc, beta_pred = float(row[1]), float(row[2])
+        assert row[0] == cli.fmt(s) and row[3:] == ["1.0", "0.0", "7"]
+        assert beta_pred == np.copysign(np.arccos(2.0 / s), beta_mc)
+
+
+def test_iso_grid(tmp_path, capsys):
+    out = tmp_path / "iso.csv"
+    code, _, _ = run(["iso-grid", "--grid", "0.5", "2.5", "3", "--out", str(out)], capsys)
+    assert code == cli.EXIT_OK
+    header, rows = read_csv(out)
+    assert header == ["nu1", "nu2", "nu3", "wred"]
+    axis = np.linspace(0.5, 2.5, 3)
+    w10 = CosseratWeights(1.0, 0.0)
+    expected = [
+        [*map(cli.fmt, (a, b, c)), cli.fmt(wred_3d_values(w10, (a, b, c)))]
+        for a in axis for b in axis for c in axis
+    ]
+    assert rows == expected
+
+
+def test_ndim_with_census(capsys):
+    code, out, _ = run(["ndim", "0.5", "3", "1", "1", "--census"], capsys)
+    assert code == cli.EXIT_OK
+    rep = json.loads(out)
+    nus = np.array([3.0, 1.0, 1.0, 0.5])
+    gm = global_minimizers_nd(nus)
+    assert rep["nus_sorted"] == nus.tolist()
+    assert rep["k"] == gm.k and rep["wred"] == gm.reduced_energy
+    assert rep["num_minimizers"] == 2**gm.k
+    assert rep["degenerate"] is True and '"degenerate": true' in out
+    assert rep["partition"] == [
+        {"indices": [i + 1 for i in b], "sign": s}
+        for b, s in zip(gm.partition.blocks, gm.partition.signs)
+    ]
+    parts = enumerate_critical_partitions(nus)
+    assert [c["value"] for c in rep["census"]] == [critical_value(p, nus) for p in parts]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["ndim", "2.5", "0.5"], cli.EXIT_OK),
+        (["solve", "--matrix", "[[1, 2]"], cli.EXIT_PARSE),
+        (["solve", "--matrix", "[[1, 0], [0, -1]]"], cli.EXIT_PARSE),
+        (["solve"], cli.EXIT_PARSE),
+        (["solve", "--shear", "1", "--mu", "-1"], cli.EXIT_DOMAIN),
+        (["ndim", "-1", "2"], cli.EXIT_DOMAIN),
+        (["iso-grid", "--grid", "2", "1", "3", "--out", "unused.csv"], cli.EXIT_DOMAIN),
+    ],
+)
+def test_exit_codes(argv, code, capsys):
+    assert run(argv, capsys)[0] == code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iso-grid", "--grid", "0.5", "1", "2", "--out", "{missing}/iso.csv"],
+        ["sweep-planar", "--range", "1", "3", "2", "--out", "{missing}/sweep.csv"],
+    ],
+)
+def test_unwritable_output_exits_4(argv, tmp_path, capsys):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    code, _, err = run(argv, capsys)
+    assert code == cli.EXIT_IO and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--shear", "1", "--verify", "--threads", "2"],
+        ["scatter-mc", "--range", "2.5", "5", "2", "--threads", "2", "--out", "x.csv"],
+        ["iso-grid", "--levels", "0.1", "--grid", "0.5", "1", "2", "--out", "x.csv"],
+        ["solve", "--no-such-flag"],
+    ],
+)
+def test_unknown_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == cli.EXIT_PARSE

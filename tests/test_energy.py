@@ -13,6 +13,7 @@ from relaxed_polar import (
     relative_rotation,
     rescale,
 )
+from relaxed_polar.energy import nonclassical_pair_energy, reduced_energy_values
 from relaxed_polar.errors import DimensionMismatch, RegimeError
 from relaxed_polar.oracle import OracleConfig, global_minimize
 
@@ -265,6 +266,78 @@ class TestReducedEnergy:
                 assert energy(w, m, F) == pytest.approx(
                     reduced_energy(w, F), rel=1e-10, abs=1e-10
                 )
+
+
+def _reference_reduced_energy(W, nus):
+    """Reference for the pairing rule, written with numpy sums.
+
+    mu ||U - 1||^2 for classical weights; otherwise consecutive descending
+    pairs while their sum exceeds rho, plus mu (nu - 1)^2 for the rest.
+    """
+    nus = np.sort(np.asarray(nus, dtype=float))[::-1]
+    if W.is_classical:
+        return 0, W.mu * float(np.sum((nus - 1.0) ** 2))
+    rho = W.singular_radius
+    n = len(nus)
+    total = 0.0
+    i = 0
+    while i + 1 < n and nus[i] + nus[i + 1] > rho:
+        total += nonclassical_pair_energy(W, float(nus[i]), float(nus[i + 1]))
+        i += 2
+    total += W.mu * float(np.sum((nus[i:] - 1.0) ** 2))
+    return i // 2, total
+
+
+class TestReducedEnergyValues:
+    WEIGHTS = (W11, CosseratWeights(2.0, 3.0), W10, CosseratWeights(1.7, 0.0),
+               CosseratWeights(1.0, 0.25), CosseratWeights(2.5, 1.5))
+
+    @staticmethod
+    def _spectra(W, n, rng):
+        """Random spectra plus pair sums placed in and around the boundary band."""
+        rho = 2.0 if W.is_classical else W.singular_radius
+        for _ in range(20):
+            yield rng.uniform(0.05, 1.5 * rho, size=n)
+        for rel in (0.0, 1e-13, -1e-13, 1e-12, -1e-12, 3e-12, -3e-12, 1e-6, -1e-6):
+            band = rho * (1.0 + rel)
+            if n >= 2:  # first pair sum on the band, the rest well below it
+                nus = rng.uniform(0.05, 0.3 * rho, size=n)
+                nus[:2] = 0.6 * band, 0.4 * band
+                yield nus
+            if n >= 4:  # first pair well past the band, second pair on it
+                nus = rng.uniform(0.05, 0.3 * rho, size=n)
+                nus[:4] = 0.9 * rho, 0.8 * rho, 0.6 * band, 0.4 * band
+                yield nus
+
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(31)
+        for n in range(1, 9):
+            for w in self.WEIGHTS:
+                for nus in self._spectra(w, n, rng):
+                    k_ref, ref = _reference_reduced_energy(w, nus)
+                    k, value = reduced_energy_values(w, nus)
+                    assert k == k_ref
+                    assert abs(value - ref) <= 2e-15 * (1.0 + abs(ref))
+
+    def test_independent_of_input_order(self):
+        rng = np.random.default_rng(32)
+        for n in range(1, 9):
+            for w in self.WEIGHTS:
+                for nus in self._spectra(w, n, rng):
+                    expected = reduced_energy_values(w, np.sort(nus)[::-1])
+                    for _ in range(3):
+                        assert reduced_energy_values(w, list(rng.permutation(nus))) == expected
+
+    def test_reduced_energy_is_the_rule_on_singular_values(self):
+        rng = np.random.default_rng(33)
+        for n in range(1, 7):
+            F = random_gl_plus(n, rng)
+            for w in self.WEIGHTS:
+                assert reduced_energy(w, F) == reduced_energy_values(w, F.singular_values)[1]
+
+    def test_huge_equal_pairs_stay_finite_at_muc_zero(self):
+        # (nu_i + nu_j)^2 overflows here, and muc = 0 must not turn it into nan
+        assert reduced_energy_values(W10, [1e155] * 4) == (2, 0.0)
 
 
 class TestMinimizerSetSymmetries:

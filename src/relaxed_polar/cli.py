@@ -134,12 +134,11 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]):
 
 
 def _solve_report(W: CosseratWeights, F: DeformationGradient) -> dict:
-    regime, _, _ = reduce_parameters(W, F)
     report: dict = {
         "dim": F.dim,
         "mu": W.mu,
         "muc": W.muc,
-        "regime": regime.value,
+        "regime": W.regime.value,
         "singular_values": F.singular_values,
         "polar": F.polar.rotation,
         "reduced_energy": reduced_energy(W, F),

@@ -3,7 +3,8 @@
 All routines operate on plain ``numpy`` arrays and are pure functions:
 nothing here mutates its inputs or keeps state, so everything is safe to
 call concurrently. Intended scale is n <= ~50; nothing is tuned beyond
-that.
+that. ``skew_exp`` takes stacks and needs no Pade approximant: closed
+forms for n = 2 and 3, a Hermitian eigendecomposition otherwise.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotSkew, NotSymmetric
 
@@ -118,28 +118,39 @@ def svd_ordered(f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def skew_exp(a) -> np.ndarray:
     """Matrix exponential of a skew-symmetric matrix; the result is a rotation.
 
-    Closed forms are used for n = 2 (planar rotation) and n = 3
-    (angle-axis form); larger sizes fall back to a dense Pade
-    exponential. Raises ``NotSkew`` when the symmetric part exceeds the
-    structural tolerance.
+    Takes one (n, n) matrix or a stack (..., n, n) and exponentiates each
+    slice on its own, so a slice's result does not depend on the stack
+    around it. Closed forms are used for n = 2 (planar rotation) and
+    n = 3 (Rodrigues form, equal to its series below an angle of 1e-8);
+    otherwise the Hermitian eigendecomposition 1j A = V diag(lam) V^H gives
+    exp(A) = 1 + Re(V diag(expm1(-1j lam)) V^H). There is no Pade fallback.
+    Raises ``NotSkew`` when the symmetric part exceeds the structural
+    tolerance, measured as one Frobenius norm over the stack.
     """
-    m = as_square(a)
-    n = m.shape[0]
-    if np.linalg.norm(m + m.T) > STRUCTURAL_TOL * max(1.0, np.linalg.norm(m)) + STRUCTURAL_TOL:
+    m = np.asarray(a, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    nsq = float(np.vdot(m, m))
+    if not np.isfinite(nsq) and not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    n = m.shape[-1]
+    mt = m.swapaxes(-1, -2)
+    d = m + mt
+    # one norm over the whole stack, as for a single matrix
+    if np.sqrt(np.vdot(d, d)) > STRUCTURAL_TOL * max(1.0, np.sqrt(nsq)) + STRUCTURAL_TOL:
         raise NotSkew("input is not skew-symmetric within tolerance")
-    m = (m - m.T) / 2.0
-    if n == 1:
-        return np.ones((1, 1))
+    m = (m - mt) / 2.0
     if n == 2:
-        t = m[1, 0]
-        c, s = np.cos(t), np.sin(t)
-        return np.array([[c, -s], [s, c]])
+        c, s = np.cos(m[..., 1, 0]), np.sin(m[..., 1, 0])
+        return np.stack((c, -s, s, c), axis=-1).reshape(m.shape)
     if n == 3:
-        w = np.array([m[2, 1], m[0, 2], m[1, 0]])
-        theta = np.linalg.norm(w)
-        if theta < 1e-8:
-            # second-order series is exact to ~1e-24 here
-            return np.eye(3) + m + (m @ m) / 2.0
-        k = m / theta
-        return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
-    return scipy.linalg.expm(m)
+        # exp(A) = 1 + sin(t)/t A + (1 - cos t)/t^2 A^2 in half-angle form: below
+        # t = 1e-8 both round to the series' 1 and 1/2; the clamp keeps t = 0 finite
+        t = np.maximum(np.sqrt(0.5 * (m * m).sum(axis=(-2, -1))), 1e-300)
+        h = np.sin(0.5 * t) / (0.5 * t)
+        a1 = (np.sin(t) / t)[..., None, None]
+        a2 = (0.5 * h * h)[..., None, None]
+        return np.eye(3) + a1 * m + a2 * (m @ m)
+    lam, v = np.linalg.eigh(1j * m)
+    # exp(A) - 1 from expm1 keeps the error relative to |A| for small steps
+    return np.eye(n) + ((v * np.expm1(-1j * lam)[..., None, :]) @ v.swapaxes(-1, -2).conj()).real

@@ -212,11 +212,6 @@ def realize_rotation(p: CriticalPartition, nus) -> np.ndarray:
     return r
 
 
-def _merge_savings(d: np.ndarray, i: int, j: int) -> float:
-    """Energy drop from merging +1 singletons {i}, {j} into the +1 pair {i, j}."""
-    return 0.5 * (d[i] + d[j] - 2.0) ** 2
-
-
 def traversal_path(start: CriticalPartition, nus) -> list[CriticalPartition]:
     """Energy-decreasing walk from a critical point to the global minimum.
 

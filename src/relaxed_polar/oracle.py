@@ -4,16 +4,16 @@ Multi-start Riemannian gradient descent over the rotation group, with
 Haar-uniform restarts. The rotation group is compact, so enough restarts
 make this a credible global oracle at the small dimensions the closed
 forms are verified at. Every restart draws its own random stream from
-(seed, restart index), so results do not depend on scheduling order and
-are bit-identical for a fixed seed.
+(seed, restart index). All restarts descend as one stack, each with its
+own step and stopping rule, so results do not depend on how the stack is
+split and are bit-identical for a fixed seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from . import matcore
 from .energy import CosseratWeights, DeformationGradient, energy, relative_rotation
@@ -70,52 +70,93 @@ def haar_sample(n: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _energy_fast(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> float:
+def _energy(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> np.ndarray:
     # mu||sym X||^2 + muc||skew X||^2 = ((mu+muc)||X||^2 + (mu-muc) tr X^2)/2
-    x = r.T @ f - eye
-    nsq = float(np.sum(x * x))
-    q = float(np.sum(x * x.T))
+    x = r.swapaxes(-1, -2) @ f - eye
+    nsq = (x * x).sum(axis=(-2, -1))
+    q = (x * x.swapaxes(-1, -2)).sum(axis=(-2, -1))
     return 0.5 * ((mu + muc) * nsq + (mu - muc) * q)
 
 
-def _gradient_fast(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    y = r.T @ f
+def _gradient(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Riemannian gradient G at R (or a stack), in the left trivialization.
+
+    Along R(s) = R expm(s A) with skew A the energy changes at rate <G, A>:
+    G = 2 skew( (R^T F) (mu sym(X) - muc skew(X)) ),  X = R^T F - 1.
+    """
+    y = r.swapaxes(-1, -2) @ f
     x = y - eye
     # mu sym(X) - muc skew(X) = ((mu-muc) X + (mu+muc) X^T) / 2
-    m = 0.5 * ((mu - muc) * x + (mu + muc) * x.T)
-    b = y @ m
-    return b - b.T  # = 2 skew(B)
+    b = y @ (0.5 * ((mu - muc) * x + (mu + muc) * x.swapaxes(-1, -2)))
+    return b - b.swapaxes(-1, -2)  # = 2 skew(B)
 
 
-def _skew_exp_fast(m: np.ndarray, n: int) -> np.ndarray:
-    if n == 3:
-        w0, w1, w2 = m[2, 1], m[0, 2], m[1, 0]
-        theta = np.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-        if theta < 1e-8:
-            return np.eye(3) + m + (m @ m) / 2.0
-        k = m / theta
-        return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
-    if n == 2:
-        t = m[1, 0]
-        c, s = np.cos(t), np.sin(t)
-        return np.array([[c, -s], [s, c]])
-    if n == 1:
-        return np.ones((1, 1))
-    return scipy.linalg.expm(m)
+def _norm(g: np.ndarray) -> np.ndarray:
+    return np.sqrt((g * g).sum(axis=(-2, -1)))
 
 
-def gradient(W: CosseratWeights, R, F: DeformationGradient) -> np.ndarray:
-    """Riemannian gradient G of the energy at R, in the left trivialization.
+def _descend(
+    W: CosseratWeights,
+    F: DeformationGradient,
+    starts: np.ndarray,
+    cfg: OracleConfig,
+    energy_trace: list | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Backtracking descent of a stack of starts (S, n, n), each on its own.
 
-    Along any curve R(s) = R expm(s A) with skew A, the derivative of the
-    energy at s = 0 equals <G, A>; G itself is skew-symmetric:
-
-        G = 2 skew( (R^T F) (mu sym(X) - muc skew(X)) ),  X = R^T F - 1.
+    Each start keeps its own step t: the trial R expm(-t G) is accepted if
+    the energy strictly decreases, else t is halved; after acceptance t
+    doubles up to ``_MAX_STEP``, and every 64 accepted steps R is
+    re-projected onto the rotations by SVD. A start stops at ||G|| <=
+    tol_grad, at t < ``_MIN_STEP`` or after max_iters accepted steps. A
+    round evaluates only the running starts, slice by slice, so no start
+    depends on the rest of the stack. ``energy_trace`` needs one start.
+    Returns the rotations, energies and gradient norms.
     """
-    r = np.asarray(R, dtype=float)
-    if r.shape != (F.dim, F.dim):
-        raise DimensionMismatch(f"rotation shape {r.shape} does not match dim {F.dim}")
-    return _gradient_fast(W.mu, W.muc, r, F.matrix, np.eye(F.dim))
+    mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
+    r = np.array(starts, dtype=float)
+    e = _energy(mu, muc, r, f, eye)
+    g = _gradient(mu, muc, r, f, eye)
+    gn = _norm(g)
+    out_r, out_e, out_gn = r.copy(), e.copy(), gn.copy()
+    t = np.full(len(r), cfg.step_init)
+    steps = np.zeros(len(r), dtype=int)
+    pos = np.arange(len(r))
+    if energy_trace is not None:
+        energy_trace.append(float(e[0]))
+    stop = (gn <= cfg.tol_grad) | (t < _MIN_STEP)
+    while True:
+        if stop.any():
+            # write out the starts that ended and drop them from the stack
+            out_r[pos[stop]], out_e[pos[stop]], out_gn[pos[stop]] = r[stop], e[stop], gn[stop]
+            keep = ~stop
+            pos, r, e, g, gn, t, steps = (x[keep] for x in (pos, r, e, g, gn, t, steps))
+        if not len(pos):
+            return out_r, out_e, out_gn
+        r_try = r @ matcore.skew_exp(-t[:, None, None] * g)
+        e_try = _energy(mu, muc, r_try, f, eye)
+        ok = e_try < e
+        t = np.where(ok, np.minimum(2.0 * t, _MAX_STEP), 0.5 * t)
+        if not ok.any():
+            stop = t < _MIN_STEP
+            continue
+        if not ok.all():
+            r_try = np.where(ok[:, None, None], r_try, r)
+            e_try = np.where(ok, e_try, e)
+        r, e = r_try, e_try
+        steps += ok
+        if energy_trace is not None:
+            energy_trace.append(float(e[0]))
+        due = ok & (steps % 64 == 0)
+        if due.any():
+            # re-project to kill accumulated orthogonality drift
+            u, _, vt = np.linalg.svd(r[due])
+            r[due] = u @ vt
+            e[due] = _energy(mu, muc, r[due], f, eye)
+        # a rejected start keeps its rotation, so its gradient is unchanged
+        g = _gradient(mu, muc, r, f, eye)
+        gn = _norm(g)
+        stop = (t < _MIN_STEP) | (gn <= cfg.tol_grad) | (steps >= cfg.max_iters)
 
 
 def riemannian_descent(
@@ -130,45 +171,16 @@ def riemannian_descent(
     Steps R <- R expm(-t G); the step is halved until the energy strictly
     decreases and regrown after acceptance. Stops once ||G|| <= tol_grad,
     the step underflows (stationary to machine precision), or max_iters
-    is hit. The energy sequence is non-increasing by construction; pass
-    ``energy_trace`` to record it.
+    is hit. This is the one-start case of the stacked descent of
+    ``global_minimize``. Pass ``energy_trace`` to record the energy after
+    each accepted step: it strictly decreases, except across the SVD
+    re-projection every 64 steps, which can move it by rounding.
     """
     r = np.asarray(R0, dtype=float)
     if r.shape != (F.dim, F.dim):
         raise DimensionMismatch(f"start shape {r.shape} does not match dim {F.dim}")
-    n, f, eye = F.dim, F.matrix, np.eye(F.dim)
-    mu, muc = W.mu, W.muc
-    e = _energy_fast(mu, muc, r, f, eye)
-    if energy_trace is not None:
-        energy_trace.append(e)
-    t = cfg.step_init
-    g = _gradient_fast(mu, muc, r, f, eye)
-    gn = float(np.linalg.norm(g))
-    for it in range(cfg.max_iters):
-        if gn <= cfg.tol_grad:
-            break
-        moved = False
-        while t >= _MIN_STEP:
-            r_try = r @ _skew_exp_fast(-t * g, n)
-            e_try = _energy_fast(mu, muc, r_try, f, eye)
-            if e_try < e:
-                r, e = r_try, e_try
-                moved = True
-                break
-            t *= 0.5
-        if not moved:
-            break
-        if energy_trace is not None:
-            energy_trace.append(e)
-        t = min(t * 2.0, _MAX_STEP)
-        if (it + 1) % 64 == 0:
-            # re-project to kill accumulated orthogonality drift
-            u, _, vt = np.linalg.svd(r)
-            r = u @ vt
-            e = _energy_fast(mu, muc, r, f, eye)
-        g = _gradient_fast(mu, muc, r, f, eye)
-        gn = float(np.linalg.norm(g))
-    return r, e, gn
+    r, e, gn = _descend(W, F, r[None], cfg, energy_trace)
+    return r[0], float(e[0]), float(gn[0])
 
 
 def _closed_form_candidates(
@@ -212,9 +224,11 @@ def global_minimize(
 
     Warm starts are the polar factor and the closed-form candidates; turn
     them off (``warm_starts=False``) for unbiased verification of those
-    same closed forms. Restarts are independent, reduction picks the
-    lowest energy with ties broken by start index, so the result does not
-    depend on the order the restarts run in.
+    same closed forms. All starts descend as one stack, each with its own
+    step and stopping rule, so a start ends where it would alone and the
+    result does not depend on how the stack is split or ordered. The
+    lowest energy wins, ties broken by start index, and is then polished
+    by a long ``riemannian_descent``.
     """
     starts: list[np.ndarray] = []
     if warm_starts:
@@ -224,21 +238,13 @@ def global_minimize(
     for i in range(cfg.samples):
         starts.append(haar_sample(n, np.random.default_rng((cfg.seed, i))))
 
-    results = [riemannian_descent(W, F, r0, cfg) for r0 in starts]
-
-    best_idx = min(range(len(results)), key=lambda i: (results[i][1], i))
-    r_best, _, gn_best = results[best_idx]
-    converged = sum(1 for _, _, gn in results if gn <= cfg.tol_grad)
+    r, e, gn = _descend(W, F, np.array(starts), cfg)
+    best_idx = int(np.argmin(e))  # the first of equal energies: lowest start index
+    converged = int(np.count_nonzero(gn <= cfg.tol_grad))
     # long polish from the winner: nearly flat modes (repeated singular
     # values) converge slowly and can need far more than max_iters steps
-    polish = OracleConfig(
-        seed=cfg.seed,
-        samples=1,
-        max_iters=20 * cfg.max_iters,
-        step_init=cfg.step_init,
-        tol_grad=cfg.tol_grad,
-    )
-    r_best, _, gn_best = riemannian_descent(W, F, r_best, polish)
+    polish = replace(cfg, samples=1, max_iters=20 * cfg.max_iters)
+    r_best, _, gn_best = riemannian_descent(W, F, r[best_idx], polish)
     return OracleResult(
         best_rotation=r_best,
         best_energy=energy(W, r_best, F),
@@ -256,22 +262,11 @@ def _stationarity_defect(W: CosseratWeights, R, F: DeformationGradient) -> float
     gradient norm.
     """
     if W.is_classical:
-        return matcore.frobenius(gradient(W, R, F))
+        return matcore.frobenius(_gradient(W.mu, W.muc, np.asarray(R, float), F.matrix, np.eye(F.dim)))
     rhat = relative_rotation(R, F)
     dt = np.diag(F.singular_values / W.scaling)
     x = rhat @ dt - np.eye(F.dim)
     return matcore.frobenius(matcore.skew(x @ x))
-
-
-def _skew_basis(n: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n))
-            e[i, j] = -1.0
-            e[j, i] = 1.0
-            basis.append(e)
-    return basis
 
 
 def _newton_refine(
@@ -284,36 +279,35 @@ def _newton_refine(
     """Damped Newton iteration on the first-order condition G(R) = 0.
 
     The Jacobian of the gradient field over the skew basis is formed by
-    forward differences; steps are halved until the residual shrinks.
-    Converges quadratically to whichever critical point (minimum, saddle
-    or maximum) the start lies near, which is what a census needs.
+    forward differences, all basis directions as one stack; steps are
+    halved until the residual shrinks. Converges quadratically to
+    whichever critical point (minimum, saddle or maximum) the start lies
+    near, which is what a census needs.
     """
     n = F.dim
-    basis = _skew_basis(n)
-    m = len(basis)
-    idx = [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-    def vec(g):
-        return np.array([g[j, i] for (i, j) in idx])
-
+    # skew G is a vector by its lower triangle; basis element k has
+    # +1 at (jj[k], ii[k]) and -1 at (ii[k], jj[k])
+    ii, jj = np.triu_indices(n, 1)
+    m = len(ii)
+    basis = np.zeros((m, n, n))
+    basis[np.arange(m), jj, ii] = 1.0
+    basis[np.arange(m), ii, jj] = -1.0
     h = 1e-7
     f, eye, mu, muc = F.matrix, np.eye(n), W.mu, W.muc
     r = np.asarray(R0, dtype=float)
-    g = vec(_gradient_fast(mu, muc, r, f, eye))
+    g = _gradient(mu, muc, r, f, eye)[jj, ii]
     for _ in range(max_iters):
         gn = np.linalg.norm(g)
         if gn <= tol:
             break
-        jac = np.empty((m, m))
-        for k, e in enumerate(basis):
-            rk = r @ _skew_exp_fast(h * e, n)
-            jac[:, k] = (vec(_gradient_fast(mu, muc, rk, f, eye)) - g) / h
+        rk = r @ matcore.skew_exp(h * basis)
+        jac = ((_gradient(mu, muc, rk, f, eye)[:, jj, ii] - g) / h).T
         dx, *_ = np.linalg.lstsq(jac, -g, rcond=None)
-        step = sum(dx[k] * basis[k] for k in range(m))
+        step = np.tensordot(dx, basis, axes=1)
         factor = 1.0
         while factor > 1e-6:
-            r_try = r @ _skew_exp_fast(factor * step, n)
-            g_try = vec(_gradient_fast(mu, muc, r_try, f, eye))
+            r_try = r @ matcore.skew_exp(factor * step)
+            g_try = _gradient(mu, muc, r_try, f, eye)[jj, ii]
             if np.linalg.norm(g_try) < gn:
                 r, g = r_try, g_try
                 break
@@ -357,10 +351,10 @@ def critical_scan(
         starts.append(haar_sample(n, np.random.default_rng((cfg.seed, i))))
 
     newton_tol = 1e-13 * (1.0 + matcore.frobenius_sq(F.matrix))
+    r_desc, _, _ = _descend(W, F, np.array(starts), cfg)
     candidates: list[np.ndarray] = []
-    for r0 in starts:
-        r_desc, _, _ = riemannian_descent(W, F, r0, cfg)
-        candidates.append(r_desc)
+    for r0, rd in zip(starts, r_desc):
+        candidates.append(rd)
         candidates.append(_newton_refine(W, F, r0, newton_tol))
 
     found: list[tuple[np.ndarray, float]] = []

@@ -1,6 +1,7 @@
 """The rpolar command line, run in process: outputs against the library, exit codes."""
 
 import csv
+import importlib
 import json
 
 import numpy as np
@@ -21,6 +22,9 @@ from relaxed_polar import (
 )
 from relaxed_polar.planar import rotation_2d
 from relaxed_polar.spatial import wred_3d_values
+
+# the package exports a function named energy, so fetch the module itself
+energy_module = importlib.import_module("relaxed_polar.energy")
 
 
 def run(argv, capsys):
@@ -102,6 +106,22 @@ class TestSolve:
         assert rep["branch_labels"] == ["+", "-"]
         assert rep["reduced_energy"] == reduced_energy(W, F)
         assert_rotations_equal(rep["minimizers"], [absolute_rotation(r, F) for r in gm.rotations])
+
+    def test_rescale_runs_once_in_general_dimension_and_never_in_3d(self, capsys, monkeypatch):
+        # for 0 < muc < mu each rescale builds a new DeformationGradient with a full SVD
+        calls = []
+        original = energy_module.rescale
+
+        def counted(W, F):
+            calls.append(F.dim)
+            return original(W, F)
+
+        monkeypatch.setattr(energy_module, "rescale", counted)
+        m4 = [[1.5, 0.2, 0.0, 0.1], [0.0, 1.2, 0.3, 0.0], [0.0, 0.0, 0.9, 0.2], [0.1, 0.0, 0.0, 0.7]]
+        solve(m4, 1.0, 0.5, capsys)
+        assert calls == [4]
+        solve([[2.0, 0.3, 0.1], [0.0, 1.5, 0.2], [0.1, 0.0, 0.4]], 1.0, 0.5, capsys)
+        assert calls == [4]
 
     def test_classical_weights_give_the_polar_factor(self, capsys):
         m = [[2.0, 0.3, 0.1], [0.0, 1.5, 0.2], [0.1, 0.0, 0.4]]

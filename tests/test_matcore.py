@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -170,6 +174,65 @@ def test_skew_exp_rotation_invariants_and_inverse():
             r = matcore.skew_exp(a)
             assert matcore.is_rotation(r, tol=1e-12)
             assert np.linalg.norm(r @ matcore.skew_exp(-a) - np.eye(n)) <= 1e-10
+
+
+def _skew_stack(rng, count, n, norm):
+    g = rng.standard_normal((count, n, n))
+    a = g - g.swapaxes(-1, -2)
+    scale = np.linalg.norm(a, axis=(-2, -1))
+    return a * (norm / np.where(scale > 0.0, scale, 1.0))[:, None, None]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_skew_exp_stack_matches_slices(n):
+    rng = np.random.default_rng(100 + n)
+    a = np.concatenate([_skew_stack(rng, 4, n, s) for s in (1e-10, 1e-3, 0.7, 3.0, 30.0)])
+    r = matcore.skew_exp(a)
+    assert r.shape == a.shape
+    for ak, rk in zip(a, r):
+        assert matcore.is_rotation(rk, tol=1e-12)
+        np.testing.assert_array_equal(rk, matcore.skew_exp(ak))
+    # a stack of stacks is exponentiated slice by slice too
+    np.testing.assert_array_equal(matcore.skew_exp(a.reshape(5, 4, n, n)), r.reshape(5, 4, n, n))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_skew_exp_eigh_route_matches_taylor_series(n):
+    rng = np.random.default_rng(200 + n)
+    a = np.concatenate([_skew_stack(rng, 5, n, s) for s in (1e-8, 1e-4, 0.1, 1.0)])
+    series = np.zeros_like(a)
+    term = np.broadcast_to(np.eye(n), a.shape).copy()
+    for k in range(30):
+        series += term
+        term = term @ a / (k + 1)
+    assert np.max(np.abs(matcore.skew_exp(a) - series)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_skew_exp_inverse_up_to_large_norms(n):
+    rng = np.random.default_rng(300 + n)
+    a = np.concatenate([_skew_stack(rng, 5, n, s) for s in (0.5, 5.0, 30.0)])
+    prod = matcore.skew_exp(a) @ matcore.skew_exp(-a)
+    assert np.max(np.linalg.norm(prod - np.eye(n), axis=(-2, -1))) <= 1e-12
+
+
+def test_skew_exp_rejects_one_non_skew_slice():
+    rng = np.random.default_rng(9)
+    for n in (2, 3, 5):
+        a = _skew_stack(rng, 6, n, 1.0)
+        a[3, 0, 1] += 1e-3
+        with pytest.raises(NotSkew):
+            matcore.skew_exp(a)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, relaxed_polar; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_is_rotation_rejects():

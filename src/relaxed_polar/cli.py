@@ -11,6 +11,8 @@ Subcommands::
 Matrices are accepted as JSON rows (``[[...],[...]]``) or whitespace
 separated lines, inline via ``--matrix`` or from a file. All numbers are
 serialized with full round-trip precision so downstream checks are exact.
+iso-grid, sweep-planar and the ndim census compute their columns as
+arrays; every row is bit-identical to a per-row library call.
 Exit codes: 0 success, 2 parse error, 3 invalid weights/domain input,
 4 unwritable output.
 """
@@ -32,6 +34,7 @@ from .energy import (
     energy,
     reduce_parameters,
     reduced_energy,
+    reduced_energy_stack,
     relative_rotation,
 )
 from .errors import MatrixParseError, TooLarge
@@ -50,21 +53,11 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    # bool before int: bool is a subclass of int
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
+def _json_default(obj):
+    """``json.dumps`` hook for numpy arrays and scalars (np.float64 is a float)."""
+    if isinstance(obj, (np.ndarray, np.bool_, np.integer)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def parse_matrix_text(text: str) -> list[list[float]]:
@@ -215,7 +208,7 @@ def cmd_solve(args) -> int:
             "grad_norm": res.grad_norm_at_best,
             "restarts_converged": res.restarts_converged,
         }
-    print(json.dumps(_jsonify(report)))
+    print(json.dumps(report, default=_json_default))
     return EXIT_OK
 
 
@@ -228,23 +221,19 @@ def cmd_sweep_planar(args) -> int:
     nu2 = args.nu2
     if nu2 <= 0.0 or lo <= nu2:
         raise ValueError("fixed singular value must be positive and below the range")
-    rows = []
-    for tr_u in np.linspace(lo, hi, count):
-        F = DeformationGradient(np.diag([tr_u - nu2, nu2]))
-        sol = planar.optimal_angles(W, F)
-        if sol.bifurcated:
-            beta_plus, beta_minus = sol.relative_angles
-        else:
-            beta_plus = beta_minus = 0.0
-        rows.append(
-            [
-                fmt(tr_u),
-                fmt(beta_plus),
-                fmt(beta_minus),
-                fmt(sol.reduced_energy),
-                "true" if sol.bifurcated else "false",
-            ]
-        )
+    # diag(tr_u - nu2, nu2) has those two entries as its singular values
+    tr_u = np.linspace(lo, hi, count)
+    nus = np.stack([tr_u - nu2, np.full(count, nu2)], axis=-1)
+    total = nus[:, 0] + nus[:, 1]
+    rho = np.inf if W.is_classical else W.singular_radius
+    bifurcated = total > rho
+    beta = np.zeros(count)
+    beta[bifurcated] = np.arccos(rho / total[bifurcated])
+    columns = (tr_u, beta, np.where(bifurcated, -beta, 0.0), reduced_energy_stack(W, nus)[1])
+    rows = (
+        [*map(repr, values), "true" if f else "false"]
+        for *values, f in zip(*(c.tolist() for c in columns), bifurcated.tolist())
+    )
     _write_csv(args.out, ["tr_U", "beta_plus", "beta_minus", "wred", "bifurcated"], rows)
     return EXIT_OK
 
@@ -302,14 +291,16 @@ def cmd_iso_grid(args) -> int:
     count = int(count)
     if count < 2 or not 0.0 < lo < hi:
         raise ValueError("grid range must satisfy 0 < min < max and count >= 2")
-    w10 = CosseratWeights(1.0, 0.0)
     axis = np.linspace(lo, hi, count)
-    rows = []
-    for nu1 in axis:
-        for nu2 in axis:
-            for nu3 in axis:
-                wred = spatial.wred_3d_values(w10, (nu1, nu2, nu3))
-                rows.append([fmt(nu1), fmt(nu2), fmt(nu3), fmt(wred)])
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+    wred = reduced_energy_stack(CosseratWeights(1.0, 0.0), grid)[1].tolist()
+    labels = [fmt(v) for v in axis]
+    rows = (
+        [a, b, c, repr(w)]
+        for a, plane in zip(labels, wred)
+        for b, line in zip(labels, plane)
+        for c, w in zip(labels, line)
+    )
     _write_csv(args.out, ["nu1", "nu2", "nu3", "wred"], rows)
     return EXIT_OK
 
@@ -318,7 +309,8 @@ def cmd_ndim(args) -> int:
     nus = sorted((float(v) for v in args.nus), reverse=True)
     if not nus or any(v <= 0.0 for v in nus):
         raise ValueError("singular values must be positive")
-    gm = ndim.global_minimizers_nd(np.array(nus))
+    d = np.array(nus)
+    gm = ndim.global_minimizers_nd(d, with_rotations=False)
     report = {
         "nus_sorted": nus,
         "k": gm.k,
@@ -328,15 +320,12 @@ def cmd_ndim(args) -> int:
         "degenerate": gm.degenerate,
     }
     if args.census:
-        parts = ndim.enumerate_critical_partitions(np.array(nus))
+        parts = ndim.enumerate_critical_partitions(d)
         report["census"] = [
-            {
-                "partition": _partition_1based(p),
-                "value": ndim.critical_value(p, np.array(nus)),
-            }
-            for p in parts
+            {"partition": _partition_1based(p), "value": v}
+            for p, v in zip(parts, ndim.critical_values(parts, d))
         ]
-    print(json.dumps(_jsonify(report)))
+    print(json.dumps(report, default=_json_default))
     return EXIT_OK
 
 

@@ -204,11 +204,11 @@ def nonclassical_pair_energy(W: CosseratWeights, nu_i: float, nu_j: float) -> fl
 
     At nu_i + nu_j = rho this matches the classical per-pair value
     mu [(nu_i - 1)^2 + (nu_j - 1)^2], so the reduced energy is continuous
-    across the bifurcation.
+    across the bifurcation. Squares are products; arrays work elementwise.
     """
     rho = W.singular_radius
-    s = nu_i + nu_j
-    total = 0.5 * W.mu * (nu_i - nu_j) ** 2 + 0.5 * W.mu * (rho - 2.0) ** 2
+    s, t, r = nu_i + nu_j, nu_i - nu_j, rho - 2.0
+    total = 0.5 * W.mu * (t * t) + 0.5 * W.mu * (r * r)
     if W.muc:  # s * s overflows above ~1e154, and 0 * inf would be nan
         total += 0.5 * W.muc * (s * s - rho * rho)
     return total
@@ -222,8 +222,10 @@ def reduced_energy_values(W: CosseratWeights, nus) -> tuple[int, float]:
     the longest prefix whose pair sums all exceed the singular radius rho;
     each pair contributes :func:`nonclassical_pair_energy`. Every value
     left over contributes mu (d - 1)^2, and classical weights give k = 0.
-    Terms are added left to right. This one rule covers every dimension:
-    the planar and spatial closed forms are its n = 2 and n = 3 cases.
+    Terms are added left to right and squares are products (x * x), so
+    :func:`reduced_energy_stack` gives the same bits. This one rule covers
+    every dimension: the planar and spatial closed forms are its n = 2 and
+    n = 3 cases.
     """
     d = sorted(map(float, nus), reverse=True)
     k = 0
@@ -234,7 +236,33 @@ def reduced_energy_values(W: CosseratWeights, nus) -> tuple[int, float]:
             total += nonclassical_pair_energy(W, d[2 * k], d[2 * k + 1])
             k += 1
     for v in d[2 * k :]:
-        total += W.mu * (v - 1.0) ** 2
+        total += W.mu * ((v - 1.0) * (v - 1.0))
+    return k, total
+
+
+def reduced_energy_stack(W: CosseratWeights, nus) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`reduced_energy_values` over the last axis of a (..., n) stack.
+
+    Each row is sorted in descending order; pair position p stays paired
+    while every pair sum up to p exceeds rho. The terms are the same
+    products added in the same order, so every row of (k, value) is
+    bit-identical to the scalar rule.
+    """
+    d = np.sort(np.asarray(nus, dtype=float), axis=-1)[..., ::-1]
+    single = W.mu * ((d - 1.0) * (d - 1.0))
+    active = np.full(d.shape[:-1], not W.is_classical)
+    k = np.zeros(d.shape[:-1], dtype=int)
+    total = np.zeros(d.shape[:-1])
+    for p in range(0, d.shape[-1] - 1, 2):
+        rest = total + single[..., p] + single[..., p + 1]
+        if active.any():
+            a, b = d[..., p], d[..., p + 1]
+            active &= a + b > W.singular_radius
+            rest = np.where(active, total + nonclassical_pair_energy(W, a, b), rest)
+        total = rest
+        k += active
+    if d.shape[-1] % 2:
+        total = total + single[..., -1]
     return k, total
 
 

@@ -55,21 +55,19 @@ class CriticalPartition:
             raise ValueError("a partition needs at least one block")
         if len(self.blocks) != len(self.signs):
             raise ValueError("one sign per block required")
-        blocks = tuple(tuple(sorted(b)) for b in self.blocks)
-        order = sorted(range(len(blocks)), key=lambda i: blocks[i])
-        object.__setattr__(self, "blocks", tuple(blocks[i] for i in order))
-        object.__setattr__(self, "signs", tuple(int(self.signs[i]) for i in order))
-        seen: set[int] = set()
-        for b, s in zip(self.blocks, self.signs):
-            if len(b) not in (1, 2) or len(set(b)) != len(b):
+        labeled = sorted(zip([tuple(sorted(b)) for b in self.blocks], map(int, self.signs)))
+        blocks, signs = zip(*labeled)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "signs", signs)
+        for b, s in labeled:
+            if len(b) not in (1, 2) or len(b) == 2 and b[0] == b[1]:
                 raise ValueError(f"blocks must have one or two distinct indices, got {b}")
             if s not in (-1, 1):
                 raise ValueError("signs must be +1 or -1")
-            if not seen.isdisjoint(b):
-                raise ValueError(f"blocks must be disjoint, got {b} overlapping another block")
-            seen.update(b)
-        n = self.dim
-        if seen != set(range(n)):
+        flat = sorted(itertools.chain.from_iterable(blocks))
+        if flat != list(range(len(flat))):
+            if len(set(flat)) != len(flat):
+                raise ValueError("blocks must be disjoint, got an index in two blocks")
             raise ValueError("blocks must partition a contiguous index range from 0")
 
     @property
@@ -87,7 +85,7 @@ class CriticalPartition:
         return d
 
 
-def _check_admissible(p: CriticalPartition, d: np.ndarray):
+def _check_admissible(p: CriticalPartition, d):
     if p.dim != len(d):
         raise InadmissiblePartition(
             f"partition covers {p.dim} indices, diagonal has {len(d)}"
@@ -129,7 +127,7 @@ def enumerate_critical_partitions(
     rotation; the relaxed mode also lists the det -1 patterns. Guarded to
     n <= 10 because the matching count grows like the involution numbers.
     """
-    d = _as_descending(nus)
+    d = _as_descending(nus).tolist()
     n = len(d)
     if n > ENUMERATION_MAX_DIM:
         raise TooLarge(f"exhaustive enumeration guarded to n <= {ENUMERATION_MAX_DIM}")
@@ -161,19 +159,28 @@ def enumerate_critical_partitions(
     return out
 
 
+def critical_values(parts, nus) -> list[float]:
+    """Energies of the critical rotations labeled by the partitions.
+
+    The diagonal is validated once and each partition checked for
+    admissibility; squares are products of floats, so a canonical
+    partition's value is bit-identical to :func:`global_min_value_10`.
+    """
+    d = _as_descending(nus).tolist()
+    out = []
+    for p in parts:
+        _check_admissible(p, d)
+        total = 0.0
+        for b, s in zip(p.blocks, p.signs):  # (nu_i - s)^2 or (nu_i - s nu_j)^2 / 2
+            x = d[b[0]] - s * (d[b[1]] if len(b) == 2 else 1.0)
+            total += x * x if len(b) == 1 else 0.5 * (x * x)
+        out.append(total)
+    return out
+
+
 def critical_value(p: CriticalPartition, nus) -> float:
     """Energy of the critical rotation labeled by the partition."""
-    d = _as_descending(nus)
-    _check_admissible(p, d)
-    total = 0.0
-    for b, s in zip(p.blocks, p.signs):
-        if len(b) == 1:
-            (i,) = b
-            total += (d[i] - 1.0) ** 2 if s == 1 else (d[i] + 1.0) ** 2
-        else:
-            i, j = b
-            total += 0.5 * (d[i] - d[j]) ** 2 if s == 1 else 0.5 * (d[i] + d[j]) ** 2
-    return float(total)
+    return critical_values([p], nus)[0]
 
 
 def realize_rotation(p: CriticalPartition, nus) -> np.ndarray:

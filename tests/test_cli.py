@@ -142,21 +142,31 @@ class TestSolve:
 
 
 def test_sweep_planar(tmp_path, capsys):
+    # 500 rows per weight pair, so a last-bit divergence at a 0.1% rate shows
     out = tmp_path / "sweep.csv"
-    code, _, _ = run(
-        ["sweep-planar", "--range", "0.5", "6", "12", "--nu2", "0.25", "--mu", "1.7",
-         "--muc", "0.3", "--out", str(out)], capsys
-    )
-    assert code == cli.EXIT_OK
-    header, rows = read_csv(out)
-    assert header == ["tr_U", "beta_plus", "beta_minus", "wred", "bifurcated"]
-    W = CosseratWeights(1.7, 0.3)
-    for tr_u, row in zip(np.linspace(0.5, 6.0, 12), rows):
-        sol = optimal_angles(W, DeformationGradient(np.diag([tr_u - 0.25, 0.25])))
-        betas = sol.relative_angles if sol.bifurcated else (0.0, 0.0)
-        assert row == [cli.fmt(tr_u), *map(cli.fmt, betas), cli.fmt(sol.reduced_energy),
-                       "true" if sol.bifurcated else "false"]
-    assert [r[4] for r in rows].count("true") > 0 and rows[0][4] == "false"
+    for (lo, hi, count), (mu, muc) in [
+        ((0.5, 6.0, 12), (1.7, 0.3)),
+        ((0.5, 6.0, 500), (1.0, 0.0)),
+        ((0.3, 9.0, 500), (1.7, 0.3)),
+        ((0.5, 6.0, 500), (3.3, 0.0)),
+        ((0.5, 6.0, 500), (1.0, 2.0)),
+    ]:
+        code, _, _ = run(
+            ["sweep-planar", "--range", repr(lo), repr(hi), str(count), "--nu2", "0.25",
+             "--mu", repr(mu), "--muc", repr(muc), "--out", str(out)], capsys
+        )
+        assert code == cli.EXIT_OK
+        header, rows = read_csv(out)
+        assert header == ["tr_U", "beta_plus", "beta_minus", "wred", "bifurcated"]
+        assert len(rows) == count
+        W = CosseratWeights(mu, muc)
+        for tr_u, row in zip(np.linspace(lo, hi, count), rows):
+            sol = optimal_angles(W, DeformationGradient(np.diag([tr_u - 0.25, 0.25])))
+            betas = sol.relative_angles if sol.bifurcated else (0.0, 0.0)
+            assert row == [cli.fmt(tr_u), *map(cli.fmt, betas), cli.fmt(sol.reduced_energy),
+                           "true" if sol.bifurcated else "false"]
+        flags = [r[4] for r in rows]
+        assert flags[0] == "false" and ("true" in flags) == (not W.is_classical)
 
 
 def test_scatter_mc(tmp_path, capsys):
@@ -177,18 +187,21 @@ def test_scatter_mc(tmp_path, capsys):
 
 
 def test_iso_grid(tmp_path, capsys):
+    # the 37^3 grid has rows whose wred differs in the last digit if the
+    # array and the per-row rule square differently
     out = tmp_path / "iso.csv"
-    code, _, _ = run(["iso-grid", "--grid", "0.5", "2.5", "3", "--out", str(out)], capsys)
-    assert code == cli.EXIT_OK
-    header, rows = read_csv(out)
-    assert header == ["nu1", "nu2", "nu3", "wred"]
-    axis = np.linspace(0.5, 2.5, 3)
     w10 = CosseratWeights(1.0, 0.0)
-    expected = [
-        [*map(cli.fmt, (a, b, c)), cli.fmt(wred_3d_values(w10, (a, b, c)))]
-        for a in axis for b in axis for c in axis
-    ]
-    assert rows == expected
+    for lo, hi, count in [("0.5", "2.5", 3), ("0.05", "3.5", 37)]:
+        code, _, _ = run(["iso-grid", "--grid", lo, hi, str(count), "--out", str(out)], capsys)
+        assert code == cli.EXIT_OK
+        header, rows = read_csv(out)
+        assert header == ["nu1", "nu2", "nu3", "wred"]
+        axis = np.linspace(float(lo), float(hi), count)
+        expected = [
+            [*map(cli.fmt, (a, b, c)), cli.fmt(wred_3d_values(w10, (a, b, c)))]
+            for a in axis for b in axis for c in axis
+        ]
+        assert rows == expected
 
 
 def test_ndim_with_census(capsys):
@@ -207,6 +220,18 @@ def test_ndim_with_census(capsys):
     ]
     parts = enumerate_critical_partitions(nus)
     assert [c["value"] for c in rep["census"]] == [critical_value(p, nus) for p in parts]
+    # the eight-value spectrum the benchmark's census jitters: every entry exact
+    nus = np.array([4.47, 3.56, 3.31, 2.88, 2.16, 1.69, 1.07, 0.62])
+    code, out, _ = run(["ndim", "--census", *map(repr, nus.tolist())], capsys)
+    assert code == cli.EXIT_OK
+    census = json.loads(out)["census"]
+    parts = enumerate_critical_partitions(nus)
+    assert len(census) == len(parts) > 5000
+    for entry, p in zip(census, parts):
+        assert entry["partition"] == [
+            {"indices": [i + 1 for i in b], "sign": s} for b, s in zip(p.blocks, p.signs)
+        ]
+        assert entry["value"] == critical_value(p, nus)
 
 
 @pytest.mark.parametrize(

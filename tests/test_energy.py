@@ -13,9 +13,14 @@ from relaxed_polar import (
     relative_rotation,
     rescale,
 )
-from relaxed_polar.energy import nonclassical_pair_energy, reduced_energy_values
+from relaxed_polar.energy import (
+    nonclassical_pair_energy,
+    reduced_energy_stack,
+    reduced_energy_values,
+)
 from relaxed_polar.errors import DimensionMismatch, RegimeError
 from relaxed_polar.oracle import OracleConfig, global_minimize
+from relaxed_polar.spatial import BOUNDARY_RTOL
 
 from conftest import random_gl_plus, random_rotation, sets_equal
 
@@ -338,6 +343,73 @@ class TestReducedEnergyValues:
     def test_huge_equal_pairs_stay_finite_at_muc_zero(self):
         # (nu_i + nu_j)^2 overflows here, and muc = 0 must not turn it into nan
         assert reduced_energy_values(W10, [1e155] * 4) == (2, 0.0)
+
+
+class TestReducedEnergyStack:
+    """The stacked pairing rule against the scalar one, bit for bit."""
+
+    WEIGHTS = TestReducedEnergyValues.WEIGHTS
+
+    @staticmethod
+    def _stack(W, n, rng):
+        """Random rows, rows with pair sums exactly at rho, rows in the boundary band."""
+        rho = 2.0 if W.is_classical else W.singular_radius
+        rows = list(rng.uniform(0.05, 1.5 * rho, size=(600, n)))
+        for p in range(0, n - 1, 2):  # pair p summing to rho exactly, earlier pairs past it
+            for _ in range(6):
+                a = rng.uniform(0.5 * rho, 0.9 * rho)
+                if a + (rho - a) != rho:
+                    continue
+                nus = rng.uniform(0.01, 0.05 * rho, size=n)
+                nus[:p] = rng.uniform(rho, 1.4 * rho, size=p)
+                nus[p : p + 2] = a, rho - a
+                rows.append(nus)
+            for rel in (-3.0, -1.0, -0.5, 0.5, 1.0, 3.0):  # and within a few BOUNDARY_RTOL
+                nus = rng.uniform(0.01, 0.05 * rho, size=n)
+                nus[:p] = rng.uniform(rho, 1.4 * rho, size=p)
+                band = rho * (1.0 + rel * BOUNDARY_RTOL)
+                nus[p : p + 2] = 0.55 * band, 0.45 * band
+                rows.append(nus)
+        return np.array(rows).reshape(-1, n)
+
+    def test_rows_equal_the_scalar_rule_bitwise(self):
+        rng = np.random.default_rng(41)
+        at_rho = 0
+        for n in range(1, 9):
+            for w in self.WEIGHTS:
+                stack = self._stack(w, n, rng)
+                rng.shuffle(stack)
+                k, values = reduced_energy_stack(w, stack)
+                assert k.shape == values.shape == (len(stack),)
+                for row, k_row, v_row in zip(stack, k.tolist(), values.tolist()):
+                    assert (k_row, v_row) == reduced_energy_values(w, row)
+                if not w.is_classical and n >= 2:
+                    at_rho += int(np.sum(stack[:, 0] + stack[:, 1] == w.singular_radius))
+        assert at_rho > 0
+
+    def test_classical_weights_pair_nothing(self):
+        rng = np.random.default_rng(42)
+        for w in (W11, CosseratWeights(2.0, 3.0)):
+            k, _ = reduced_energy_stack(w, rng.uniform(0.05, 5.0, size=(50, 6)))
+            assert not k.any()
+
+    def test_shapes(self):
+        rng = np.random.default_rng(43)
+        w = CosseratWeights(1.7, 0.3)
+        nus = rng.uniform(0.05, 4.0, size=(4, 5, 3))
+        k, values = reduced_energy_stack(w, nus)
+        assert k.shape == values.shape == (4, 5)
+        for idx in np.ndindex(4, 5):
+            assert (k[idx], values[idx]) == reduced_energy_values(w, nus[idx])
+            k1, v1 = reduced_energy_stack(w, nus[idx])
+            assert np.shape(k1) == np.shape(v1) == ()
+            assert (int(k1), float(v1)) == reduced_energy_values(w, nus[idx])
+        flat_k, flat_values = reduced_energy_stack(w, nus.reshape(-1, 3))
+        np.testing.assert_array_equal(flat_k, k.ravel())
+        np.testing.assert_array_equal(flat_values, values.ravel())
+        for n in (1, 2, 5):
+            k, values = reduced_energy_stack(w, np.zeros((0, n)))
+            assert k.shape == values.shape == (0,)
 
 
 class TestMinimizerSetSymmetries:

@@ -6,6 +6,7 @@ from relaxed_polar.errors import InadmissiblePartition, OrientationError, TooLar
 from relaxed_polar.ndim import (
     CriticalPartition,
     critical_value,
+    critical_values,
     enumerate_critical_partitions,
     global_min_value_10,
     global_minimizers_nd,
@@ -323,3 +324,32 @@ class TestStructuralLemmas:
                 best = min(critical_value(p, nus) for p in parts)
                 k, wred = global_min_value_10(nus)
                 assert best == wred  # bit-identical accumulation order
+
+    def test_critical_values_square_by_product(self):
+        # np.square is the correctly rounded x * x, so no value may depend on libm pow;
+        # the canonical partition's value must equal global_min_value_10 bit for bit
+        rng = np.random.default_rng(79)
+        for n in range(1, 7):
+            for _ in range(30):
+                nus = np.sort(rng.uniform(0.05, 6.0, n))[::-1]
+                parts = enumerate_critical_partitions(nus, require_rotation=False)
+                for p, v in zip(parts, critical_values(parts, nus)):
+                    expected = 0.0
+                    for b, s in zip(p.blocks, p.signs):
+                        if len(b) == 1:
+                            expected += float(np.square(nus[b[0]] - s))
+                        else:
+                            expected += 0.5 * float(np.square(nus[b[0]] - s * nus[b[1]]))
+                    assert v == expected
+                canonical = global_minimizers_nd(nus, with_rotations=False).partition
+                assert critical_value(canonical, nus) == global_min_value_10(nus)[1]
+
+    def test_critical_values_checks_every_partition(self):
+        nus = np.array([3.0, 1.0, 0.5])
+        good = CriticalPartition(blocks=((0, 1), (2,)), signs=(1, 1))
+        bad = CriticalPartition(blocks=((0,), (1, 2)), signs=(1, 1))  # 1.0 + 0.5 <= 2
+        assert critical_values([good], nus) == [critical_value(good, nus)]
+        with pytest.raises(InadmissiblePartition):
+            critical_values([good, bad], nus)
+        with pytest.raises(ValueError):
+            critical_values([good], [1.0, 3.0, 0.5])  # not descending

@@ -1,20 +1,25 @@
 """Energy-minimizing rotations for the weighted Cosserat shear-stretch energy.
 
-Closed-form relaxed polar factors in dimensions 2, 3 and n, the reduced
-energies in terms of singular values, and an independent stochastic
-Riemannian-descent oracle that verifies every closed form.
+Closed-form relaxed polar factors in every dimension from one
+``solve(W, F)``, the reduced energies in terms of singular values, and an
+independent stochastic Riemannian-descent oracle that verifies every
+closed form.
 """
 
 from .energy import (
     CosseratWeights,
     DeformationGradient,
+    Domain,
+    MinimizerSet,
     Regime,
     absolute_rotation,
+    classify_domain,
     energy,
     reduce_parameters,
     reduced_energy,
     relative_rotation,
     rescale,
+    solve,
 )
 from .errors import (
     DegenerateSpectrum,
@@ -22,7 +27,6 @@ from .errors import (
     InadmissiblePartition,
     MatrixParseError,
     NotSkew,
-    NotSymmetric,
     OrientationError,
     RegimeError,
     TooLarge,
@@ -35,7 +39,6 @@ from .matcore import (
     skew_exp,
     svd_ordered,
     sym,
-    sym_eig,
 )
 from .ndim import (
     CriticalPartition,
@@ -44,7 +47,6 @@ from .ndim import (
     enumerate_critical_partitions,
     global_minimizers_nd,
     realize_rotation,
-    traversal_minimize,
     traversal_path,
 )
 from .oracle import (
@@ -55,15 +57,12 @@ from .oracle import (
     haar_sample,
     riemannian_descent,
 )
-from .planar import PlanarSolution, optimal_angles, polar_angle, simple_shear, wred_2d
-from .polar import PolarData, dist_sq_so_n, polar_2d_explicit, polar_decompose, tangent_bundle_dist_sq
+from .planar import PlanarSolution, optimal_angles, polar_angle, simple_shear
+from .polar import PolarData, dist_sq_so_n, polar_2d_explicit
 from .spatial import (
-    Domain,
     SpatialSolution,
     classical_neighborhood_check,
-    classify_domain,
     plane_of_max_stretch,
-    relative_rotation_3d,
     rpolar_3d,
     sl3_criterion,
     wred_3d,
@@ -81,8 +80,8 @@ __all__ = [
     "GlobalMinimizers",
     "InadmissiblePartition",
     "MatrixParseError",
+    "MinimizerSet",
     "NotSkew",
-    "NotSymmetric",
     "OracleConfig",
     "OracleResult",
     "OrientationError",
@@ -110,12 +109,10 @@ __all__ = [
     "plane_of_max_stretch",
     "polar_2d_explicit",
     "polar_angle",
-    "polar_decompose",
     "realize_rotation",
     "reduce_parameters",
     "reduced_energy",
     "relative_rotation",
-    "relative_rotation_3d",
     "rescale",
     "riemannian_descent",
     "rpolar_3d",
@@ -123,12 +120,9 @@ __all__ = [
     "skew",
     "skew_exp",
     "sl3_criterion",
+    "solve",
     "svd_ordered",
     "sym",
-    "sym_eig",
-    "tangent_bundle_dist_sq",
-    "traversal_minimize",
     "traversal_path",
-    "wred_2d",
     "wred_3d",
 ]

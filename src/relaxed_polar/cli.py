@@ -8,6 +8,19 @@ Subcommands::
     rpolar iso-grid     reduced-energy samples over a singular-value grid (CSV)
     rpolar ndim         global minimum data for a list of singular values (JSON)
 
+The solve report gives, in every dimension: ``reduced_energy``; the
+minimizer set of :func:`~relaxed_polar.energy.solve` as ``minimizers``
+with one ``branch_labels`` entry each ("polar" for the polar factor
+alone, else one "+" or "-" per branching pair); ``relative_angles``, the
+angles of each minimizer's ``relative_rotation`` Q^T R^T polar(F) Q (one
+number per minimizer with at most one pair, a list of k pair angles with
+more), "+" first; ``domain``, which compares nu_1 + nu_2 with rho and
+reads "boundary" within ``BOUNDARY_RTOL`` on either side; ``degenerate``
+for repeated singular values; ``k``, the number of branching pairs; and
+``partition``, the canonical blocks (1-based). 2D adds ``polar_angle``
+and the minimizers' absolute angles ``branch_angles``; 3D adds the
+rotation ``axis`` q3, ``u_mmp`` and ``s_mmp``.
+
 Matrices are accepted as JSON rows (``[[...],[...]]``) or whitespace
 separated lines, inline via ``--matrix`` or from a file. All numbers are
 serialized with full round-trip precision so downstream checks are exact.
@@ -30,12 +43,9 @@ from . import ndim, oracle, planar, spatial
 from .energy import (
     CosseratWeights,
     DeformationGradient,
-    absolute_rotation,
-    energy,
-    reduce_parameters,
-    reduced_energy,
     reduced_energy_stack,
     relative_rotation,
+    solve,
 )
 from .errors import MatrixParseError, TooLarge
 
@@ -126,71 +136,51 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]):
             fh.write(",".join(row) + "\n")
 
 
+def _relative_angles(mset) -> list:
+    """Per minimizer, its relative rotation angle, or its k pair angles for k >= 2."""
+    if mset.k == 0:
+        return [0.0]
+    angles = [[s * b for s, b in zip(signs, mset.angles)] for signs in mset.signs]
+    return [a[0] for a in angles] if mset.k == 1 else angles
+
+
 def _solve_report(W: CosseratWeights, F: DeformationGradient) -> dict:
+    mset = solve(W, F)
+    n = F.dim
     report: dict = {
-        "dim": F.dim,
+        "dim": n,
         "mu": W.mu,
         "muc": W.muc,
         "regime": W.regime.value,
         "singular_values": F.singular_values,
         "polar": F.polar.rotation,
-        "reduced_energy": reduced_energy(W, F),
+        "reduced_energy": mset.reduced_energy,
+        "domain": mset.domain.value,
+        "minimizers": list(mset.minimizers),
+        "branch_labels": [
+            "".join("+" if s > 0 else "-" for s in signs) or "polar" for signs in mset.signs
+        ],
+        "relative_angles": _relative_angles(mset),
     }
-    if W.is_classical:
-        report["domain"] = "classical"
-        report["minimizers"] = [F.polar.rotation]
-        report["branch_labels"] = ["polar"]
-        report["relative_angles"] = [0.0]
-        return report
-    if F.dim == 2:
+    if n == 2:
         sol = planar.optimal_angles(W, F)
-        tr_u = float(F.singular_values.sum())
-        rho = W.singular_radius
-        if sol.bifurcated:
-            report["domain"] = "non-classical"
-        elif abs(tr_u - rho) <= spatial.BOUNDARY_RTOL * rho:
-            report["domain"] = "boundary"
-        else:
-            report["domain"] = "classical"
-        report["minimizers"] = [planar.rotation_2d(a) for a in sol.branch_angles]
-        report["branch_labels"] = ["+", "-"] if sol.bifurcated else ["polar"]
-        report["relative_angles"] = list(sol.relative_angles)
-        report["branch_angles"] = list(sol.branch_angles)
+        # the minimizers run +beta first in relative angle: polar_angle - beta
+        report["branch_angles"] = list(sol.branch_angles[::-1])
         report["polar_angle"] = sol.polar_angle
-    elif F.dim == 3:
-        sol = spatial.rpolar_3d(W, F)
-        report["domain"] = sol.domain.value
-        report["minimizers"] = list(sol.minimizers)
-        report["branch_labels"] = ["+", "-"] if len(sol.minimizers) == 2 else ["polar"]
-        report["relative_angles"] = list(sol.relative_angles)
-        report["axis"] = sol.axis
-        report["u_mmp"] = sol.u_mmp
-        report["s_mmp"] = sol.s_mmp
-        report["degenerate"] = sol.degenerate
-    else:
-        _, _, ft = reduce_parameters(W, F)
-        gm = ndim.global_minimizers_nd(ft.singular_values)
-        report["domain"] = "non-classical" if gm.k > 0 else "classical"
-        report["minimizers"] = [absolute_rotation(rh, F) for rh in gm.rotations]
-        report["branch_labels"] = [
-            "".join("+" if s > 0 else "-" for s in bits)
-            for bits in _sign_tuples(gm.k)
-        ]
-        report["partition"] = _partition_1based(gm.partition)
-        report["k"] = gm.k
+    elif n == 3:
+        u = spatial.mean_planar_stretch(W, F)
+        report["axis"] = F.polar.spectral.frame[:, 2]
+        report["u_mmp"] = u
+        report["s_mmp"] = u - 1.0
+    blocks = ndim.canonical_blocks(mset.k, n)
+    report["degenerate"] = mset.degenerate
+    report["partition"] = _partition_1based(blocks, [1] * len(blocks))
+    report["k"] = mset.k
     return report
 
 
-def _sign_tuples(k: int):
-    import itertools
-
-    return list(itertools.product((1, -1), repeat=k))
-
-
-def _partition_1based(p: ndim.CriticalPartition) -> list[dict]:
-    return [
-        {"indices": [i + 1 for i in b], "sign": s} for b, s in zip(p.blocks, p.signs)
-    ]
+def _partition_1based(blocks, signs) -> list[dict]:
+    return [{"indices": [i + 1 for i in b], "sign": s} for b, s in zip(blocks, signs)]
 
 
 def cmd_solve(args) -> int:
@@ -314,7 +304,7 @@ def cmd_ndim(args) -> int:
     report = {
         "nus_sorted": nus,
         "k": gm.k,
-        "partition": _partition_1based(gm.partition),
+        "partition": _partition_1based(gm.partition.blocks, gm.partition.signs),
         "wred": gm.reduced_energy,
         "num_minimizers": 2**gm.k,
         "degenerate": gm.degenerate,
@@ -322,7 +312,7 @@ def cmd_ndim(args) -> int:
     if args.census:
         parts = ndim.enumerate_critical_partitions(d)
         report["census"] = [
-            {"partition": _partition_1based(p), "value": v}
+            {"partition": _partition_1based(p.blocks, p.signs), "value": v}
             for p, v in zip(parts, ndim.critical_values(parts, d))
         ]
     print(json.dumps(report, default=_json_default))

@@ -8,13 +8,17 @@ with shear weight mu > 0 and Cosserat couple modulus muc >= 0. Two weight
 regimes exist: for muc >= mu ("classical") the polar factor is the unique
 minimizer; for mu > muc ("non-classical") the whole family reduces to the
 limit case (1, 0) evaluated on a rescaled deformation gradient, and the
-minimizers can deviate from the polar factor.
+minimizers can deviate from the polar factor. :func:`solve` gives the
+minimizer set in every dimension from one pairing rule.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,9 +26,20 @@ from . import matcore
 from .errors import DimensionMismatch, RegimeError
 from .polar import PolarData
 
+# relative width of the band classified as the bifurcation boundary
+BOUNDARY_RTOL = 1e-12
+# relative gap under which singular values count as repeated
+DEGENERACY_RTOL = 1e-10
+
 
 class Regime(enum.Enum):
     CLASSICAL = "classical"
+    NON_CLASSICAL = "non-classical"
+
+
+class Domain(enum.Enum):
+    CLASSICAL = "classical"
+    BOUNDARY = "boundary"
     NON_CLASSICAL = "non-classical"
 
 
@@ -273,3 +288,112 @@ def reduced_energy(W: CosseratWeights, F: DeformationGradient) -> float:
     vanishes at the polar factor).
     """
     return reduced_energy_values(W, F.singular_values)[1]
+
+
+def _domain(d: list[float], rho: float) -> Domain:
+    if len(d) < 2:
+        return Domain.CLASSICAL
+    s = d[0] + d[1]
+    if abs(s - rho) <= BOUNDARY_RTOL * rho:
+        return Domain.BOUNDARY
+    return Domain.CLASSICAL if s < rho else Domain.NON_CLASSICAL
+
+
+def classify_domain(W: CosseratWeights, F: DeformationGradient) -> Domain:
+    """Compare nu_1 + nu_2 against the singular radius of the weights.
+
+    The boundary tag is a thin deterministic band of relative width
+    ``BOUNDARY_RTOL`` on both sides of rho; below it is classical, above
+    it non-classical. A 1 x 1 gradient has no pair and is classical.
+    Requires non-classical weights (mu > muc).
+    """
+    return _domain(F.singular_values.tolist(), W.singular_radius)
+
+
+def pair_rotations(n: int, cosines, signs) -> np.ndarray:
+    """Stack of rotations (m, n, n), one per sign tuple in ``signs``.
+
+    Rotation j turns each plane (2p, 2p + 1) by signs[j][p] * arccos(c_p),
+    c_p = ``cosines[p]``, and leaves the rest fixed. Block p is
+    [[c, -s], [s, c]] with s = signs[j][p] * sqrt(1 - c^2), so no angle is
+    formed.
+    """
+    sines = [math.sqrt(max(0.0, 1.0 - c * c)) for c in cosines]
+    flat: list[float] = []
+    for sign_tuple in signs:
+        r = [0.0] * (n * n)
+        r[:: n + 1] = [1.0] * n
+        for p, (c, sine, sign) in enumerate(zip(cosines, sines, sign_tuple)):
+            i = 2 * p * (n + 1)  # flat index of entry (2p, 2p)
+            r[i] = r[i + n + 1] = c
+            r[i + 1] = -sign * sine
+            r[i + n] = sign * sine
+        flat += r
+    return np.array(flat).reshape(-1, n, n)
+
+
+class MinimizerSet(NamedTuple):
+    """All energy-minimizing rotations for one (weights, F) instance.
+
+    The first ``k`` pairs of descending singular values branch, pair p by
+    ``angles[p]`` = arccos(rho / (nu_2p + nu_2p+1)) in the plane of the
+    spectral frame columns q_2p, q_2p+1. There are 2^k ``minimizers``, one
+    per sign tuple of :attr:`signs`: the minimizer for signs sigma has the
+    :func:`relative_rotation` that turns plane p by sigma_p * angles[p].
+    They are ordered as ``itertools.product((1, -1), repeat=k)``, pair 0
+    most significant: the first has every relative angle +beta_p, the last
+    every -beta_p. With k = 0 the set is the polar factor alone.
+
+    ``domain`` labels nu_1 + nu_2 against rho, with a band of
+    ``BOUNDARY_RTOL`` on both sides; it does not decide k. ``degenerate``
+    flags repeated singular values, for which the set is a representative
+    sample from the cached frame rather than exhaustive: for classical
+    weights nu_1 - nu_n <= ``DEGENERACY_RTOL`` nu_1; otherwise a branching
+    pair whose own gap, or whose gap to the next value, is that small.
+    """
+
+    domain: Domain
+    k: int
+    angles: tuple[float, ...]
+    minimizers: tuple[np.ndarray, ...]
+    reduced_energy: float
+    degenerate: bool
+
+    @property
+    def signs(self) -> list[tuple[int, ...]]:
+        """Sign tuple sigma of each minimizer, in the order of ``minimizers``."""
+        return list(itertools.product((1, -1), repeat=self.k))
+
+
+def solve(W: CosseratWeights, F: DeformationGradient) -> MinimizerSet:
+    """The minimizer set of F, its reduced energy and labels, in any dimension.
+
+    k and the energy come from :func:`reduced_energy_values`; pair p turns
+    by arccos(rho / (nu_2p + nu_2p+1)) on F's own singular values, and the
+    minimizers are polar(F) Q B Q^T with B the :func:`pair_rotations` by
+    -sigma_p beta_p (its transpose, the relative rotation, turns by
+    +sigma_p beta_p).
+    """
+    d = F.singular_values.tolist()
+    k, value = reduced_energy_values(W, d)
+    pol = F.polar.rotation
+    gap = DEGENERACY_RTOL * d[0]
+    if W.is_classical:
+        return MinimizerSet(Domain.CLASSICAL, 0, (), (pol.copy(),), value, d[0] - d[-1] <= gap)
+    rho = W.singular_radius
+    domain = _domain(d, rho)
+    if not k:
+        return MinimizerSet(domain, 0, (), (pol.copy(),), value, False)
+    cosines = [rho / (d[2 * p] + d[2 * p + 1]) for p in range(k)]
+    q = F.polar.spectral.frame
+    # block signs are the negated relative signs, in the order of MinimizerSet.signs
+    blocks = pair_rotations(len(d), cosines, itertools.product((-1, 1), repeat=k))
+    return MinimizerSet(
+        domain=domain,
+        k=k,
+        angles=tuple([float(np.arccos(c)) for c in cosines]),
+        minimizers=tuple(pol @ q @ blocks @ q.T),
+        reduced_energy=value,
+        # a branching pair's own gap and its gap to the next value
+        degenerate=any([d[i] - d[i + 1] <= gap for i in range(min(2 * k, len(d) - 1))]),
+    )

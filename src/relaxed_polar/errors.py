@@ -5,10 +5,6 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible matrix dimensions."""
 
 
-class NotSymmetric(ValueError):
-    """A matrix required to be symmetric is not, beyond tolerance."""
-
-
 class NotSkew(ValueError):
     """A matrix required to be skew-symmetric is not, beyond tolerance."""
 

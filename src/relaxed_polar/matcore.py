@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSkew, NotSymmetric
+from .errors import NotSkew
 
-# Structural checks (orthogonality, skewness, ...) use an absolute
-# tolerance; reconstruction residuals are judged relative to the input.
+# Structural checks (orthogonality, skewness, ...) use an absolute tolerance.
 STRUCTURAL_TOL = 1e-12
-RECONSTRUCTION_TOL = 1e-10
 
 
 def as_square(x) -> np.ndarray:
@@ -76,33 +74,6 @@ class SpectralData:
 
     values: np.ndarray
     frame: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return self.frame @ np.diag(self.values) @ self.frame.T
-
-
-def sym_eig(s) -> SpectralData:
-    """Eigendecomposition of a symmetric matrix.
-
-    Eigenvalues are returned in descending order (ties keep the order the
-    underlying solver produced); the eigenvector frame is forced to
-    det = +1 by negating its last column if needed. Raises
-    ``NotSymmetric`` if the input's skew part exceeds the relative
-    reconstruction tolerance.
-    """
-    a = as_square(s)
-    scale = 1.0 + np.linalg.norm(a)
-    if np.linalg.norm(a - a.T) > RECONSTRUCTION_TOL * scale:
-        raise NotSymmetric("input is not symmetric within tolerance")
-    w, v = np.linalg.eigh((a + a.T) / 2.0)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = v[:, order].copy()
-    if np.linalg.det(v) < 0.0:
-        v[:, -1] = -v[:, -1]
-    w.setflags(write=False)
-    v.setflags(write=False)
-    return SpectralData(values=w, frame=v)
 
 
 def svd_ordered(f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

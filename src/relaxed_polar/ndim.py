@@ -21,11 +21,12 @@ Indices here are 0-based; command-line reports translate to 1-based.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import CosseratWeights, reduced_energy_values
+from .energy import CosseratWeights, pair_rotations, reduced_energy_values
 from .errors import InadmissiblePartition, OrientationError, TooLarge
 
 ENUMERATION_MAX_DIM = 10
@@ -55,16 +56,19 @@ class CriticalPartition:
             raise ValueError("a partition needs at least one block")
         if len(self.blocks) != len(self.signs):
             raise ValueError("one sign per block required")
-        labeled = sorted(zip([tuple(sorted(b)) for b in self.blocks], map(int, self.signs)))
+        labeled = sorted(zip([tuple(sorted(b)) for b in self.blocks], self.signs))
         blocks, signs = zip(*labeled)
         object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "signs", signs)
+        object.__setattr__(self, "signs", tuple(map(int, signs)))
         for b, s in labeled:
             if len(b) not in (1, 2) or len(b) == 2 and b[0] == b[1]:
                 raise ValueError(f"blocks must have one or two distinct indices, got {b}")
-            if s not in (-1, 1):
+            if s not in (-1, 1):  # before int(), which would truncate 1.5 to 1
                 raise ValueError("signs must be +1 or -1")
-        flat = sorted(itertools.chain.from_iterable(blocks))
+        try:
+            flat = sorted(map(operator.index, itertools.chain.from_iterable(blocks)))
+        except TypeError:
+            raise ValueError("block indices must be integers") from None
         if flat != list(range(len(flat))):
             if len(set(flat)) != len(flat):
                 raise ValueError("blocks must be disjoint, got an index in two blocks")
@@ -293,11 +297,6 @@ def traversal_path(start: CriticalPartition, nus) -> list[CriticalPartition]:
     return path
 
 
-def traversal_minimize(start: CriticalPartition, nus) -> CriticalPartition:
-    """Endpoint of :func:`traversal_path`: the canonical global minimizer."""
-    return traversal_path(start, nus)[-1]
-
-
 def global_min_value_10(nus) -> tuple[int, float]:
     """Pair count k and global minimum of the (1, 0) energy for a diagonal.
 
@@ -309,6 +308,11 @@ def global_min_value_10(nus) -> tuple[int, float]:
     partition.
     """
     return reduced_energy_values(_W10, _as_descending(nus))
+
+
+def canonical_blocks(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Blocks of the canonical minimum: pairs (2p, 2p + 1) for p < k, then singletons."""
+    return tuple((2 * p, 2 * p + 1) for p in range(k)) + tuple((i,) for i in range(2 * k, n))
 
 
 @dataclass(frozen=True)
@@ -335,34 +339,25 @@ def global_minimizers_nd(nus, *, with_rotations: bool = True) -> GlobalMinimizer
 
     The canonical partition pairs the descending entries consecutively
     while the pair sum strictly exceeds 2; each pair contributes a +/-
-    angle choice, for 2^k minimizers total. Pass ``with_rotations=False``
-    to skip materializing them (k grows with n and the list is
-    exponential in k).
+    angle choice, for 2^k minimizers total, built by ``pair_rotations``
+    in the sign order of ``MinimizerSet`` (all + first). Pass
+    ``with_rotations=False`` to skip materializing them (k grows with n
+    and the list is exponential in k).
     """
     d = _as_descending(nus)
     n = len(d)
     k, wred = global_min_value_10(d)
-    blocks = [(2 * p, 2 * p + 1) for p in range(k)] + [(i,) for i in range(2 * k, n)]
-    part = CriticalPartition(blocks=tuple(blocks), signs=(1,) * len(blocks))
-    rotations: list[np.ndarray] = []
+    blocks = canonical_blocks(k, n)
+    part = CriticalPartition(blocks=blocks, signs=(1,) * len(blocks))
+    rotations = ()
     if with_rotations:
-        angles = [np.arccos(2.0 / (d[2 * p] + d[2 * p + 1])) for p in range(k)]
-        for signs in itertools.product((1.0, -1.0), repeat=k):
-            r = np.eye(n)
-            for p, sg in enumerate(signs):
-                b = sg * angles[p]
-                c, s = np.cos(b), np.sin(b)
-                i, j = 2 * p, 2 * p + 1
-                r[i, i] = c
-                r[i, j] = -s
-                r[j, i] = s
-                r[j, j] = c
-            rotations.append(r)
+        cosines = [2.0 / (d[2 * p] + d[2 * p + 1]) for p in range(k)]
+        rotations = tuple(pair_rotations(n, cosines, itertools.product((1, -1), repeat=k)))
     degenerate = bool(np.any(np.diff(d) == 0.0))
     boundary_tie = bool(2 * k + 1 < n and d[2 * k] + d[2 * k + 1] == 2.0)
     return GlobalMinimizers(
         partition=part,
-        rotations=tuple(rotations),
+        rotations=rotations,
         reduced_energy=wred,
         k=k,
         degenerate=degenerate,

@@ -11,12 +11,20 @@ split and are bit-identical for a fixed seed.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import matcore
-from .energy import CosseratWeights, DeformationGradient, energy, relative_rotation
+from .energy import (
+    CosseratWeights,
+    DeformationGradient,
+    absolute_rotation,
+    energy,
+    relative_rotation,
+    solve,
+)
 from .errors import DimensionMismatch
 
 _MIN_STEP = 1e-18
@@ -183,36 +191,6 @@ def riemannian_descent(
     return r[0], float(e[0]), float(gn[0])
 
 
-def _closed_form_candidates(
-    W: CosseratWeights, F: DeformationGradient
-) -> list[np.ndarray]:
-    """Warm-start rotations from the closed-form solution, capped at 8."""
-    from .energy import absolute_rotation, reduce_parameters
-
-    cands: list[np.ndarray] = []
-    try:
-        if W.is_classical:
-            return cands
-        if F.dim == 2:
-            from .planar import optimal_angles, rotation_2d
-
-            sol = optimal_angles(W, F)
-            cands = [rotation_2d(a) for a in sol.branch_angles]
-        elif F.dim == 3:
-            from .spatial import rpolar_3d
-
-            cands = [m for m in rpolar_3d(W, F).minimizers]
-        else:
-            from .ndim import global_minimizers_nd
-
-            _, _, ft = reduce_parameters(W, F)
-            gm = global_minimizers_nd(ft.singular_values)
-            cands = [absolute_rotation(rh, F) for rh in gm.rotations[:8]]
-    except ValueError:
-        cands = []
-    return cands[:8]
-
-
 def global_minimize(
     W: CosseratWeights,
     F: DeformationGradient,
@@ -222,7 +200,8 @@ def global_minimize(
 ) -> OracleResult:
     """Best rotation over Haar restarts, optionally seeded with warm starts.
 
-    Warm starts are the polar factor and the closed-form candidates; turn
+    Warm starts are the polar factor and up to 8 rotations of the
+    closed-form minimizer set from :func:`~relaxed_polar.energy.solve`; turn
     them off (``warm_starts=False``) for unbiased verification of those
     same closed forms. All starts descend as one stack, each with its own
     step and stopping rule, so a start ends where it would alone and the
@@ -233,7 +212,8 @@ def global_minimize(
     starts: list[np.ndarray] = []
     if warm_starts:
         starts.append(F.polar.rotation)
-        starts.extend(_closed_form_candidates(W, F))
+        if not W.is_classical:  # a classical set is the polar factor alone
+            starts.extend(solve(W, F).minimizers[:8])
     n = F.dim
     for i in range(cfg.samples):
         starts.append(haar_sample(n, np.random.default_rng((cfg.seed, i))))
@@ -331,14 +311,10 @@ def critical_scan(
     above 1e-8) are dropped; the rest are clustered (same point = energy
     within 1e-6 and Frobenius distance within 1e-4) and sorted by energy.
     """
-    from itertools import product
-
-    from .energy import absolute_rotation
-
     n = F.dim
     starts: list[np.ndarray] = []
     corners = []
-    for signs in product((1.0, -1.0), repeat=n):
+    for signs in itertools.product((1.0, -1.0), repeat=n):
         if np.prod(signs) > 0:
             corners.append(np.diag(signs))
     for s in corners:

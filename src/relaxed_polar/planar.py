@@ -37,10 +37,12 @@ def wrap_angle(a: float) -> float:
 class PlanarSolution:
     """Optimal planar rotation angles for one (weights, F) instance.
 
-    ``branch_angles`` are the absolute optimal angles, equal to
-    ``polar_angle + beta`` for each beta in ``relative_angles`` (wrapped
-    to (-pi, pi]). ``bifurcated`` is true exactly when two branches
-    exist, i.e. tr U strictly exceeds the singular radius.
+    ``relative_angles`` are offsets beta from the polar angle, and
+    ``branch_angles`` the absolute optimal angles ``polar_angle + beta``
+    (wrapped to (-pi, pi]). The offsets are the negatives of the angles of
+    :func:`~relaxed_polar.energy.relative_rotation`, which measures the
+    polar factor against the minimizer. ``bifurcated`` is true exactly
+    when two branches exist, i.e. tr U strictly exceeds the singular radius.
     """
 
     polar_angle: float
@@ -90,33 +92,22 @@ def relative_angles_10(d) -> tuple[float, ...]:
     return (b, -b)
 
 
-def wred_2d(W: CosseratWeights, F: DeformationGradient) -> float:
-    """Reduced planar shear-stretch energy min over all rotation angles."""
-    _require_2d(F)
-    return reduced_energy_values(W, F.singular_values)[1]
-
-
 def optimal_angles(W: CosseratWeights, F: DeformationGradient) -> PlanarSolution:
     """All energy-minimizing rotation angles for the given weights.
 
     Classical weights yield the single polar angle. Non-classical weights
-    yield alpha_p +/- arccos(rho / tr U) once tr U exceeds the singular
-    radius rho; at or below the threshold the branches coincide with
-    alpha_p and the solution is reported as un-bifurcated.
+    yield alpha_p +/- arccos(rho / tr U) once the pairing rule pairs the
+    two singular values, that is once tr U exceeds the singular radius
+    rho; at or below the threshold the branches coincide with alpha_p and
+    the solution is reported as un-bifurcated.
     """
     _require_2d(F)
     ap = polar_angle(F)
-    wred = wred_2d(W, F)
-    if W.is_classical:
+    k, wred = reduced_energy_values(W, F.singular_values)
+    if not k:
         return PlanarSolution(ap, (ap,), (0.0,), wred, False)
-    tr_u = float(F.singular_values.sum())
-    rho = W.singular_radius
-    if tr_u > rho:
-        b = float(np.arccos(rho / tr_u))
-        return PlanarSolution(
-            ap, (wrap_angle(ap + b), wrap_angle(ap - b)), (b, -b), wred, True
-        )
-    return PlanarSolution(ap, (ap,), (0.0,), wred, False)
+    b = float(np.arccos(W.singular_radius / float(F.singular_values.sum())))
+    return PlanarSolution(ap, (wrap_angle(ap + b), wrap_angle(ap - b)), (b, -b), wred, True)
 
 
 def simple_shear(gamma: float) -> DeformationGradient:

@@ -32,11 +32,6 @@ class PolarData:
     spectral: SpectralData
 
 
-def polar_decompose(F: "DeformationGradient") -> PolarData:
-    """Right polar decomposition of a deformation gradient."""
-    return F.polar
-
-
 def dist_sq_so_n(F: "DeformationGradient") -> float:
     """Squared Euclidean (Frobenius) distance of F to the rotation group.
 
@@ -60,16 +55,3 @@ def polar_2d_explicit(F: "DeformationGradient") -> np.ndarray:
     tr_u = np.hypot(tr_f, tr_jf)
     return np.array([[tr_f, tr_jf], [-tr_jf, tr_f]]) / tr_u
 
-
-def tangent_bundle_dist_sq(F: "DeformationGradient") -> float:
-    """Squared distance of F to the set SO(n)(1 + so(n)).
-
-    This is the reduced shear-stretch energy at weights (1, 0): the
-    infimum of ||R^T F - 1 - A||^2 over rotations R and skew-symmetric A
-    collapses, after the inner minimization over A, to the closed form
-    evaluated here. The numeric-infimum route lives in the oracle module
-    as a verification tool only.
-    """
-    from .energy import CosseratWeights, reduced_energy_values
-
-    return reduced_energy_values(CosseratWeights(1.0, 0.0), F.singular_values)[1]

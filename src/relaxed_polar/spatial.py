@@ -8,34 +8,33 @@ controlled by nu_1 + nu_2 against the singular radius rho of the weights.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import CosseratWeights, DeformationGradient, reduced_energy_values
+# BOUNDARY_RTOL, Domain and classify_domain are also read from here
+from .energy import (  # noqa: F401
+    BOUNDARY_RTOL,
+    DEGENERACY_RTOL,
+    CosseratWeights,
+    DeformationGradient,
+    Domain,
+    classify_domain,
+    reduced_energy_values,
+    solve,
+)
 from .errors import DegenerateSpectrum, DimensionMismatch, RegimeError
 from .polar import dist_sq_so_n
-
-# relative width of the band classified as the bifurcation boundary
-BOUNDARY_RTOL = 1e-12
-# relative gap under which singular values count as repeated
-DEGENERACY_RTOL = 1e-10
-
-
-class Domain(enum.Enum):
-    CLASSICAL = "classical"
-    BOUNDARY = "boundary"
-    NON_CLASSICAL = "non-classical"
 
 
 @dataclass(frozen=True)
 class SpatialSolution:
     """Globally optimal rotations for one (weights, F) instance in 3D.
 
-    ``minimizers`` holds one rotation (classical response, the polar
-    factor) or two (the bifurcated pair); ``relative_angles`` are the
-    matching in-plane angles of Q^T R^T polar(F) Q about ``axis`` = q3.
+    A view of the :class:`~relaxed_polar.energy.MinimizerSet` of F:
+    ``minimizers`` holds one rotation (the polar factor) or two (the
+    bifurcated pair, relative angle +beta first); ``relative_angles`` are
+    the matching in-plane angles of Q^T R^T polar(F) Q about ``axis`` = q3.
     ``u_mmp`` is the maximal mean planar stretch of the rescaled gradient
     (of F itself when the weights are classical and no rescaling exists),
     and ``s_mmp`` = u_mmp - 1 the corresponding strain. ``degenerate``
@@ -58,44 +57,6 @@ def _require_3d(F: DeformationGradient):
         raise DimensionMismatch(f"spatial routine requires dim 3, got {F.dim}")
 
 
-def _block_z(cos_b: float, sign: float) -> np.ndarray:
-    s = sign * np.sqrt(max(0.0, 1.0 - cos_b * cos_b))
-    return np.array([[cos_b, -s, 0.0], [s, cos_b, 0.0], [0.0, 0.0, 1.0]])
-
-
-def classify_domain(W: CosseratWeights, F: DeformationGradient) -> Domain:
-    """Compare nu_1 + nu_2 against the singular radius of the weights.
-
-    The boundary tag is a thin deterministic band of relative width
-    ``BOUNDARY_RTOL`` around rho; strictly below is classical, strictly
-    above non-classical. Requires non-classical weights (mu > muc).
-    """
-    _require_3d(F)
-    rho = W.singular_radius
-    s = float(F.singular_values[0] + F.singular_values[1])
-    if abs(s - rho) <= BOUNDARY_RTOL * rho:
-        return Domain.BOUNDARY
-    return Domain.CLASSICAL if s < rho else Domain.NON_CLASSICAL
-
-
-def relative_rotation_3d(
-    W: CosseratWeights, F: DeformationGradient
-) -> tuple[np.ndarray, ...]:
-    """Energy-minimizing relative rotations in block form about e3.
-
-    Beyond the bifurcation (nu_1 + nu_2 > rho) the pair of z-axis block
-    rotations by +/- arccos(rho / (nu_1 + nu_2)) is returned; otherwise
-    the identity alone. Requires non-classical weights.
-    """
-    _require_3d(F)
-    rho = W.singular_radius
-    s = float(F.singular_values[0] + F.singular_values[1])
-    if classify_domain(W, F) is Domain.NON_CLASSICAL:
-        c = rho / s
-        return (_block_z(c, +1.0), _block_z(c, -1.0))
-    return (np.eye(3),)
-
-
 def wred_3d_values(W: CosseratWeights, nus) -> float:
     """Reduced 3D energy as a function of the singular values, in any order."""
     return reduced_energy_values(W, nus)[1]
@@ -107,51 +68,33 @@ def wred_3d(W: CosseratWeights, F: DeformationGradient) -> float:
     return wred_3d_values(W, F.singular_values)
 
 
+def mean_planar_stretch(W: CosseratWeights, F: DeformationGradient) -> float:
+    """u_mmp = (nu_1 + nu_2) / 2 of F / lam, or of F for classical weights."""
+    s = float(F.singular_values[0] + F.singular_values[1])
+    return s / 2.0 if W.is_classical else s / (2.0 * W.scaling)
+
+
 def rpolar_3d(W: CosseratWeights, F: DeformationGradient) -> SpatialSolution:
     """The set of globally optimal rotations with branch labels.
 
-    For classical weights or a classical-domain F the set is the polar
-    factor alone. On the non-classical domain the two minimizers are
-    polar(F) @ Q @ Rz(-/+ beta) @ Q.T, labeled so that the "+" branch has
-    relative rotation angle +beta (the transpose inside the relative
-    rotation flips the sign, hence the crossed construction).
+    The minimizers, energy, domain and degeneracy are those of
+    :func:`~relaxed_polar.energy.solve`: the polar factor alone unless
+    nu_1 + nu_2 > rho, and then polar(F) @ Q @ Rz(-/+ beta) @ Q.T, where
+    the "+" branch has relative rotation angle +beta (the transpose inside
+    the relative rotation flips the sign, hence the crossed construction).
     """
     _require_3d(F)
-    nu = F.singular_values
-    pol = F.polar.rotation
-    frame = F.polar.spectral.frame
-    s = float(nu[0] + nu[1])
-    minimizers, angles = (pol.copy(),), (0.0,)
-    degenerate = False
-    if W.is_classical:
-        domain = Domain.CLASSICAL
-        u = s / 2.0
-        degenerate = bool(nu[0] - nu[2] <= DEGENERACY_RTOL * nu[0])
-    else:
-        domain = classify_domain(W, F)
-        # the rescaled gradient F / lam has singular values nu / lam
-        u = s / (2.0 * W.scaling)
-        if domain is Domain.NON_CLASSICAL:
-            c = W.singular_radius / s
-            b = float(np.arccos(c))
-            minimizers = (
-                pol @ frame @ _block_z(c, -1.0) @ frame.T,
-                pol @ frame @ _block_z(c, +1.0) @ frame.T,
-            )
-            angles = (b, -b)
-            degenerate = bool(
-                nu[0] - nu[1] <= DEGENERACY_RTOL * nu[0]
-                or nu[1] - nu[2] <= DEGENERACY_RTOL * nu[0]
-            )
+    mset = solve(W, F)
+    u = mean_planar_stretch(W, F)
     return SpatialSolution(
-        minimizers=minimizers,
-        relative_angles=angles,
-        axis=frame[:, 2].copy(),
-        reduced_energy=wred_3d(W, F),
-        domain=domain,
+        minimizers=mset.minimizers,
+        relative_angles=(mset.angles[0], -mset.angles[0]) if mset.k else (0.0,),
+        axis=F.polar.spectral.frame[:, 2].copy(),
+        reduced_energy=mset.reduced_energy,
+        domain=mset.domain,
         u_mmp=u,
         s_mmp=u - 1.0,
-        degenerate=degenerate,
+        degenerate=mset.degenerate,
     )
 
 

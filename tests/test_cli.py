@@ -15,11 +15,13 @@ from relaxed_polar import (
     critical_value,
     enumerate_critical_partitions,
     global_minimizers_nd,
+    haar_sample,
     optimal_angles,
-    reduce_parameters,
     reduced_energy,
+    relative_rotation,
     rpolar_3d,
 )
+from relaxed_polar import solve as solve_set
 from relaxed_polar.planar import rotation_2d
 from relaxed_polar.spatial import wred_3d_values
 
@@ -62,20 +64,46 @@ class TestSolve:
         assert rep["dim"] == 2 and rep["regime"] == "non-classical"
         assert rep["domain"] == "non-classical" and rep["branch_labels"] == ["+", "-"]
         assert rep["reduced_energy"] == reduced_energy(W, F)
-        assert rep["branch_angles"] == list(sol.branch_angles)
+        # relative angle +beta first, which is the branch polar_angle - beta
+        assert rep["branch_angles"] == list(sol.branch_angles[::-1])
         assert rep["relative_angles"] == list(sol.relative_angles)
         assert rep["polar_angle"] == sol.polar_angle
-        assert_rotations_equal(rep["minimizers"], [rotation_2d(a) for a in sol.branch_angles])
+        assert rep["k"] == 1 and rep["degenerate"] is False
+        assert_rotations_equal(rep["minimizers"], solve_set(W, F).minimizers)
+        for r, a in zip(rep["minimizers"], rep["branch_angles"]):
+            np.testing.assert_allclose(r, rotation_2d(a), rtol=0, atol=1e-15)
+
+    def test_relative_angles_are_those_of_relative_rotation(self, capsys):
+        rng = np.random.default_rng(6)
+        m5 = haar_sample(5, rng) @ np.diag([3.0, 2.5, 2.0, 1.5, 0.5]) @ haar_sample(5, rng).T
+        for m, (mu, muc), k in [
+            ([[3.0, 0.2], [0.1, 0.5]], (1.0, 0.0), 1),
+            ([[3.0, 0.2], [0.1, 0.5]], (2.0, 0.5), 1),
+            ([[2.0, 0.3, 0.1], [0.0, 1.5, 0.2], [0.1, 0.0, 0.4]], (1.7, 0.3), 1),
+            (m5.tolist(), (1.0, 0.0), 2),
+        ]:
+            rep, _ = solve(m, mu, muc, capsys)
+            F = DeformationGradient(m)
+            assert rep["k"] == k and len(rep["relative_angles"]) == 2**k
+            for r, angles in zip(rep["minimizers"], rep["relative_angles"]):
+                rhat = relative_rotation(np.array(r), F)
+                for p, a in enumerate([angles] if k == 1 else angles):
+                    got = np.arctan2(rhat[2 * p + 1, 2 * p], rhat[2 * p, 2 * p])
+                    assert got == pytest.approx(a, abs=1e-12)
 
     def test_planar_boundary_band(self, capsys):
-        # tr U = rho = 2 at weights (1, 0), and just below it inside the band;
-        # in 2D any tr U > rho bifurcates, so the band has no upper half
-        for nu1 in (1.5, 1.5 * (1.0 - 5e-13)):
+        # tr U = rho = 2 at weights (1, 0), and just either side of it inside
+        # the band; above rho the set already bifurcates
+        for nu1, labels in [
+            (1.5, ["polar"]),
+            (1.5 * (1.0 - 5e-13), ["polar"]),
+            (1.5 * (1.0 + 5e-13), ["+", "-"]),
+        ]:
             rep, _ = solve([[nu1, 0.0], [0.0, 0.5]], 1.0, 0.0, capsys)
-            assert rep["domain"] == "boundary" and rep["branch_labels"] == ["polar"]
+            assert rep["domain"] == "boundary" and rep["branch_labels"] == labels
         rep, _ = solve([[1.5 * (1.0 - 1e-10), 0.0], [0.0, 0.5]], 1.0, 0.0, capsys)
         assert rep["domain"] == "classical"
-        rep, _ = solve([[1.5 * (1.0 + 5e-13), 0.0], [0.0, 0.5]], 1.0, 0.0, capsys)
+        rep, _ = solve([[1.5 * (1.0 + 1e-10), 0.0], [0.0, 0.5]], 1.0, 0.0, capsys)
         assert rep["domain"] == "non-classical"
 
     def test_spatial(self, capsys):
@@ -100,15 +128,18 @@ class TestSolve:
         m = [[1.5, 0.2, 0.0, 0.1], [0.0, 1.2, 0.3, 0.0], [0.0, 0.0, 0.9, 0.2], [0.1, 0.0, 0.0, 0.7]]
         W, F = CosseratWeights(1.0, 0.0), DeformationGradient(m)
         rep, _ = solve(m, 1.0, 0.0, capsys)
-        _, _, ft = reduce_parameters(W, F)
-        gm = global_minimizers_nd(ft.singular_values)
+        gm = global_minimizers_nd(F.singular_values)
         assert rep["k"] == gm.k == 1 and rep["domain"] == "non-classical"
         assert rep["branch_labels"] == ["+", "-"]
         assert rep["reduced_energy"] == reduced_energy(W, F)
-        assert_rotations_equal(rep["minimizers"], [absolute_rotation(r, F) for r in gm.rotations])
+        assert rep["partition"] == [{"indices": [1, 2], "sign": 1}, {"indices": [3], "sign": 1},
+                                    {"indices": [4], "sign": 1}]
+        assert_rotations_equal(rep["minimizers"], solve_set(W, F).minimizers)
+        for r, rh in zip(rep["minimizers"], gm.rotations):
+            np.testing.assert_allclose(r, absolute_rotation(rh, F), rtol=0, atol=1e-14)
 
-    def test_rescale_runs_once_in_general_dimension_and_never_in_3d(self, capsys, monkeypatch):
-        # for 0 < muc < mu each rescale builds a new DeformationGradient with a full SVD
+    def test_solve_never_rescales(self, capsys, monkeypatch):
+        # each rescale would build a new DeformationGradient with a full SVD
         calls = []
         original = energy_module.rescale
 
@@ -119,9 +150,8 @@ class TestSolve:
         monkeypatch.setattr(energy_module, "rescale", counted)
         m4 = [[1.5, 0.2, 0.0, 0.1], [0.0, 1.2, 0.3, 0.0], [0.0, 0.0, 0.9, 0.2], [0.1, 0.0, 0.0, 0.7]]
         solve(m4, 1.0, 0.5, capsys)
-        assert calls == [4]
         solve([[2.0, 0.3, 0.1], [0.0, 1.5, 0.2], [0.1, 0.0, 0.4]], 1.0, 0.5, capsys)
-        assert calls == [4]
+        assert calls == []
 
     def test_classical_weights_give_the_polar_factor(self, capsys):
         m = [[2.0, 0.3, 0.1], [0.0, 1.5, 0.2], [0.1, 0.0, 0.4]]

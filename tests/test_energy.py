@@ -82,7 +82,7 @@ class TestDeformationGradient:
             assert matcore.is_rotation(p.rotation, tol=1e-11)
             assert np.all(np.linalg.eigvalsh(p.stretch) > 0.0)
             assert np.allclose(p.spectral.values, F.singular_values, atol=1e-10)
-            recon = p.spectral.reconstruct()
+            recon = p.spectral.frame @ np.diag(p.spectral.values) @ p.spectral.frame.T
             assert np.linalg.norm(recon - p.stretch) <= 1e-10 * (
                 1.0 + np.linalg.norm(p.stretch)
             )

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from relaxed_polar import CosseratWeights, DeformationGradient, energy, matcore
+from relaxed_polar import (
+    CosseratWeights,
+    DeformationGradient,
+    energy,
+    matcore,
+    relative_rotation,
+    solve,
+)
 from relaxed_polar.errors import InadmissiblePartition, OrientationError, TooLarge
 from relaxed_polar.ndim import (
     CriticalPartition,
@@ -11,7 +18,6 @@ from relaxed_polar.ndim import (
     global_min_value_10,
     global_minimizers_nd,
     realize_rotation,
-    traversal_minimize,
     traversal_path,
 )
 
@@ -51,6 +57,12 @@ class TestPartitionType:
             CriticalPartition(blocks=((0,),), signs=(1, -1))  # too many signs
         with pytest.raises(ValueError, match="at least one block"):
             CriticalPartition(blocks=(), signs=())  # empty
+        for signs in [(1.5,), (-1.9,), (0.5,), (0,)]:  # not exactly +1 or -1
+            with pytest.raises(ValueError, match="signs must be"):
+                CriticalPartition(blocks=((0,),), signs=signs)
+        for blocks in [((0.0,), (1,)), ((0, 1.0),), ((0,), (1.5,))]:  # non-integer index
+            with pytest.raises(ValueError, match="integers"):
+                CriticalPartition(blocks=blocks, signs=(1,) * len(blocks))
 
     def test_canonical_ordering(self):
         p = CriticalPartition(blocks=((2,), (1, 0)), signs=(-1, 1))
@@ -131,10 +143,9 @@ class TestRealizeRotation:
     def test_block_matches_spatial_form(self):
         nus = np.array([4.0, 2.0, 0.5])
         r = realize_rotation(CriticalPartition(blocks=((0, 1), (2,)), signs=(1, 1)), nus)
-        from relaxed_polar.spatial import relative_rotation_3d
-
-        pair = relative_rotation_3d(W10, DeformationGradient(np.diag(nus)))
-        assert np.allclose(r, pair[0], atol=1e-14)
+        F = DeformationGradient(np.diag(nus))
+        plus = relative_rotation(solve(W10, F).minimizers[0], F)
+        assert np.allclose(r, plus, atol=1e-14)
 
     def test_orientation_guard(self):
         nus = np.array([4.0, 2.0, 0.5])
@@ -163,7 +174,7 @@ class TestTraversal:
     def test_from_singletons(self):
         nus = np.array([4.0, 2.0, 0.5])
         start = CriticalPartition(blocks=((0,), (1,), (2,)), signs=(1, 1, 1))
-        final = traversal_minimize(start, nus)
+        final = traversal_path(start, nus)[-1]
         assert final.blocks == ((0, 1), (2,))
         assert final.signs == (1, 1)
 
@@ -178,7 +189,7 @@ class TestTraversal:
     def test_overlap_disentangled(self):
         nus = np.array([3.0, 2.5, 1.5, 1.2])
         start = CriticalPartition(blocks=((0, 3), (1, 2)), signs=(1, 1))
-        final = traversal_minimize(start, nus)
+        final = traversal_path(start, nus)[-1]
         assert final.blocks == ((0, 1), (2, 3))
         # matches the exhaustive optimum
         parts = enumerate_critical_partitions(nus)

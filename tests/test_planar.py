@@ -9,7 +9,6 @@ from relaxed_polar.planar import (
     relative_angles_10,
     rotation_2d,
     simple_shear,
-    wred_2d,
 )
 
 from conftest import (
@@ -124,14 +123,14 @@ class TestOptimalAngles:
 class TestWred2D:
     def test_compressive_example(self):
         F = DeformationGradient(np.diag([0.5, 0.4]))
-        assert wred_2d(W10, F) == pytest.approx(0.61, abs=1e-14)
+        assert optimal_angles(W10, F).reduced_energy == pytest.approx(0.61, abs=1e-14)
 
     def test_expansive_example_two_forms(self):
         F = DeformationGradient(np.diag([3.0, 1.0]))
-        assert wred_2d(W10, F) == pytest.approx(2.0, abs=1e-14)
+        assert optimal_angles(W10, F).reduced_energy == pytest.approx(2.0, abs=1e-14)
         m = F.matrix
         alt = 0.5 * matcore.frobenius_sq(m) - np.linalg.det(m)
-        assert wred_2d(W10, F) == pytest.approx(alt, abs=1e-14)
+        assert optimal_angles(W10, F).reduced_energy == pytest.approx(alt, abs=1e-14)
 
     def test_piecewise_forms_agree_at_threshold(self):
         # tr U = 2 exactly: ||U - 1||^2 == tr(U)^2 / 2 - 2 det U
@@ -147,7 +146,7 @@ class TestWred2D:
             F = random_gl_plus(2, rng)
             w = CosseratWeights(1.0, float(rng.choice([0.0, 0.25])))
             best, _ = planar_grid_minimize(w.mu, w.muc, F, n_grid=1000)
-            assert wred_2d(w, F) == pytest.approx(best, abs=1e-6)
+            assert optimal_angles(w, F).reduced_energy == pytest.approx(best, abs=1e-6)
 
 
 class TestSimpleShear:

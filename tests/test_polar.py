@@ -8,8 +8,7 @@ from relaxed_polar import (
     energy,
     matcore,
     polar_2d_explicit,
-    polar_decompose,
-    tangent_bundle_dist_sq,
+    reduced_energy,
 )
 from relaxed_polar.errors import DimensionMismatch
 from relaxed_polar.oracle import OracleConfig, global_minimize
@@ -22,7 +21,7 @@ def test_spd_input_has_identity_rotation():
     rng = np.random.default_rng(30)
     q = random_rotation(3, rng)
     u = q @ np.diag([2.0, 1.0, 0.5]) @ q.T
-    p = polar_decompose(DeformationGradient(u))
+    p = DeformationGradient(u).polar
     assert np.linalg.norm(p.rotation - np.eye(3)) <= 1e-12
     assert np.linalg.norm(p.stretch - u) <= 1e-12
 
@@ -31,7 +30,7 @@ def test_rotation_input_is_its_own_polar_factor():
     rng = np.random.default_rng(31)
     for n in (2, 3, 4):
         r = random_rotation(n, rng)
-        p = polar_decompose(DeformationGradient(r))
+        p = DeformationGradient(r).polar
         assert np.linalg.norm(p.rotation - r) <= 1e-12
         assert np.linalg.norm(p.stretch - np.eye(n)) <= 1e-12
 
@@ -101,10 +100,14 @@ def test_polar_2d_explicit_matches_svd_route():
         assert np.linalg.norm(polar_2d_explicit(F) - F.polar.rotation) <= 1e-12
 
 
+# the squared distance of F to SO(n)(1 + so(n)) is the (1, 0) reduced energy
+W10 = CosseratWeights(1.0, 0.0)
+
+
 def test_tangent_bundle_examples():
-    assert tangent_bundle_dist_sq(DeformationGradient(np.eye(3))) == 0.0
+    assert reduced_energy(W10, DeformationGradient(np.eye(3))) == 0.0
     F = DeformationGradient(np.diag([4.0, 2.0, 0.5]))
-    assert tangent_bundle_dist_sq(F) == pytest.approx(2.25, abs=1e-14)
+    assert reduced_energy(W10, F) == pytest.approx(2.25, abs=1e-14)
 
 
 def test_tangent_bundle_joint_minimization_oracle():
@@ -122,7 +125,7 @@ def test_tangent_bundle_joint_minimization_oracle():
             res.best_rotation.T @ F.matrix - np.eye(n) - a_opt
         )
         assert joint == pytest.approx(res.best_energy, rel=1e-12, abs=1e-12)
-        assert tangent_bundle_dist_sq(F) == pytest.approx(joint, abs=1e-5)
+        assert reduced_energy(W10, F) == pytest.approx(joint, abs=1e-5)
 
 
 class TestPolarProperties:

@@ -1,0 +1,188 @@
+"""solve(W, F): one minimizer set for every dimension and weight regime."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from relaxed_polar import (
+    CosseratWeights,
+    DeformationGradient,
+    Domain,
+    energy,
+    matcore,
+    reduced_energy,
+    relative_rotation,
+    rpolar_3d,
+    solve,
+)
+from relaxed_polar.energy import BOUNDARY_RTOL, DEGENERACY_RTOL, reduced_energy_values
+
+from conftest import random_gl_plus, random_rotation
+
+# muc = 0, 0 < muc < mu and classical
+WEIGHTS = [CosseratWeights(1.0, 0.0), CosseratWeights(1.7, 0.3), CosseratWeights(1.0, 2.0)]
+OFFSETS = (0.0, 0.5 * BOUNDARY_RTOL, -0.5 * BOUNDARY_RTOL, 3 * BOUNDARY_RTOL, -3 * BOUNDARY_RTOL)
+
+
+def radius(W):
+    return 2.0 if W.is_classical else W.singular_radius
+
+
+def spectra(W, n, rng):
+    """Descending spectra with a pair sum at or near rho at every pair position."""
+    rho = radius(W)
+    out = [np.sort(rng.uniform(0.2, 5.0, n))[::-1]]
+    out.append(np.full(n, 1.3 * rho / 2.0))  # all repeated, every pair sum above rho
+    out.append(np.array([3.0 * rho] * min(n, 2) + [0.3] * (n - min(n, 2))))
+    # one branching pair whose second value repeats the first unpaired one,
+    # and one followed by repeated unpaired values only
+    out.append(np.array([2.0 * rho] + [0.4 * rho] * min(n - 1, 2) + [0.1 * rho] * max(n - 3, 0)))
+    out.append(np.array([2.0 * rho, 0.5 * rho, 0.2 * rho, 0.2 * rho, 0.2 * rho, 0.1 * rho][:n]))
+    for p in range(n // 2):
+        for off in OFFSETS:
+            # pairs before p well above rho, pair p summing to rho (1 + off)
+            d = [2.0 * rho - 0.01 * i for i in range(2 * p)]
+            b = 0.3 * rho
+            d += [rho * (1.0 + off) - b, b]
+            d += [0.2 * rho / (i + 1) for i in range(n - 2 * p - 2)]
+            out.append(np.array(d))
+    return out
+
+
+def gradients(n, nus, rng):
+    yield DeformationGradient(np.diag(nus))
+    yield DeformationGradient(random_rotation(n, rng) @ np.diag(nus) @ random_rotation(n, rng).T)
+
+
+def cases():
+    rng = np.random.default_rng(2017)
+    for n in range(1, 7):
+        for W in WEIGHTS:
+            for nus in spectra(W, n, rng):
+                for F in gradients(n, nus, rng):
+                    yield W, F
+
+
+def expected_degenerate(W, d, k):
+    gap = DEGENERACY_RTOL * d[0]
+    if W.is_classical:
+        return bool(d[0] - d[-1] <= gap)
+    checks = [d[2 * p] - d[2 * p + 1] <= gap for p in range(k)]
+    checks += [d[2 * p + 1] - d[2 * p + 2] <= gap for p in range(k) if 2 * p + 2 < len(d)]
+    return any(checks)
+
+
+def test_set_size_energy_and_relative_angles():
+    count = 0
+    for W, F in cases():
+        mset = solve(W, F)
+        n = F.dim
+        k, value = reduced_energy_values(W, F.singular_values)
+        assert mset.k == k and mset.reduced_energy == value == reduced_energy(W, F)
+        assert len(mset.minimizers) == 2**k == len(mset.signs) and len(mset.angles) == k
+        assert mset.signs == list(itertools.product((1, -1), repeat=k))
+        for R, signs in zip(mset.minimizers, mset.signs):
+            assert matcore.is_rotation(R, tol=1e-12)
+            assert abs(energy(W, R, F) - value) <= 1e-12 * (1.0 + abs(value))
+            rhat = relative_rotation(R, F)
+            expected = np.eye(n)
+            for p, (s, b) in enumerate(zip(signs, mset.angles)):
+                i = 2 * p
+                assert np.arctan2(rhat[i + 1, i], rhat[i, i]) == pytest.approx(s * b, abs=1e-12)
+                expected[i : i + 2, i : i + 2] = rhat[i : i + 2, i : i + 2]
+            # block form: nothing turns outside the k pair planes
+            assert np.abs(rhat - expected).max() <= 1e-12
+        count += 1
+    assert count > 300
+
+
+def test_degenerate_generalises_the_spatial_rule():
+    seen = set()
+    for W, F in cases():
+        mset = solve(W, F)
+        d = F.singular_values.tolist()
+        assert mset.degenerate == expected_degenerate(W, d, mset.k)
+        seen.add(mset.degenerate)
+    assert seen == {True, False}
+
+
+def test_domain_is_symmetric_about_the_band_in_every_dimension():
+    for W in WEIGHTS[:2]:
+        rho = W.singular_radius
+        for n in range(2, 7):
+            for off, inside in [(0.5 * BOUNDARY_RTOL, True), (3 * BOUNDARY_RTOL, False)]:
+                domains = []
+                for s in (rho * (1.0 + off), rho * (1.0 - off)):
+                    nus = [s - 0.3, 0.3] + [0.2] * (n - 2)
+                    domains.append(solve(W, DeformationGradient(np.diag(nus))).domain)
+                if inside:
+                    assert domains == [Domain.BOUNDARY, Domain.BOUNDARY]
+                else:
+                    assert domains == [Domain.NON_CLASSICAL, Domain.CLASSICAL]
+        assert solve(W, DeformationGradient([[5.0]])).domain is Domain.CLASSICAL
+    for F in (DeformationGradient(np.diag([4.0, 3.0])), DeformationGradient(np.eye(3))):
+        assert solve(WEIGHTS[2], F).domain is Domain.CLASSICAL
+
+
+def rpolar_3d_reference(W, F):
+    """The closed 3D formula that rpolar_3d used before it became a view of solve."""
+    nu = F.singular_values
+    pol = F.polar.rotation
+    frame = F.polar.spectral.frame
+    s = float(nu[0] + nu[1])
+    minimizers, angles = (pol.copy(),), (0.0,)
+    degenerate = False
+    if W.is_classical:
+        domain = Domain.CLASSICAL
+        u = s / 2.0
+        degenerate = bool(nu[0] - nu[2] <= DEGENERACY_RTOL * nu[0])
+    else:
+        rho = W.singular_radius
+        if abs(s - rho) <= BOUNDARY_RTOL * rho:
+            domain = Domain.BOUNDARY
+        else:
+            domain = Domain.CLASSICAL if s < rho else Domain.NON_CLASSICAL
+        u = s / (2.0 * W.scaling)
+        if domain is Domain.NON_CLASSICAL:
+            c = rho / s
+            b = float(np.arccos(c))
+
+            def block_z(sign):
+                t = sign * np.sqrt(max(0.0, 1.0 - c * c))
+                return np.array([[c, -t, 0.0], [t, c, 0.0], [0.0, 0.0, 1.0]])
+
+            minimizers = (
+                pol @ frame @ block_z(-1.0) @ frame.T,
+                pol @ frame @ block_z(+1.0) @ frame.T,
+            )
+            angles = (b, -b)
+            degenerate = bool(
+                nu[0] - nu[1] <= DEGENERACY_RTOL * nu[0]
+                or nu[1] - nu[2] <= DEGENERACY_RTOL * nu[0]
+            )
+    return minimizers, angles, domain, degenerate, frame[:, 2], u, u - 1.0
+
+
+def test_spatial_view_is_bitwise_the_closed_3d_formula():
+    rng = np.random.default_rng(2018)
+    inputs = [(W, F) for W, F in cases() if F.dim == 3]
+    for i in range(300):
+        W = WEIGHTS[i % 3]
+        inputs.append((W, random_gl_plus(3, rng)))
+    checked = 0
+    for W, F in inputs:
+        s = float(F.singular_values[0] + F.singular_values[1])
+        if not W.is_classical and W.singular_radius < s <= W.singular_radius * (1 + BOUNDARY_RTOL):
+            continue  # the upper half of the band now bifurcates
+        sol = rpolar_3d(W, F)
+        mins, angles, domain, degenerate, axis, u, strain = rpolar_3d_reference(W, F)
+        assert len(sol.minimizers) == len(mins)
+        for a, b in zip(sol.minimizers, mins):
+            assert np.array_equal(a, b)
+        assert sol.relative_angles == angles and sol.domain is domain
+        assert sol.degenerate == degenerate and np.array_equal(sol.axis, axis)
+        assert sol.u_mmp == u and sol.s_mmp == strain
+        assert sol.reduced_energy == reduced_energy_values(W, F.singular_values)[1]
+        checked += 1
+    assert checked > 300

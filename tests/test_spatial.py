@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from relaxed_polar import CosseratWeights, DeformationGradient, energy, matcore
+from relaxed_polar import (
+    CosseratWeights,
+    DeformationGradient,
+    energy,
+    matcore,
+    relative_rotation,
+    solve,
+)
 from relaxed_polar.errors import DegenerateSpectrum, DimensionMismatch, RegimeError
 from relaxed_polar.oracle import OracleConfig, global_minimize
 from relaxed_polar.spatial import (
@@ -9,7 +16,6 @@ from relaxed_polar.spatial import (
     classical_neighborhood_check,
     classify_domain,
     plane_of_max_stretch,
-    relative_rotation_3d,
     rpolar_3d,
     sl3_criterion,
     wred_3d,
@@ -31,10 +37,14 @@ def gradient_from_values(nus, rng=None, conjugate=False):
     return DeformationGradient(q1 @ np.diag(nus) @ q2.T)
 
 
+def relative_rotations(W, F):
+    return [relative_rotation(m, F) for m in solve(W, F).minimizers]
+
+
 class TestRelativeRotation3D:
     def test_limit_case_block_form(self):
         F = gradient_from_values([4.0, 2.0, 0.5])
-        pair = relative_rotation_3d(W10, F)
+        pair = relative_rotations(W10, F)
         assert len(pair) == 2
         c = 1.0 / 3.0
         s = np.sqrt(1.0 - c * c)
@@ -45,14 +55,14 @@ class TestRelativeRotation3D:
 
     def test_compressive_spectrum_gives_identity(self):
         F = gradient_from_values([0.9, 0.8, 0.1])
-        (only,) = relative_rotation_3d(W10, F)
+        (only,) = relative_rotations(W10, F)
         assert np.array_equal(only, np.eye(3))
 
     def test_half_weights_still_bifurcate_for_large_stretch(self):
         # nu_1 + nu_2 = 6 exceeds rho = 4, so the response is non-classical
         # with cos(beta) = 4/6; confirmed against the descent oracle below
         F = gradient_from_values([4.0, 2.0, 0.5])
-        pair = relative_rotation_3d(W_HALF, F)
+        pair = relative_rotations(W_HALF, F)
         assert len(pair) == 2
         assert pair[0][0, 0] == pytest.approx(2.0 / 3.0, abs=1e-14)
         res = global_minimize(
@@ -61,10 +71,10 @@ class TestRelativeRotation3D:
         assert res.best_energy == pytest.approx(9.25, abs=1e-7)
         assert res.best_energy < energy(W_HALF, F.polar.rotation, F) - 0.9
 
-    def test_classical_weights_raise(self):
+    def test_classical_weights_give_the_identity(self):
         F = gradient_from_values([4.0, 2.0, 0.5])
-        with pytest.raises(RegimeError):
-            relative_rotation_3d(W11, F)
+        (only,) = relative_rotations(W11, F)
+        assert np.array_equal(only, np.eye(3))
 
 
 class TestClassifyDomain:

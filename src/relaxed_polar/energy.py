@@ -17,6 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,6 +31,8 @@ from .polar import PolarData
 BOUNDARY_RTOL = 1e-12
 # relative gap under which singular values count as repeated
 DEGENERACY_RTOL = 1e-10
+# machine epsilon, the unit of the constructor's rank rule
+_EPS = sys.float_info.epsilon
 
 
 class Regime(enum.Enum):
@@ -99,35 +102,43 @@ class CosseratWeights:
 class DeformationGradient:
     """An n x n matrix with positive determinant plus cached decompositions.
 
-    The SVD and polar data are computed once at construction: every
-    downstream formula consumes the singular values, and a fixed
-    decomposition keeps branch labels and set comparisons reproducible.
-    A determinant <= 0 is a hard constructor error rather than a silent
-    NaN path.
+    The polar factor U V^T, the descending singular values and the det-+1
+    frame all come from one SVD, taken at construction: every downstream
+    formula consumes them, and a fixed decomposition keeps branch labels
+    and set comparisons reproducible. A matrix is accepted when it is
+    finite and square, nu_min > n eps nu_max (numerically nonsingular) and
+    det(U V^T) = +1; anything else is a hard constructor error rather than
+    a silent NaN path. The sign comes from the orthogonal factors, so it
+    cannot underflow or overflow at any scale.
     """
 
     __slots__ = ("_matrix", "_values", "_polar")
 
     def __init__(self, matrix):
-        m = matcore.as_square(matrix).copy()
-        det = float(np.linalg.det(m))
-        if det <= 0.0:
-            raise ValueError(f"deformation gradient must have det > 0, got det={det:g}")
+        m = np.array(matrix, dtype=float)
         left, values, right = matcore.svd_ordered(m)
         rotation = left @ right.T
-        stretch = right @ np.diag(values) @ right.T
-        stretch = (stretch + stretch.T) / 2.0
+        det_left, det_right = np.linalg.det(np.array((left, right.T)))
         frame = right.copy()
-        if np.linalg.det(frame) < 0.0:
+        if det_right < 0.0:
             frame[:, -1] = -frame[:, -1]
-        for a in (m, values, rotation, stretch, frame):
+        # the rank rule in _set goes first: a singular matrix has no orientation
+        self._set(m, values, rotation, frame)
+        if det_left * det_right < 0.0:
+            raise ValueError("deformation gradient must have det > 0, got det < 0")
+
+    def _set(self, matrix, values, rotation, frame):
+        if not values[-1] > len(values) * _EPS * values[0]:
+            raise ValueError(
+                f"deformation gradient must be nonsingular, got singular values "
+                f"{values[0]:g} to {values[-1]:g}"
+            )
+        for a in (matrix, values, rotation, frame):
             a.setflags(write=False)
-        self._matrix = m
+        self._matrix = matrix
         self._values = values
         self._polar = PolarData(
-            rotation=rotation,
-            stretch=stretch,
-            spectral=matcore.SpectralData(values=values, frame=frame),
+            rotation=rotation, spectral=matcore.SpectralData(values=values, frame=frame)
         )
 
     @property
@@ -165,12 +176,17 @@ def energy(W: CosseratWeights, R, F: DeformationGradient) -> float:
 def rescale(W: CosseratWeights, F: DeformationGradient) -> DeformationGradient:
     """Rescaled gradient F / lam reducing non-classical weights to (1, 0).
 
-    For muc = 0 the rescaling is a no-op and F itself is returned.
+    Decomposes nothing: the matrix and singular values of F are divided by
+    lam, and the rotation and frame of F are shared. For muc = 0 the
+    rescaling is a no-op and F itself is returned.
     """
     W._require_non_classical()
     if W.muc == 0.0:
         return F
-    return DeformationGradient(F.matrix / W.scaling)
+    lam = W.scaling
+    ft = DeformationGradient.__new__(DeformationGradient)
+    ft._set(F.matrix / lam, F.singular_values / lam, F.polar.rotation, F.polar.spectral.frame)
+    return ft
 
 
 def reduce_parameters(

@@ -24,7 +24,7 @@ def as_square(x) -> np.ndarray:
     a = np.asarray(x, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     return a
 
@@ -79,7 +79,9 @@ class SpectralData:
 def svd_ordered(f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD F = left @ diag(values) @ right.T with descending values.
 
-    ``left`` and ``right`` are orthogonal (not necessarily det +1).
+    ``left`` and ``right`` are orthogonal (not necessarily det +1). In the
+    hot path its one caller is the ``DeformationGradient`` constructor,
+    which takes every decomposition it caches from this one SVD.
     """
     a = as_square(f)
     u, s, vh = np.linalg.svd(a)

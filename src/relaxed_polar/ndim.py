@@ -346,7 +346,7 @@ def global_minimizers_nd(nus, *, with_rotations: bool = True) -> GlobalMinimizer
     """
     d = _as_descending(nus)
     n = len(d)
-    k, wred = global_min_value_10(d)
+    k, wred = reduced_energy_values(_W10, d)
     blocks = canonical_blocks(k, n)
     part = CriticalPartition(blocks=blocks, signs=(1,) * len(blocks))
     rotations = ()

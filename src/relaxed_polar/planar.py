@@ -15,10 +15,6 @@ import numpy as np
 from .energy import CosseratWeights, DeformationGradient, reduced_energy_values
 from .errors import DimensionMismatch
 
-# fixed planar generator; J @ v rotates v by +pi/2
-J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-J2.setflags(write=False)
-
 
 def rotation_2d(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
@@ -69,27 +65,6 @@ def polar_angle(F: DeformationGradient) -> float:
     tr_jf = m[0, 1] - m[1, 0]
     a = float(np.arctan2(-tr_jf, tr_f))
     return np.pi if a == -np.pi else a
-
-
-def relative_angles_10(d) -> tuple[float, ...]:
-    """Solutions beta of tr(R(beta) D) = 2 for a positive 2x2 diagonal D.
-
-    Accepts the two diagonal entries or the 2x2 diagonal matrix. For
-    tr D <= 2 there is no solution and the continuous extension beta = 0
-    is returned; otherwise the pair +/- arccos(2 / tr D).
-    """
-    d = np.asarray(d, dtype=float)
-    if d.ndim == 2:
-        d = np.diagonal(d)
-    if d.shape != (2,):
-        raise DimensionMismatch("expected two diagonal entries")
-    if np.any(d <= 0.0):
-        raise ValueError("diagonal entries must be positive")
-    t = float(d.sum())
-    if t <= 2.0:
-        return (0.0,)
-    b = float(np.arccos(2.0 / t))
-    return (b, -b)
 
 
 def optimal_angles(W: CosseratWeights, F: DeformationGradient) -> PlanarSolution:

@@ -7,6 +7,7 @@ and reuses the singular values every other formula needs anyway.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -23,13 +24,21 @@ if TYPE_CHECKING:  # pragma: no cover
 class PolarData:
     """Factors of F = rotation @ stretch plus the spectral frame of the stretch.
 
-    ``stretch`` is symmetric positive definite; ``spectral`` holds its
-    eigenframe Q and descending eigenvalues (the singular values of F).
+    ``spectral`` holds the eigenframe Q of the stretch and its descending
+    eigenvalues (the singular values of F). ``stretch`` = Q diag(nu) Q^T,
+    symmetric positive definite and read-only, is computed on first read.
     """
 
     rotation: np.ndarray
-    stretch: np.ndarray
     spectral: SpectralData
+
+    @functools.cached_property
+    def stretch(self) -> np.ndarray:
+        q = self.spectral.frame
+        s = q @ np.diag(self.spectral.values) @ q.T
+        s = (s + s.T) / 2.0
+        s.setflags(write=False)
+        return s
 
 
 def dist_sq_so_n(F: "DeformationGradient") -> float:

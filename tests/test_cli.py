@@ -139,7 +139,8 @@ class TestSolve:
             np.testing.assert_allclose(r, absolute_rotation(rh, F), rtol=0, atol=1e-14)
 
     def test_solve_never_rescales(self, capsys, monkeypatch):
-        # each rescale would build a new DeformationGradient with a full SVD
+        # the CLI takes k, the angles and the minimizers from F itself; rescale is
+        # for reduce_parameters, and the constructor tests pin that it decomposes nothing
         calls = []
         original = energy_module.rescale
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from relaxed_polar import (
     reduced_energy,
     relative_rotation,
     rescale,
+    solve,
 )
 from relaxed_polar.energy import (
     nonclassical_pair_energy,
@@ -58,16 +61,136 @@ class TestWeights:
                 getattr(CosseratWeights(1.0, 1.0), attr)
 
 
+def reference_decomposition(m):
+    """Rotation, values, frame and stretch by the former constructor's formula."""
+    left, values, right = matcore.svd_ordered(m)
+    rotation = left @ right.T
+    stretch = right @ np.diag(values) @ right.T
+    stretch = (stretch + stretch.T) / 2.0
+    frame = right.copy()
+    if np.linalg.det(frame) < 0.0:
+        frame[:, -1] = -frame[:, -1]
+    return rotation, values, frame, stretch
+
+
+def gradients_with_repeats(rng, count):
+    """Matrices q1 diag(nus) q2^T, n = 1..8, Haar q1, q2, some values repeated."""
+    for n in range(1, 9):
+        for i in range(count):
+            nus = rng.uniform(0.2, 5.0, n)
+            if n > 1 and i % 2:
+                nus[rng.integers(n - 1) + 1] = nus[0]
+            nus = np.sort(nus)[::-1]
+            yield random_rotation(n, rng) @ np.diag(nus) @ random_rotation(n, rng).T
+
+
+def assert_bits(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestDeformationGradient:
     def test_rejects_bad_input(self):
+        reflection = np.diag([1.0, 1.0, -1.0]) @ random_rotation(3, np.random.default_rng(9))
+        bad = [
+            [[1.0, 1.0], [1.0, 1.0]],
+            [[1.0, 2.0], [2.0, 4.0]],
+            np.diag([1.0, 0.0, 1.0]),
+            [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]],
+            np.zeros((2, 2)),
+            np.zeros((3, 3)),
+            [[1.0, 0.0], [0.0, -1.0]],  # det < 0
+            reflection,
+            [[-2.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[np.nan, 0.0], [0.0, 1.0]],
+            np.ones((2, 3)),
+            np.ones(3),
+        ]
+        for m in bad:
+            with pytest.raises(ValueError):
+                DeformationGradient(m)
+
+    def test_one_svd_gives_the_former_decompositions_bitwise(self):
+        for m in gradients_with_repeats(np.random.default_rng(16), 25):
+            F = DeformationGradient(m)
+            rotation, values, frame, stretch = reference_decomposition(m)
+            assert_bits(F.polar.rotation, rotation)
+            assert_bits(F.singular_values, values)
+            assert_bits(F.polar.spectral.values, values)
+            assert_bits(F.polar.spectral.frame, frame)
+            assert_bits(F.polar.stretch, stretch)
+
+    @pytest.mark.parametrize("scale", [1e-110, 1e110])
+    def test_extreme_scales_construct_without_warnings(self, scale):
+        rng = np.random.default_rng(17)
+        for n in range(1, 9):
+            a = random_gl_plus(n, rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                F = DeformationGradient(scale * a.matrix)
+            np.testing.assert_allclose(
+                F.singular_values, scale * a.singular_values, rtol=1e-13, atol=0
+            )
+
+    def test_stretch_is_read_only_and_computed_once(self):
+        F = DeformationGradient([[2.0, 0.3, 0.1], [0.0, 1.5, 0.2], [0.1, 0.0, 0.4]])
+        p = F.polar
+        assert "stretch" not in vars(p)  # nothing computes it at construction
+        s = p.stretch
+        assert p.stretch is s
+        assert not s.flags.writeable
         with pytest.raises(ValueError):
-            DeformationGradient([[1.0, 0.0], [0.0, -1.0]])  # det < 0
+            s[0, 0] = 0.0
+
+    def test_construction_takes_one_svd_and_one_det_of_orthogonal_factors(self, monkeypatch):
+        from relaxed_polar.spatial import rpolar_3d
+
+        svds, dets = [], []
+        for name, calls in (("svd", svds), ("det", dets)):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _calls=calls, _original=original, **kw):
+                _calls.append(a)
+                return _original(a, *args, **kw)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        w = CosseratWeights(1.0, 0.5)
+        for m in gradients_with_repeats(np.random.default_rng(18), 2):
+            svds.clear()
+            dets.clear()
+            F = DeformationGradient(m)
+            assert len(svds) == 1 and len(dets) == 1
+            # the det of the stacked factors U and V^T, never of the matrix
+            (factors,) = dets
+            assert factors.shape == (2, *m.shape)
+            eye = np.broadcast_to(np.eye(len(m)), factors.shape)
+            np.testing.assert_allclose(factors @ factors.swapaxes(-1, -2), eye, atol=1e-13)
+            svds.clear()
+            dets.clear()
+            rescale(w, F)
+            reduce_parameters(w, F)
+            solve(w, F)
+            if F.dim == 3:
+                rpolar_3d(w, F)
+            assert svds == [] and dets == []
+
+    def test_rescale_divides_the_cached_values(self):
+        rng = np.random.default_rng(19)
+        for w in (CosseratWeights(1.0, 0.5), CosseratWeights(3.0, 1.0)):
+            for n in range(1, 9):
+                F = random_gl_plus(n, rng)
+                ft = rescale(w, F)
+                assert_bits(ft.singular_values, F.singular_values / w.scaling)
+                assert_bits(ft.matrix, F.matrix / w.scaling)
+                assert ft.polar.rotation is F.polar.rotation
+                assert ft.polar.spectral.frame is F.polar.spectral.frame
+                assert not ft.singular_values.flags.writeable
+
+    def test_rescale_keeps_the_rank_rule(self):
+        F = DeformationGradient(np.diag([1e-300, 1e-315]))
+        w = CosseratWeights(1.0, 1.0 - 2.0**-52)  # lam = 2^52
         with pytest.raises(ValueError):
-            DeformationGradient(np.zeros((2, 2)))  # det = 0
-        with pytest.raises(ValueError):
-            DeformationGradient([[np.inf, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            DeformationGradient(np.ones((2, 3)))
+            rescale(w, F)  # 1e-315 / lam underflows to 0
 
     def test_cached_polar_invariants(self):
         rng = np.random.default_rng(10)

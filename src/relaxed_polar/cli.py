@@ -16,10 +16,13 @@ angles of each minimizer's ``relative_rotation`` Q^T R^T polar(F) Q (one
 number per minimizer with at most one pair, a list of k pair angles with
 more), "+" first; ``domain``, which compares nu_1 + nu_2 with rho and
 reads "boundary" within ``BOUNDARY_RTOL`` on either side; ``degenerate``
-for repeated singular values; ``k``, the number of branching pairs; and
-``partition``, the canonical blocks (1-based). 2D adds ``polar_angle``
-and the minimizers' absolute angles ``branch_angles``; 3D adds the
-rotation ``axis`` q3, ``u_mmp`` and ``s_mmp``.
+for repeated singular values (the rule of ``MinimizerSet``: a gap of at
+most ``DEGENERACY_RTOL`` nu_1 at a branching pair); ``k``, the number of
+branching pairs; and ``partition``, the canonical blocks (1-based). 2D
+adds ``polar_angle`` and the minimizers' absolute angles
+``branch_angles``; 3D adds the rotation ``axis`` q3, ``u_mmp`` and
+``s_mmp``. The ndim report's ``degenerate`` is the same rule at weights
+(1, 0), so it agrees with ``solve`` on the diagonal matrix.
 
 Matrices are accepted as JSON rows (``[[...],[...]]``) or whitespace
 separated lines, inline via ``--matrix`` or from a file. All numbers are
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -47,7 +49,7 @@ from .energy import (
     relative_rotation,
     solve,
 )
-from .errors import MatrixParseError, TooLarge
+from .errors import MatrixParseError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -55,7 +57,6 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 DEFAULT_SEED = 161803
-SEED_ENV_VAR = "RELAXED_POLAR_SEED"
 
 
 def fmt(x: float) -> str:
@@ -115,16 +116,6 @@ def load_gradient(args) -> DeformationGradient:
         raise MatrixParseError(str(exc)) from exc
 
 
-def resolve_seed(flag_value) -> int:
-    """Flag beats the RELAXED_POLAR_SEED environment variable beats default."""
-    if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None and env.strip():
-        return int(env)
-    return DEFAULT_SEED
-
-
 def _weights(args) -> CosseratWeights:
     return CosseratWeights(args.mu, args.muc)
 
@@ -134,14 +125,6 @@ def _write_csv(path: str, header: list[str], rows: list[list[str]]):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(row) + "\n")
-
-
-def _relative_angles(mset) -> list:
-    """Per minimizer, its relative rotation angle, or its k pair angles for k >= 2."""
-    if mset.k == 0:
-        return [0.0]
-    angles = [[s * b for s, b in zip(signs, mset.angles)] for signs in mset.signs]
-    return [a[0] for a in angles] if mset.k == 1 else angles
 
 
 def _solve_report(W: CosseratWeights, F: DeformationGradient) -> dict:
@@ -160,13 +143,15 @@ def _solve_report(W: CosseratWeights, F: DeformationGradient) -> dict:
         "branch_labels": [
             "".join("+" if s > 0 else "-" for s in signs) or "polar" for signs in mset.signs
         ],
-        "relative_angles": _relative_angles(mset),
+        "relative_angles": mset.relative_angles,
     }
     if n == 2:
-        sol = planar.optimal_angles(W, F)
-        # the minimizers run +beta first in relative angle: polar_angle - beta
-        report["branch_angles"] = list(sol.branch_angles[::-1])
-        report["polar_angle"] = sol.polar_angle
+        ap = planar.polar_angle(F)
+        # a minimizer with relative angle beta sits at polar_angle - beta
+        report["branch_angles"] = (
+            [planar.wrap_angle(ap - b) for b in mset.relative_angles] if mset.k else [ap]
+        )
+        report["polar_angle"] = ap
     elif n == 3:
         u = spatial.mean_planar_stretch(W, F)
         report["axis"] = F.polar.spectral.frame[:, 2]
@@ -188,9 +173,7 @@ def cmd_solve(args) -> int:
     F = load_gradient(args)
     report = _solve_report(W, F)
     if args.verify:
-        cfg = oracle.OracleConfig(
-            seed=resolve_seed(args.seed), samples=args.samples, tol_grad=1e-9
-        )
+        cfg = oracle.OracleConfig(seed=args.seed, samples=args.samples, tol_grad=1e-9)
         res = oracle.global_minimize(W, F, cfg)
         report["oracle"] = {
             "best_energy": res.best_energy,
@@ -214,12 +197,12 @@ def cmd_sweep_planar(args) -> int:
     # diag(tr_u - nu2, nu2) has those two entries as its singular values
     tr_u = np.linspace(lo, hi, count)
     nus = np.stack([tr_u - nu2, np.full(count, nu2)], axis=-1)
-    total = nus[:, 0] + nus[:, 1]
-    rho = np.inf if W.is_classical else W.singular_radius
-    bifurcated = total > rho
+    k, wred = reduced_energy_stack(W, nus)
+    bifurcated = k > 0
     beta = np.zeros(count)
-    beta[bifurcated] = np.arccos(rho / total[bifurcated])
-    columns = (tr_u, beta, np.where(bifurcated, -beta, 0.0), reduced_energy_stack(W, nus)[1])
+    if bifurcated.any():  # classical weights never branch and have no singular radius
+        beta[bifurcated] = np.arccos(W.singular_radius / nus[bifurcated].sum(axis=-1))
+    columns = (tr_u, beta, np.where(bifurcated, -beta, 0.0), wred)
     rows = (
         [*map(repr, values), "true" if f else "false"]
         for *values, f in zip(*(c.tolist() for c in columns), bifurcated.tolist())
@@ -239,13 +222,12 @@ def cmd_scatter_mc(args) -> int:
     count = int(count)
     if count < 2 or not lo < hi:
         raise ValueError("scatter range must satisfy min < max and count >= 2")
-    seed = resolve_seed(args.seed)
     nu3 = args.nu3
     if nu3 <= 0.0:
         raise ValueError("nu3 must be positive")
     rows = []
     for i, s in enumerate(np.linspace(lo, hi, count)):
-        rng = np.random.default_rng((seed, 0xA0, i))
+        rng = np.random.default_rng((args.seed, 0xA0, i))
         split = rng.uniform(0.55, 0.75)
         nu1, nu2 = s * split, s * (1.0 - split)
         if nu3 >= nu2:
@@ -266,7 +248,7 @@ def cmd_scatter_mc(args) -> int:
             rho = W.singular_radius
             beta_pred = float(np.copysign(np.arccos(min(1.0, rho / s)), beta_mc)) if s > rho else 0.0
         rows.append(
-            [fmt(s), fmt(beta_mc), fmt(beta_pred), fmt(W.mu), fmt(W.muc), str(seed)]
+            [fmt(s), fmt(beta_mc), fmt(beta_pred), fmt(W.mu), fmt(W.muc), str(args.seed)]
         )
     _write_csv(
         args.out,
@@ -331,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--muc", type=float, default=0.0, help="couple modulus muc >= 0")
 
     def add_oracle(p):
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (beats env)")
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
         p.add_argument("--samples", type=int, default=200, help="oracle restarts")
 
     p = sub.add_parser("solve", help="minimizer set for one matrix")
@@ -380,7 +362,7 @@ def main(argv=None) -> int:
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (ValueError, TooLarge) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as exc:

@@ -366,6 +366,7 @@ class MinimizerSet(NamedTuple):
     sample from the cached frame rather than exhaustive: for classical
     weights nu_1 - nu_n <= ``DEGENERACY_RTOL`` nu_1; otherwise a branching
     pair whose own gap, or whose gap to the next value, is that small.
+    :attr:`relative_angles` gives each minimizer's relative rotation angle.
     """
 
     domain: Domain
@@ -380,36 +381,54 @@ class MinimizerSet(NamedTuple):
         """Sign tuple sigma of each minimizer, in the order of ``minimizers``."""
         return list(itertools.product((1, -1), repeat=self.k))
 
+    @property
+    def relative_angles(self) -> tuple:
+        """Per minimizer, the angle of its relative rotation, +beta first.
+
+        One number per minimizer for k <= 1 ((0.0,) for the polar factor
+        alone), else the tuple sigma_p beta_p of its k pair angles.
+        """
+        if self.k <= 1:
+            return (self.angles[0], -self.angles[0]) if self.k else (0.0,)
+        return tuple(tuple(s * b for s, b in zip(signs, self.angles)) for signs in self.signs)
+
+
+def _branches(W: CosseratWeights, d: list[float]) -> tuple:
+    """(k, reduced energy, pair cosines, domain, degenerate) of descending values d.
+
+    The values-level core of :func:`solve`: k and the energy are
+    :func:`reduced_energy_values`, branching pair p has cosine
+    rho / (d[2p] + d[2p+1]), and ``domain`` and ``degenerate`` follow the
+    rules documented on :class:`MinimizerSet`.
+    """
+    k, value = reduced_energy_values(W, d)
+    gap = DEGENERACY_RTOL * d[0]
+    if W.is_classical:
+        return 0, value, [], Domain.CLASSICAL, d[0] - d[-1] <= gap
+    rho = W.singular_radius
+    if not k:
+        return 0, value, [], _domain(d, rho), False
+    cosines = [rho / (d[2 * p] + d[2 * p + 1]) for p in range(k)]
+    # a branching pair's own gap and its gap to the next value
+    degenerate = any([d[i] - d[i + 1] <= gap for i in range(min(2 * k, len(d) - 1))])
+    return k, value, cosines, _domain(d, rho), degenerate
+
 
 def solve(W: CosseratWeights, F: DeformationGradient) -> MinimizerSet:
     """The minimizer set of F, its reduced energy and labels, in any dimension.
 
-    k and the energy come from :func:`reduced_energy_values`; pair p turns
-    by arccos(rho / (nu_2p + nu_2p+1)) on F's own singular values, and the
-    minimizers are polar(F) Q B Q^T with B the :func:`pair_rotations` by
-    -sigma_p beta_p (its transpose, the relative rotation, turns by
+    k, the energy, the pair cosines and the labels come from F's own
+    singular values (pair p turns by arccos(rho / (nu_2p + nu_2p+1))), and
+    the minimizers are polar(F) Q B Q^T with B the :func:`pair_rotations`
+    by -sigma_p beta_p (its transpose, the relative rotation, turns by
     +sigma_p beta_p).
     """
-    d = F.singular_values.tolist()
-    k, value = reduced_energy_values(W, d)
+    k, value, cosines, domain, degenerate = _branches(W, F.singular_values.tolist())
     pol = F.polar.rotation
-    gap = DEGENERACY_RTOL * d[0]
-    if W.is_classical:
-        return MinimizerSet(Domain.CLASSICAL, 0, (), (pol.copy(),), value, d[0] - d[-1] <= gap)
-    rho = W.singular_radius
-    domain = _domain(d, rho)
     if not k:
-        return MinimizerSet(domain, 0, (), (pol.copy(),), value, False)
-    cosines = [rho / (d[2 * p] + d[2 * p + 1]) for p in range(k)]
+        return MinimizerSet(domain, 0, (), (pol.copy(),), value, degenerate)
     q = F.polar.spectral.frame
     # block signs are the negated relative signs, in the order of MinimizerSet.signs
-    blocks = pair_rotations(len(d), cosines, itertools.product((-1, 1), repeat=k))
-    return MinimizerSet(
-        domain=domain,
-        k=k,
-        angles=tuple([float(np.arccos(c)) for c in cosines]),
-        minimizers=tuple(pol @ q @ blocks @ q.T),
-        reduced_energy=value,
-        # a branching pair's own gap and its gap to the next value
-        degenerate=any([d[i] - d[i + 1] <= gap for i in range(min(2 * k, len(d) - 1))]),
-    )
+    blocks = pair_rotations(F.dim, cosines, itertools.product((-1, 1), repeat=k))
+    angles = tuple([float(np.arccos(c)) for c in cosines])
+    return MinimizerSet(domain, k, angles, tuple(pol @ q @ blocks @ q.T), value, degenerate)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import CosseratWeights, pair_rotations, reduced_energy_values
+from .energy import CosseratWeights, _branches, pair_rotations
 from .errors import InadmissiblePartition, OrientationError, TooLarge
 
 ENUMERATION_MAX_DIM = 10
@@ -89,22 +89,30 @@ class CriticalPartition:
         return d
 
 
+def _pair_signs(a: float, b: float) -> tuple[int, ...]:
+    """Signs with which entries a, b may form a 2-block.
+
+    +1 needs a + b > 2 and -1 needs |a - b| > 2; for positive entries the
+    second implies the first.
+    """
+    if not a + b > 2.0:
+        return ()
+    return (1, -1) if abs(a - b) > 2.0 else (1,)
+
+
 def _check_admissible(p: CriticalPartition, d):
     if p.dim != len(d):
         raise InadmissiblePartition(
             f"partition covers {p.dim} indices, diagonal has {len(d)}"
         )
     for b, s in zip(p.blocks, p.signs):
-        if len(b) == 2:
+        if len(b) == 2 and s not in _pair_signs(d[b[0]], d[b[1]]):
             i, j = b
-            if s == 1 and not d[i] + d[j] > 2.0:
-                raise InadmissiblePartition(
-                    f"pair {b} with sign +1 needs nu_i + nu_j > 2, got {d[i] + d[j]:g}"
-                )
-            if s == -1 and not abs(d[i] - d[j]) > 2.0:
-                raise InadmissiblePartition(
-                    f"pair {b} with sign -1 needs |nu_i - nu_j| > 2, got {abs(d[i] - d[j]):g}"
-                )
+            if s == 1:
+                need, got = "nu_i + nu_j > 2", d[i] + d[j]
+            else:
+                need, got = "|nu_i - nu_j| > 2", abs(d[i] - d[j])
+            raise InadmissiblePartition(f"pair {b} with sign {s:+d} needs {need}, got {got:g}")
 
 
 def _matchings(indices: tuple[int, ...]):
@@ -143,16 +151,11 @@ def enumerate_critical_partitions(
             if len(b) == 1:
                 choices.append((1, -1))
                 continue
-            i, j = b
-            allowed = []
-            if d[i] + d[j] > 2.0:
-                allowed.append(1)
-            if abs(d[i] - d[j]) > 2.0:
-                allowed.append(-1)
+            allowed = _pair_signs(d[b[0]], d[b[1]])
             if not allowed:
                 feasible = False
                 break
-            choices.append(tuple(allowed))
+            choices.append(allowed)
         if not feasible:
             continue
         for signs in itertools.product(*choices):
@@ -168,7 +171,8 @@ def critical_values(parts, nus) -> list[float]:
 
     The diagonal is validated once and each partition checked for
     admissibility; squares are products of floats, so a canonical
-    partition's value is bit-identical to :func:`global_min_value_10`.
+    partition's value is bit-identical to the pairing rule's
+    :func:`~relaxed_polar.energy.reduced_energy_values` at (1, 0).
     """
     d = _as_descending(nus).tolist()
     out = []
@@ -297,19 +301,6 @@ def traversal_path(start: CriticalPartition, nus) -> list[CriticalPartition]:
     return path
 
 
-def global_min_value_10(nus) -> tuple[int, float]:
-    """Pair count k and global minimum of the (1, 0) energy for a diagonal.
-
-    k is the largest number of consecutive descending pairs with
-    nu_{2i} + nu_{2i+1} > 2; the minimum is
-    1/2 sum over pairs (nu_{2i} - nu_{2i+1})^2 + sum of (nu_i - 1)^2 over
-    the remaining singletons. O(n), no enumeration; the terms are added
-    left to right, bit-identical to critical_value on the canonical
-    partition.
-    """
-    return reduced_energy_values(_W10, _as_descending(nus))
-
-
 def canonical_blocks(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Blocks of the canonical minimum: pairs (2p, 2p + 1) for p < k, then singletons."""
     return tuple((2 * p, 2 * p + 1) for p in range(k)) + tuple((i,) for i in range(2 * k, n))
@@ -319,11 +310,13 @@ def canonical_blocks(k: int, n: int) -> tuple[tuple[int, ...], ...]:
 class GlobalMinimizers:
     """Canonical minimum partition, its 2^k rotations, and the energy.
 
-    ``degenerate`` flags repeated diagonal entries (the rotation list is
-    then a representative sample of a non-isolated minimizer family);
-    ``boundary_tie`` flags an exactly-2 pair sum just past the prefix, in
-    which case merging that pair would tie the minimum value and the
-    singleton form is reported as canonical.
+    ``degenerate`` is the rule of :class:`~relaxed_polar.energy.MinimizerSet`
+    at (1, 0): a branching pair whose own gap, or whose gap to the next
+    entry, is at most ``DEGENERACY_RTOL`` times the largest entry (the
+    rotation list is then a representative sample of a non-isolated
+    minimizer family); ``boundary_tie`` flags an exactly-2 pair sum just
+    past the prefix, in which case merging that pair would tie the minimum
+    value and the singleton form is reported as canonical.
     """
 
     partition: CriticalPartition
@@ -340,26 +333,24 @@ def global_minimizers_nd(nus, *, with_rotations: bool = True) -> GlobalMinimizer
     The canonical partition pairs the descending entries consecutively
     while the pair sum strictly exceeds 2; each pair contributes a +/-
     angle choice, for 2^k minimizers total, built by ``pair_rotations``
-    in the sign order of ``MinimizerSet`` (all + first). Pass
-    ``with_rotations=False`` to skip materializing them (k grows with n
-    and the list is exponential in k).
+    in the sign order of ``MinimizerSet`` (all + first). k, the energy,
+    the pair cosines and ``degenerate`` are those of
+    :func:`~relaxed_polar.energy.solve` on the same values. Pass
+    ``with_rotations=False`` to skip materializing the rotations (k grows
+    with n and the list is exponential in k).
     """
-    d = _as_descending(nus)
+    d = _as_descending(nus).tolist()
     n = len(d)
-    k, wred = reduced_energy_values(_W10, d)
+    k, wred, cosines, _, degenerate = _branches(_W10, d)
     blocks = canonical_blocks(k, n)
-    part = CriticalPartition(blocks=blocks, signs=(1,) * len(blocks))
     rotations = ()
     if with_rotations:
-        cosines = [2.0 / (d[2 * p] + d[2 * p + 1]) for p in range(k)]
         rotations = tuple(pair_rotations(n, cosines, itertools.product((1, -1), repeat=k)))
-    degenerate = bool(np.any(np.diff(d) == 0.0))
-    boundary_tie = bool(2 * k + 1 < n and d[2 * k] + d[2 * k + 1] == 2.0)
     return GlobalMinimizers(
-        partition=part,
+        partition=CriticalPartition(blocks=blocks, signs=(1,) * len(blocks)),
         rotations=rotations,
         reduced_energy=wred,
         k=k,
         degenerate=degenerate,
-        boundary_tie=boundary_tie,
+        boundary_tie=2 * k + 1 < n and d[2 * k] + d[2 * k + 1] == 2.0,
     )

@@ -27,6 +27,8 @@ from .energy import (
 )
 from .errors import DimensionMismatch
 
+# first step length of every descent; each start then adapts its own
+_STEP_INIT = 0.1
 _MIN_STEP = 1e-18
 # generous cap: backtracking rejects overshoots anyway, and nearly flat
 # modes (repeated singular values) need steps far above unity to converge
@@ -40,7 +42,6 @@ class OracleConfig:
     seed: int
     samples: int = 2000
     max_iters: int = 500
-    step_init: float = 0.1
     tol_grad: float = 1e-10
 
     def __post_init__(self):
@@ -48,8 +49,8 @@ class OracleConfig:
             raise ValueError("seed must be a non-negative integer")
         if self.samples < 1 or self.max_iters < 1:
             raise ValueError("samples and max_iters must be positive")
-        if not (self.step_init > 0.0 and self.tol_grad > 0.0):
-            raise ValueError("step_init and tol_grad must be positive")
+        if not self.tol_grad > 0.0:
+            raise ValueError("tol_grad must be positive")
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def _descend(
     g = _gradient(mu, muc, r, f, eye)
     gn = _norm(g)
     out_r, out_e, out_gn = r.copy(), e.copy(), gn.copy()
-    t = np.full(len(r), cfg.step_init)
+    t = np.full(len(r), _STEP_INIT)
     steps = np.zeros(len(r), dtype=int)
     pos = np.arange(len(r))
     if energy_trace is not None:

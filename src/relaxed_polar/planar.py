@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import CosseratWeights, DeformationGradient, reduced_energy_values
+from .energy import CosseratWeights, DeformationGradient, _branches
 from .errors import DimensionMismatch
 
 
@@ -78,10 +78,10 @@ def optimal_angles(W: CosseratWeights, F: DeformationGradient) -> PlanarSolution
     """
     _require_2d(F)
     ap = polar_angle(F)
-    k, wred = reduced_energy_values(W, F.singular_values)
+    k, wred, cosines, _, _ = _branches(W, F.singular_values.tolist())
     if not k:
         return PlanarSolution(ap, (ap,), (0.0,), wred, False)
-    b = float(np.arccos(W.singular_radius / float(F.singular_values.sum())))
+    b = float(np.arccos(cosines[0]))
     return PlanarSolution(ap, (wrap_angle(ap + b), wrap_angle(ap - b)), (b, -b), wred, True)
 
 

@@ -88,7 +88,7 @@ def rpolar_3d(W: CosseratWeights, F: DeformationGradient) -> SpatialSolution:
     u = mean_planar_stretch(W, F)
     return SpatialSolution(
         minimizers=mset.minimizers,
-        relative_angles=(mset.angles[0], -mset.angles[0]) if mset.k else (0.0,),
+        relative_angles=mset.relative_angles,
         axis=F.polar.spectral.frame[:, 2].copy(),
         reduced_energy=mset.reduced_energy,
         domain=mset.domain,

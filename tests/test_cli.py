@@ -3,6 +3,7 @@
 import csv
 import importlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -154,6 +155,23 @@ class TestSolve:
         solve([[2.0, 0.3, 0.1], [0.0, 1.5, 0.2], [0.1, 0.0, 0.4]], 1.0, 0.5, capsys)
         assert calls == []
 
+    def test_planar_solve_runs_the_pairing_rule_once(self, capsys, monkeypatch):
+        # every module that binds the name counts into one list
+        calls = []
+        original = energy_module.reduced_energy_values
+
+        def counted(W, nus):
+            calls.append(len(nus))
+            return original(W, nus)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("relaxed_polar") and hasattr(module, "reduced_energy_values"):
+                monkeypatch.setattr(module, "reduced_energy_values", counted)
+        for matrix in ([[2.0, 0.3], [0.1, 1.5]], [[0.9, 0.1], [0.0, 0.6]]):
+            calls.clear()
+            solve(matrix, 1.0, 0.0, capsys)
+            assert calls == [2]
+
     def test_classical_weights_give_the_polar_factor(self, capsys):
         m = [[2.0, 0.3, 0.1], [0.0, 1.5, 0.2], [0.1, 0.0, 0.4]]
         F = DeformationGradient(m)
@@ -263,6 +281,18 @@ def test_ndim_with_census(capsys):
             {"indices": [i + 1 for i in b], "sign": s} for b, s in zip(p.blocks, p.signs)
         ]
         assert entry["value"] == critical_value(p, nus)
+
+
+@pytest.mark.parametrize(
+    "nus", [(3.0, 3.0 * (1 - 1e-12), 0.5, 0.4), (3.0, 1.0, 0.5, 0.5), (2.5, 0.7, 0.7)]
+)
+def test_ndim_degenerate_is_that_of_solve(nus, capsys):
+    code, out, _ = run(["ndim", *map(repr, nus)], capsys)
+    assert code == cli.EXIT_OK
+    flag = solve_set(CosseratWeights(1.0, 0.0), DeformationGradient(np.diag(nus))).degenerate
+    assert json.loads(out)["degenerate"] is flag
+    rep, _ = solve(np.diag(nus).tolist(), 1.0, 0.0, capsys)
+    assert rep["degenerate"] is flag
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,13 @@ from relaxed_polar import (
     relative_rotation,
     solve,
 )
+from relaxed_polar.energy import pair_rotations, reduced_energy_values
 from relaxed_polar.errors import InadmissiblePartition, OrientationError, TooLarge
 from relaxed_polar.ndim import (
     CriticalPartition,
     critical_value,
     critical_values,
     enumerate_critical_partitions,
-    global_min_value_10,
     global_minimizers_nd,
     realize_rotation,
     traversal_path,
@@ -131,6 +133,17 @@ class TestCriticalValue:
         with pytest.raises(InadmissiblePartition):
             value_of(((0, 1),), (-1,), np.array([3.0, 1.5]))
 
+    def test_inadmissible_messages(self):
+        with pytest.raises(InadmissiblePartition, match=r"^pair \(0, 1\) with sign \+1 needs "
+                           r"nu_i \+ nu_j > 2, got 1\.5$"):
+            value_of(((0, 1),), (1,), np.array([1.0, 0.5]))
+        with pytest.raises(InadmissiblePartition, match=r"^pair \(0, 1\) with sign -1 needs "
+                           r"\|nu_i - nu_j\| > 2, got 1\.5$"):
+            value_of(((0, 1),), (-1,), np.array([3.0, 1.5]))
+        with pytest.raises(InadmissiblePartition, match=r"^pair \(1, 2\) with sign -1 needs "
+                           r"\|nu_i - nu_j\| > 2, got 0\.5$"):
+            realize_rotation(CriticalPartition(((0,), (1, 2)), (-1, -1)), [3.0, 1.0, 0.5])
+
 
 class TestRealizeRotation:
     def test_identity(self):
@@ -206,7 +219,7 @@ class TestTraversal:
             path = traversal_path(start, nus)
             values = [critical_value(p, nus) for p in path]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
-            assert values[-1] == pytest.approx(global_min_value_10(nus)[1], abs=1e-12)
+            assert values[-1] == pytest.approx(reduced_energy_values(W10, nus)[1], abs=1e-12)
 
 
 class TestGlobalMinimizers:
@@ -280,6 +293,63 @@ class TestGlobalMinimizers:
         assert gm.reduced_energy == pytest.approx(merged, abs=1e-15)
 
 
+def reference_global_minimizers(d):
+    """Reference: the formula global_minimizers_nd used before it read solve's core.
+
+    Its own cosines 2 / (d_2p + d_2p+1) on the numpy diagonal and its own
+    boundary tie; k and the value come from the pairing rule.
+    """
+    k, wred = reduced_energy_values(W10, d)
+    n = len(d)
+    cosines = [2.0 / (d[2 * p] + d[2 * p + 1]) for p in range(k)]
+    rotations = pair_rotations(n, cosines, itertools.product((1, -1), repeat=k))
+    boundary_tie = bool(2 * k + 1 < n and d[2 * k] + d[2 * k + 1] == 2.0)
+    blocks = tuple((2 * p, 2 * p + 1) for p in range(k)) + tuple((i,) for i in range(2 * k, n))
+    return k, wred, blocks, boundary_tie, rotations
+
+
+def spectra_with_repeats(rng, count, max_n=8):
+    """Descending diagonals, n = 1..max_n in turn, a fifth with an exact repeat."""
+    for t in range(count):
+        n = 1 + t % max_n
+        d = np.sort(rng.uniform(0.1, 4.0, n))[::-1]
+        if n > 1 and t % 5 == 0:
+            j = int(rng.integers(n - 1))
+            d[j + 1] = d[j]
+        yield d
+
+
+class TestOneBranchRule:
+    def test_global_minimizers_match_the_reference_formula_bitwise(self):
+        rng = np.random.default_rng(91)
+        for d in spectra_with_repeats(rng, 800):
+            k, wred, blocks, tie, rotations = reference_global_minimizers(d)
+            gm = global_minimizers_nd(d)
+            assert (gm.k, gm.reduced_energy, gm.boundary_tie) == (k, wred, tie)
+            assert gm.partition.blocks == blocks and set(gm.partition.signs) == {1}
+            assert len(gm.rotations) == len(rotations) == 2**k
+            for r, e in zip(gm.rotations, rotations):
+                assert r.tobytes() == e.tobytes()
+
+    @pytest.mark.parametrize(
+        "nus, expected",
+        [((3.0, 3.0 * (1 - 1e-12), 0.5, 0.4), True), ((3.0, 1.0, 0.5, 0.5), False)],
+    )
+    def test_degenerate_is_the_minimizer_set_rule(self, nus, expected):
+        gm = global_minimizers_nd(np.array(nus))
+        assert gm.degenerate is solve(W10, DeformationGradient(np.diag(nus))).degenerate
+        assert gm.degenerate is expected
+
+    def test_degenerate_agrees_with_solve_on_repeats(self):
+        rng = np.random.default_rng(92)
+        flags = []
+        for d in spectra_with_repeats(rng, 400, max_n=6):
+            gm = global_minimizers_nd(d, with_rotations=False)
+            assert gm.degenerate is solve(W10, DeformationGradient(np.diag(d))).degenerate
+            flags.append(gm.degenerate)
+        assert True in flags and False in flags
+
+
 class TestStructuralLemmas:
     def test_savings_identity(self):
         rng = np.random.default_rng(75)
@@ -333,12 +403,12 @@ class TestStructuralLemmas:
                 nus = np.sort(rng.uniform(0.2, 6.0, n))[::-1]
                 parts = enumerate_critical_partitions(nus)
                 best = min(critical_value(p, nus) for p in parts)
-                k, wred = global_min_value_10(nus)
+                k, wred = reduced_energy_values(W10, nus)
                 assert best == wred  # bit-identical accumulation order
 
     def test_critical_values_square_by_product(self):
         # np.square is the correctly rounded x * x, so no value may depend on libm pow;
-        # the canonical partition's value must equal global_min_value_10 bit for bit
+        # the canonical partition's value must equal the pairing rule's value bit for bit
         rng = np.random.default_rng(79)
         for n in range(1, 7):
             for _ in range(30):
@@ -353,7 +423,7 @@ class TestStructuralLemmas:
                             expected += 0.5 * float(np.square(nus[b[0]] - s * nus[b[1]]))
                     assert v == expected
                 canonical = global_minimizers_nd(nus, with_rotations=False).partition
-                assert critical_value(canonical, nus) == global_min_value_10(nus)[1]
+                assert critical_value(canonical, nus) == reduced_energy_values(W10, nus)[1]
 
     def test_critical_values_checks_every_partition(self):
         nus = np.array([3.0, 1.0, 0.5])

@@ -35,7 +35,7 @@ def reference_descent(W, F, r0, cfg):
     e = oracle._energy(mu, muc, r, f, eye)
     g = oracle._gradient(mu, muc, r, f, eye)
     gn = oracle._norm(g)
-    t = cfg.step_init
+    t = oracle._STEP_INIT
     for it in range(cfg.max_iters):
         if gn[0] <= cfg.tol_grad:
             break

@@ -82,6 +82,13 @@ def test_set_size_energy_and_relative_angles():
         assert mset.k == k and mset.reduced_energy == value == reduced_energy(W, F)
         assert len(mset.minimizers) == 2**k == len(mset.signs) and len(mset.angles) == k
         assert mset.signs == list(itertools.product((1, -1), repeat=k))
+        rel = mset.relative_angles
+        assert len(rel) == len(mset.minimizers)
+        if k <= 1:
+            assert rel == ((0.0,) if k == 0 else (mset.angles[0], -mset.angles[0]))
+        else:
+            assert rel == tuple(tuple(s * b for s, b in zip(signs, mset.angles))
+                                for signs in mset.signs)
         for R, signs in zip(mset.minimizers, mset.signs):
             assert matcore.is_rotation(R, tol=1e-12)
             assert abs(energy(W, R, F) - value) <= 1e-12 * (1.0 + abs(value))

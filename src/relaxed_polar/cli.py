@@ -28,7 +28,10 @@ Matrices are accepted as JSON rows (``[[...],[...]]``) or whitespace
 separated lines, inline via ``--matrix`` or from a file. All numbers are
 serialized with full round-trip precision so downstream checks are exact.
 iso-grid, sweep-planar and the ndim census compute their columns as
-arrays; every row is bit-identical to a per-row library call.
+arrays; every row is bit-identical to a per-row library call. Range
+options (MIN MAX COUNT) need finite MIN < MAX and a whole COUNT >= 2.
+scatter-mc's ``beta_predicted`` is ``solve``'s pair angle on the row's
+own F, signed like ``beta_mc`` (0.0 when F does not branch).
 Exit codes: 0 success, 2 parse error, 3 invalid weights/domain input,
 4 unwritable output.
 """
@@ -147,10 +150,7 @@ def _solve_report(W: CosseratWeights, F: DeformationGradient) -> dict:
     }
     if n == 2:
         ap = planar.polar_angle(F)
-        # a minimizer with relative angle beta sits at polar_angle - beta
-        report["branch_angles"] = (
-            [planar.wrap_angle(ap - b) for b in mset.relative_angles] if mset.k else [ap]
-        )
+        report["branch_angles"] = planar._branch_angles(ap, mset.relative_angles, mset.k)
         report["polar_angle"] = ap
     elif n == 3:
         u = spatial.mean_planar_stretch(W, F)
@@ -185,21 +185,25 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def _axis(option: str, lo: float, hi: float, count: float) -> np.ndarray:
+    """The COUNT evenly spaced points MIN..MAX of a range option."""
+    # hi - lo is finite exactly when both bounds are and their span is
+    if not (lo < hi and np.isfinite(hi - lo) and count >= 2 and count.is_integer()):
+        raise ValueError(f"{option} needs finite MIN < MAX and a whole COUNT >= 2")
+    return np.linspace(lo, hi, int(count))
+
+
 def cmd_sweep_planar(args) -> int:
     W = _weights(args)
-    lo, hi, count = args.range
-    count = int(count)
-    if count < 2 or not lo < hi:
-        raise ValueError("sweep range must satisfy min < max and count >= 2")
+    tr_u = _axis("--range", *args.range)
     nu2 = args.nu2
-    if nu2 <= 0.0 or lo <= nu2:
+    if nu2 <= 0.0 or tr_u[0] <= nu2:
         raise ValueError("fixed singular value must be positive and below the range")
     # diag(tr_u - nu2, nu2) has those two entries as its singular values
-    tr_u = np.linspace(lo, hi, count)
-    nus = np.stack([tr_u - nu2, np.full(count, nu2)], axis=-1)
+    nus = np.stack([tr_u - nu2, np.full_like(tr_u, nu2)], axis=-1)
     k, wred = reduced_energy_stack(W, nus)
     bifurcated = k > 0
-    beta = np.zeros(count)
+    beta = np.zeros_like(tr_u)
     if bifurcated.any():  # classical weights never branch and have no singular radius
         beta[bifurcated] = np.arccos(W.singular_radius / nus[bifurcated].sum(axis=-1))
     columns = (tr_u, beta, np.where(bifurcated, -beta, 0.0), wred)
@@ -218,15 +222,12 @@ def _z_angle(rhat: np.ndarray) -> float:
 
 def cmd_scatter_mc(args) -> int:
     W = _weights(args)
-    lo, hi, count = args.range
-    count = int(count)
-    if count < 2 or not lo < hi:
-        raise ValueError("scatter range must satisfy min < max and count >= 2")
+    sums = _axis("--range", *args.range)
     nu3 = args.nu3
     if nu3 <= 0.0:
         raise ValueError("nu3 must be positive")
     rows = []
-    for i, s in enumerate(np.linspace(lo, hi, count)):
+    for i, s in enumerate(sums):
         rng = np.random.default_rng((args.seed, 0xA0, i))
         split = rng.uniform(0.55, 0.75)
         nu1, nu2 = s * split, s * (1.0 - split)
@@ -242,11 +243,8 @@ def cmd_scatter_mc(args) -> int:
         )
         res = oracle.global_minimize(W, F, cfg, warm_starts=False)
         beta_mc = _z_angle(relative_rotation(res.best_rotation, F))
-        if W.is_classical:
-            beta_pred = 0.0
-        else:
-            rho = W.singular_radius
-            beta_pred = float(np.copysign(np.arccos(min(1.0, rho / s)), beta_mc)) if s > rho else 0.0
+        mset = solve(W, F)
+        beta_pred = float(np.copysign(mset.angles[0], beta_mc)) if mset.k else 0.0
         rows.append(
             [fmt(s), fmt(beta_mc), fmt(beta_pred), fmt(W.mu), fmt(W.muc), str(args.seed)]
         )
@@ -259,11 +257,9 @@ def cmd_scatter_mc(args) -> int:
 
 
 def cmd_iso_grid(args) -> int:
-    lo, hi, count = args.grid
-    count = int(count)
-    if count < 2 or not 0.0 < lo < hi:
-        raise ValueError("grid range must satisfy 0 < min < max and count >= 2")
-    axis = np.linspace(lo, hi, count)
+    axis = _axis("--grid", *args.grid)
+    if not axis[0] > 0.0:
+        raise ValueError("--grid needs MIN > 0")
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
     wred = reduced_energy_stack(CosseratWeights(1.0, 0.0), grid)[1].tolist()
     labels = [fmt(v) for v in axis]
@@ -279,8 +275,6 @@ def cmd_iso_grid(args) -> int:
 
 def cmd_ndim(args) -> int:
     nus = sorted((float(v) for v in args.nus), reverse=True)
-    if not nus or any(v <= 0.0 for v in nus):
-        raise ValueError("singular values must be positive")
     d = np.array(nus)
     gm = ndim.global_minimizers_nd(d, with_rotations=False)
     report = {

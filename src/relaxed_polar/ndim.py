@@ -78,26 +78,24 @@ class CriticalPartition:
     def dim(self) -> int:
         return 1 + max(max(b) for b in self.blocks)
 
-    @property
-    def num_pairs(self) -> int:
-        return sum(1 for b in self.blocks if len(b) == 2)
-
     def overall_det(self) -> int:
-        d = 1
-        for s in self.signs:
-            d *= s
-        return d
+        return _det(self.signs)
+
+
+def _det(signs) -> int:
+    """Determinant of a block sign pattern: -1 for an odd count of -1 blocks."""
+    return -1 if signs.count(-1) % 2 else 1
 
 
 def _pair_signs(a: float, b: float) -> tuple[int, ...]:
-    """Signs with which entries a, b may form a 2-block.
+    """Signs with which entries a, b may form a 2-block, in ascending order.
 
     +1 needs a + b > 2 and -1 needs |a - b| > 2; for positive entries the
     second implies the first.
     """
     if not a + b > 2.0:
         return ()
-    return (1, -1) if abs(a - b) > 2.0 else (1,)
+    return (-1, 1) if abs(a - b) > 2.0 else (1,)
 
 
 def _check_admissible(p: CriticalPartition, d):
@@ -138,6 +136,7 @@ def enumerate_critical_partitions(
     count of -1 blocks are kept, i.e. those realizable by an actual
     rotation; the relaxed mode also lists the det -1 patterns. Guarded to
     n <= 10 because the matching count grows like the involution numbers.
+    Matchings and sign choices come in ascending order: the list is sorted.
     """
     d = _as_descending(nus).tolist()
     n = len(d)
@@ -149,7 +148,7 @@ def enumerate_critical_partitions(
         feasible = True
         for b in blocks:
             if len(b) == 1:
-                choices.append((1, -1))
+                choices.append((-1, 1))
                 continue
             allowed = _pair_signs(d[b[0]], d[b[1]])
             if not allowed:
@@ -159,10 +158,9 @@ def enumerate_critical_partitions(
         if not feasible:
             continue
         for signs in itertools.product(*choices):
-            if require_rotation and (signs.count(-1) % 2) != 0:
+            if require_rotation and _det(signs) != 1:
                 continue
             out.append(CriticalPartition(blocks=blocks, signs=signs))
-    out.sort(key=lambda p: (p.blocks, p.signs))
     return out
 
 
@@ -237,12 +235,12 @@ def traversal_path(start: CriticalPartition, nus) -> list[CriticalPartition]:
     2. disentangle nested or crossing pairs into consecutive pairs
        (dropping a pair that becomes inadmissible);
     3. shift the pairs onto the lowest indices, re-pairing consecutively;
-    4. greedily merge adjacent singletons while nu_i + nu_j > 2.
+    4. merge adjacent singletons into pairs up to the pairing rule's k.
 
     Returns the list of visited partitions, starting with ``start`` and
     ending at the canonical global minimizer.
     """
-    d = _as_descending(nus)
+    d = _as_descending(nus).tolist()
     _check_admissible(start, d)
     path = [start]
 
@@ -273,7 +271,7 @@ def traversal_path(start: CriticalPartition, nus) -> list[CriticalPartition]:
         idx = sorted(lo + hi)
         blocks = [b for b in blocks if b not in (lo, hi)]
         blocks.append((idx[0], idx[1]))
-        if d[idx[2]] + d[idx[3]] > 2.0:
+        if _pair_signs(d[idx[2]], d[idx[3]]):
             blocks.append((idx[2], idx[3]))
         else:
             blocks.append((idx[2],))
@@ -290,8 +288,9 @@ def traversal_path(start: CriticalPartition, nus) -> list[CriticalPartition]:
             signs = [1] * len(blocks)
             push(blocks, signs)
 
-    # stage 4: extend the pair prefix while the sum constraint allows
-    while 2 * m + 1 < len(d) and d[2 * m] + d[2 * m + 1] > 2.0:
+    # stage 4: extend the pair prefix to the pairing rule's k (stage 3 leaves m <= k)
+    k = _branches(_W10, d)[0]
+    while m < k:
         blocks = [b for b in blocks if b not in ((2 * m,), (2 * m + 1,))]
         blocks.append((2 * m, 2 * m + 1))
         signs = [1] * len(blocks)

@@ -2,8 +2,9 @@
 
 Everything in 2D reduces to a single rotation angle. The polar factor
 corresponds to the angle alpha_p; for non-classical weights a pitchfork
-bifurcation at tr U = rho opens two optimal branches alpha_p +/- beta
-with cos(beta) = rho / tr U.
+bifurcation at tr U = rho opens two optimal branches alpha_p -/+ beta
+with cos(beta) = rho / tr U: branch i is minimizer i of ``energy.solve``,
+whose relative rotation turns by +beta for i = 0 and by -beta for i = 1.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ def wrap_angle(a: float) -> float:
 class PlanarSolution:
     """Optimal planar rotation angles for one (weights, F) instance.
 
-    ``relative_angles`` are offsets beta from the polar angle, and
-    ``branch_angles`` the absolute optimal angles ``polar_angle + beta``
-    (wrapped to (-pi, pi]). The offsets are the negatives of the angles of
-    :func:`~relaxed_polar.energy.relative_rotation`, which measures the
-    polar factor against the minimizer. ``bifurcated`` is true exactly
-    when two branches exist, i.e. tr U strictly exceeds the singular radius.
+    ``branch_angles[i]`` is the angle of minimizer i of
+    :func:`~relaxed_polar.energy.solve`, and ``relative_angles[i]`` the
+    angle of its :func:`~relaxed_polar.energy.relative_rotation`: (beta,
+    -beta) when bifurcated, else (0.0,). A minimizer with relative angle b
+    sits at ``polar_angle - b`` (wrapped to (-pi, pi]). ``bifurcated`` is
+    true exactly when two branches exist, i.e. tr U strictly exceeds the
+    singular radius.
     """
 
     polar_angle: float
@@ -67,22 +69,26 @@ def polar_angle(F: DeformationGradient) -> float:
     return np.pi if a == -np.pi else a
 
 
+def _branch_angles(ap: float, relative_angles, k: int) -> tuple[float, ...]:
+    """Minimizer angles wrap_angle(ap - b) for relative angles b; (ap,) as given if k = 0."""
+    return tuple([wrap_angle(ap - b) for b in relative_angles]) if k else (ap,)
+
+
 def optimal_angles(W: CosseratWeights, F: DeformationGradient) -> PlanarSolution:
     """All energy-minimizing rotation angles for the given weights.
 
     Classical weights yield the single polar angle. Non-classical weights
-    yield alpha_p +/- arccos(rho / tr U) once the pairing rule pairs the
-    two singular values, that is once tr U exceeds the singular radius
-    rho; at or below the threshold the branches coincide with alpha_p and
-    the solution is reported as un-bifurcated.
+    yield alpha_p -/+ arccos(rho / tr U), in the order of ``solve``, once
+    the pairing rule pairs the two singular values, that is once tr U
+    exceeds the singular radius rho; at or below the threshold the branches
+    coincide with alpha_p and the solution is reported as un-bifurcated.
     """
     _require_2d(F)
     ap = polar_angle(F)
     k, wred, cosines, _, _ = _branches(W, F.singular_values.tolist())
-    if not k:
-        return PlanarSolution(ap, (ap,), (0.0,), wred, False)
-    b = float(np.arccos(cosines[0]))
-    return PlanarSolution(ap, (wrap_angle(ap + b), wrap_angle(ap - b)), (b, -b), wred, True)
+    b = float(np.arccos(cosines[0])) if k else 0.0
+    relative = (b, -b) if k else (0.0,)
+    return PlanarSolution(ap, _branch_angles(ap, relative, k), relative, wred, bool(k))
 
 
 def simple_shear(gamma: float) -> DeformationGradient:

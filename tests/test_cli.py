@@ -65,8 +65,7 @@ class TestSolve:
         assert rep["dim"] == 2 and rep["regime"] == "non-classical"
         assert rep["domain"] == "non-classical" and rep["branch_labels"] == ["+", "-"]
         assert rep["reduced_energy"] == reduced_energy(W, F)
-        # relative angle +beta first, which is the branch polar_angle - beta
-        assert rep["branch_angles"] == list(sol.branch_angles[::-1])
+        assert rep["branch_angles"] == list(sol.branch_angles)
         assert rep["relative_angles"] == list(sol.relative_angles)
         assert rep["polar_angle"] == sol.polar_angle
         assert rep["k"] == 1 and rep["degenerate"] is False
@@ -229,10 +228,17 @@ def test_scatter_mc(tmp_path, capsys):
     assert header == ["nu1_plus_nu2", "beta_mc", "beta_predicted", "weights_mu",
                       "weights_muc", "seed"]
     assert len(rows) == 2
-    for s, row in zip((2.5, 5.0), rows):
+    W = CosseratWeights(1.0, 0.0)
+    for i, (s, row) in enumerate(zip((2.5, 5.0), rows)):
         beta_mc, beta_pred = float(row[1]), float(row[2])
         assert row[0] == cli.fmt(s) and row[3:] == ["1.0", "0.0", "7"]
-        assert beta_pred == np.copysign(np.arccos(2.0 / s), beta_mc)
+        # the row's F, drawn as scatter-mc draws it
+        rng = np.random.default_rng((7, 0xA0, i))
+        split = rng.uniform(0.55, 0.75)
+        q1, q2 = haar_sample(3, rng), haar_sample(3, rng)
+        F = DeformationGradient(q1 @ np.diag([s * split, s * (1.0 - split), 0.1]) @ q2.T)
+        mset = solve_set(W, F)
+        assert mset.k == 1 and beta_pred == np.copysign(mset.angles[0], beta_mc)
 
 
 def test_iso_grid(tmp_path, capsys):
@@ -305,6 +311,18 @@ def test_ndim_degenerate_is_that_of_solve(nus, capsys):
         (["solve", "--shear", "1", "--mu", "-1"], cli.EXIT_DOMAIN),
         (["ndim", "-1", "2"], cli.EXIT_DOMAIN),
         (["iso-grid", "--grid", "2", "1", "3", "--out", "unused.csv"], cli.EXIT_DOMAIN),
+        (["ndim", "0", "2"], cli.EXIT_DOMAIN),
+        (["ndim", "nan", "2"], cli.EXIT_DOMAIN),
+        (["iso-grid", "--grid", "0.1", "inf", "3", "--out", "unused.csv"], cli.EXIT_DOMAIN),
+        (["iso-grid", "--grid", "0", "1", "3", "--out", "unused.csv"], cli.EXIT_DOMAIN),
+        (["iso-grid", "--grid", "0.5", "1", "inf", "--out", "unused.csv"], cli.EXIT_DOMAIN),
+        (["sweep-planar", "--range", "1", "inf", "3", "--out", "unused.csv"], cli.EXIT_DOMAIN),
+        (["sweep-planar", "--range", "nan", "5", "3", "--out", "unused.csv"], cli.EXIT_DOMAIN),
+        (["sweep-planar", "--range", "1", "5", "2.9", "--out", "unused.csv"], cli.EXIT_DOMAIN),
+        (["sweep-planar", "--range", "1", "5", "1", "--out", "unused.csv"], cli.EXIT_DOMAIN),
+        (["sweep-planar", "--range", "1", "5", "inf", "--out", "unused.csv"], cli.EXIT_DOMAIN),
+        (["scatter-mc", "--range", "2.5", "inf", "2", "--out", "unused.csv"], cli.EXIT_DOMAIN),
+        (["scatter-mc", "--range", "2.5", "5", "2.5", "--out", "unused.csv"], cli.EXIT_DOMAIN),
     ],
 )
 def test_exit_codes(argv, code, capsys):

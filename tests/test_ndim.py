@@ -109,6 +109,16 @@ class TestEnumerate:
         # the lone reflection pair has det -1, so the rotation-only census drops it
         assert pair_signs(enumerate_critical_partitions(nus)) == [1]
 
+    @pytest.mark.parametrize("require_rotation", [True, False])
+    def test_census_comes_out_sorted(self, require_rotation):
+        rng = np.random.default_rng(80)
+        for n in range(1, 9):
+            for _ in range(2 if n < 8 else 1):
+                nus = np.sort(rng.uniform(0.1, 6.0, n))[::-1]
+                parts = enumerate_critical_partitions(nus, require_rotation=require_rotation)
+                assert parts == sorted(parts, key=lambda p: (p.blocks, p.signs))
+                assert len(set(parts)) == len(parts)
+
 
 class TestCriticalValue:
     def test_all_plus_singletons_is_polar_value(self):
@@ -220,6 +230,77 @@ class TestTraversal:
             values = [critical_value(p, nus) for p in path]
             assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
             assert values[-1] == pytest.approx(reduced_energy_values(W10, nus)[1], abs=1e-12)
+
+    def test_paths_match_the_reference_walk(self):
+        rng = np.random.default_rng(81)
+        starts = 0
+        for n, spectra in [(2, 30), (3, 30), (4, 20), (5, 12), (6, 10), (7, 3), (8, 1)]:
+            for _ in range(spectra):
+                nus = np.sort(rng.uniform(0.1, 5.0, n))[::-1]
+                parts = enumerate_critical_partitions(nus, require_rotation=False)
+                final = global_minimizers_nd(nus, with_rotations=False).partition
+                for i in rng.choice(len(parts), size=min(len(parts), 60), replace=False):
+                    path = traversal_path(parts[i], nus)
+                    assert path == reference_traversal_path(parts[i], nus)
+                    assert path[-1] == final
+                    starts += 1
+        assert starts >= 2000
+
+
+def reference_traversal_path(start, d):
+    """Reference: the walk traversal_path took before it read the pairing rule.
+
+    Its own pair test d_i + d_j > 2 in stage 2 and a stage 4 that merges
+    while the next pair sum exceeds 2.
+    """
+    path = [start]
+
+    def push(blocks, signs):
+        path.append(CriticalPartition(blocks=tuple(blocks), signs=tuple(signs)))
+
+    blocks = list(start.blocks)
+    signs = list(start.signs)
+    for k in range(len(signs)):
+        if signs[k] == -1:
+            signs[k] = 1
+            push(blocks, signs)
+
+    def find_overlap():
+        pairs = [b for b in blocks if len(b) == 2]
+        for a, b in itertools.combinations(pairs, 2):
+            lo, hi = (a, b) if a[0] < b[0] else (b, a)
+            if lo[0] < hi[0] < lo[1]:
+                return lo, hi
+        return None
+
+    while (hit := find_overlap()) is not None:
+        lo, hi = hit
+        idx = sorted(lo + hi)
+        blocks = [b for b in blocks if b not in (lo, hi)]
+        blocks.append((idx[0], idx[1]))
+        if d[idx[2]] + d[idx[3]] > 2.0:
+            blocks.append((idx[2], idx[3]))
+        else:
+            blocks.append((idx[2],))
+            blocks.append((idx[3],))
+        signs = [1] * len(blocks)
+        push(blocks, signs)
+
+    m = sum(1 for b in blocks if len(b) == 2)
+    if m:
+        lowest = [(2 * p, 2 * p + 1) for p in range(m)]
+        if sorted(b for b in blocks if len(b) == 2) != lowest:
+            blocks = list(lowest) + [(i,) for i in range(2 * m, len(d))]
+            signs = [1] * len(blocks)
+            push(blocks, signs)
+
+    while 2 * m + 1 < len(d) and d[2 * m] + d[2 * m + 1] > 2.0:
+        blocks = [b for b in blocks if b not in ((2 * m,), (2 * m + 1,))]
+        blocks.append((2 * m, 2 * m + 1))
+        signs = [1] * len(blocks)
+        m += 1
+        push(blocks, signs)
+    return path
 
 
 class TestGlobalMinimizers:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -60,6 +61,8 @@ EXIT_DOMAIN = 3
 EXIT_IO = 4
 
 DEFAULT_SEED = 161803
+# argparse reads only -N and -N.N as negative numbers, and -1e-3 as an unknown option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def fmt(x: float) -> str:
@@ -345,6 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--census", action="store_true", help="include the full critical census")
     p.set_defaults(func=cmd_ndim)
 
+    for p in (top, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_NUMBER
     return top
 
 

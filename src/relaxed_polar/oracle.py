@@ -1,18 +1,19 @@
 """Independent numeric ground truth for the closed-form minimizers.
 
-Multi-start Riemannian gradient descent over the rotation group, with
-Haar-uniform restarts. The rotation group is compact, so enough restarts
-make this a credible global oracle at the small dimensions the closed
-forms are verified at. Every restart draws its own random stream from
-(seed, restart index). All restarts descend as one stack, each with its
-own step and stopping rule, so results do not depend on how the stack is
-split and are bit-identical for a fixed seed.
+Multi-start Riemannian gradient descent over the rotation group from
+Haar-uniform restarts, finished by Newton on the gradient field with its
+exact Jacobian. The rotation group is compact, so enough restarts make
+this a credible global oracle at the small dimensions the closed forms
+are verified at. Every restart draws its own random stream from (seed,
+restart index). Descent and Newton run their starts as one stack, each
+with its own step and stopping rule, so results do not depend on how the
+stack is split and are bit-identical for a fixed seed.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +75,6 @@ def haar_sample(n: int, rng: np.random.Generator) -> np.ndarray:
     d[d == 0.0] = 1.0
     q = q * d
     if np.linalg.det(q) < 0.0:
-        q = q.copy()
         q[:, -1] = -q[:, -1]
     return q
 
@@ -87,17 +87,36 @@ def _energy(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray
     return 0.5 * ((mu + muc) * nsq + (mu - muc) * q)
 
 
+def _weigh(mu: float, muc: float, x: np.ndarray) -> np.ndarray:
+    # N(X) = mu sym(X) - muc skew(X) = ((mu-muc) X + (mu+muc) X^T) / 2, linear in X
+    return 0.5 * ((mu - muc) * x + (mu + muc) * x.swapaxes(-1, -2))
+
+
 def _gradient(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """Riemannian gradient G at R (or a stack), in the left trivialization.
 
     Along R(s) = R expm(s A) with skew A the energy changes at rate <G, A>:
-    G = 2 skew( (R^T F) (mu sym(X) - muc skew(X)) ),  X = R^T F - 1.
+    G = 2 skew( Y N(X) ),  Y = R^T F,  X = Y - 1,  N(X) = mu sym(X) - muc skew(X).
     """
     y = r.swapaxes(-1, -2) @ f
-    x = y - eye
-    # mu sym(X) - muc skew(X) = ((mu-muc) X + (mu+muc) X^T) / 2
-    b = y @ (0.5 * ((mu - muc) * x + (mu + muc) * x.swapaxes(-1, -2)))
+    b = y @ _weigh(mu, muc, y - eye)
     return b - b.swapaxes(-1, -2)  # = 2 skew(B)
+
+
+def _jacobian(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Exact Jacobian (S, m, m) of the gradient field at a stack R (S, n, n).
+
+    Skew G is a vector by its lower triangle G[jj, ii]; basis element k has
+    +1 at (jj[k], ii[k]) and -1 at (ii[k], jj[k]). Along R expm(s B), Y =
+    R^T F moves by dY = -B Y, so column k is 2 skew(dY N(X) + Y N(dY)).
+    """
+    ii, jj = np.triu_indices(f.shape[-1], 1)
+    k = np.arange(len(ii))
+    y = r.swapaxes(-1, -2) @ f
+    dy = np.zeros((len(y), len(k)) + f.shape)
+    dy[:, k, jj], dy[:, k, ii] = -y[:, ii], y[:, jj]  # rows of -B Y
+    d = dy @ _weigh(mu, muc, y - eye)[:, None] + y[:, None] @ _weigh(mu, muc, dy)
+    return (d - d.swapaxes(-1, -2))[..., jj, ii].swapaxes(-1, -2)
 
 
 def _norm(g: np.ndarray) -> np.ndarray:
@@ -168,12 +187,54 @@ def _descend(
         stop = (t < _MIN_STEP) | (gn <= cfg.tol_grad) | (steps >= cfg.max_iters)
 
 
+def _newton(
+    W: CosseratWeights, F: DeformationGradient, starts: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton iteration on G(R) = 0 for a stack of starts (S, n, n).
+
+    Each start takes the least-squares step on the exact Jacobian, halved
+    until ||G|| shrinks, and stops at ||G|| <= tol, after 60 steps or once
+    the factor falls to 1e-6. It converges quadratically to whichever
+    critical point (minimum, saddle or maximum) it starts near. As in
+    ``_descend``, a start's result does not depend on the rest of the stack.
+    Returns the rotations and gradient norms.
+    """
+    mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
+    ii, jj = np.triu_indices(F.dim, 1)
+    r = np.array(starts, dtype=float)
+    g = _gradient(mu, muc, r, f, eye)
+    gn = _norm(g)
+    out_r, out_gn = r.copy(), gn.copy()
+    pos, steps, factor = np.arange(len(r)), np.zeros(len(r), dtype=int), np.ones(len(r))
+    step, fresh = np.zeros_like(r), np.ones(len(r), dtype=bool)
+    stop = gn <= tol
+    while True:
+        if stop.any():
+            out_r[pos[stop]], out_gn[pos[stop]] = r[stop], gn[stop]
+            keep = ~stop
+            pos, r, g, gn, steps, factor, step, fresh = (
+                x[keep] for x in (pos, r, g, gn, steps, factor, step, fresh)
+            )
+        if not len(pos):
+            return out_r, out_gn
+        if fresh.any():
+            # the minimum-norm solution of J dx = -G, as a skew step
+            jac = _jacobian(mu, muc, r[fresh], f, eye)
+            dx = (np.linalg.pinv(jac) @ -g[fresh][:, jj, ii, None])[..., 0]
+            new = np.flatnonzero(fresh)[:, None]
+            step[new, jj, ii], step[new, ii, jj], factor[fresh] = dx, -dx, 1.0
+        r_try = r @ matcore.skew_exp(factor[:, None, None] * step)
+        g_try = _gradient(mu, muc, r_try, f, eye)
+        gn_try = _norm(g_try)
+        fresh = gn_try < gn
+        r[fresh], g[fresh], gn[fresh] = r_try[fresh], g_try[fresh], gn_try[fresh]
+        steps += fresh
+        factor[~fresh] *= 0.5
+        stop = (gn <= tol) | (steps >= 60) | (factor <= 1e-6)
+
+
 def riemannian_descent(
-    W: CosseratWeights,
-    F: DeformationGradient,
-    R0,
-    cfg: OracleConfig,
-    energy_trace: list | None = None,
+    W: CosseratWeights, F: DeformationGradient, R0, cfg: OracleConfig, energy_trace: list | None = None
 ) -> tuple[np.ndarray, float, float]:
     """Backtracking gradient descent on the rotation group from R0.
 
@@ -207,30 +268,25 @@ def global_minimize(
     same closed forms. All starts descend as one stack, each with its own
     step and stopping rule, so a start ends where it would alone and the
     result does not depend on how the stack is split or ordered. The
-    lowest energy wins, ties broken by start index, and is then polished
-    by a long ``riemannian_descent``.
+    lowest energy wins, ties broken by start index, and Newton on the
+    gradient field finishes it towards ||G|| <= tol_grad, which descent
+    alone reaches slowly or not at all in nearly flat or narrow valleys.
     """
     starts: list[np.ndarray] = []
     if warm_starts:
         starts.append(F.polar.rotation)
         if not W.is_classical:  # a classical set is the polar factor alone
             starts.extend(solve(W, F).minimizers[:8])
-    n = F.dim
-    for i in range(cfg.samples):
-        starts.append(haar_sample(n, np.random.default_rng((cfg.seed, i))))
+    starts += [haar_sample(F.dim, np.random.default_rng((cfg.seed, i))) for i in range(cfg.samples)]
 
     r, e, gn = _descend(W, F, np.array(starts), cfg)
-    best_idx = int(np.argmin(e))  # the first of equal energies: lowest start index
-    converged = int(np.count_nonzero(gn <= cfg.tol_grad))
-    # long polish from the winner: nearly flat modes (repeated singular
-    # values) converge slowly and can need far more than max_iters steps
-    polish = replace(cfg, samples=1, max_iters=20 * cfg.max_iters)
-    r_best, _, gn_best = riemannian_descent(W, F, r[best_idx], polish)
+    best = int(np.argmin(e))  # the first of equal energies: lowest start index
+    r_best, gn_best = _newton(W, F, r[best][None], cfg.tol_grad)
     return OracleResult(
-        best_rotation=r_best,
-        best_energy=energy(W, r_best, F),
-        grad_norm_at_best=gn_best,
-        restarts_converged=converged,
+        best_rotation=r_best[0],
+        best_energy=energy(W, r_best[0], F),
+        grad_norm_at_best=float(gn_best[0]),
+        restarts_converged=int(np.count_nonzero(gn <= cfg.tol_grad)),
     )
 
 
@@ -250,54 +306,6 @@ def _stationarity_defect(W: CosseratWeights, R, F: DeformationGradient) -> float
     return matcore.frobenius(matcore.skew(x @ x))
 
 
-def _newton_refine(
-    W: CosseratWeights,
-    F: DeformationGradient,
-    R0: np.ndarray,
-    tol: float,
-    max_iters: int = 60,
-) -> np.ndarray:
-    """Damped Newton iteration on the first-order condition G(R) = 0.
-
-    The Jacobian of the gradient field over the skew basis is formed by
-    forward differences, all basis directions as one stack; steps are
-    halved until the residual shrinks. Converges quadratically to
-    whichever critical point (minimum, saddle or maximum) the start lies
-    near, which is what a census needs.
-    """
-    n = F.dim
-    # skew G is a vector by its lower triangle; basis element k has
-    # +1 at (jj[k], ii[k]) and -1 at (ii[k], jj[k])
-    ii, jj = np.triu_indices(n, 1)
-    m = len(ii)
-    basis = np.zeros((m, n, n))
-    basis[np.arange(m), jj, ii] = 1.0
-    basis[np.arange(m), ii, jj] = -1.0
-    h = 1e-7
-    f, eye, mu, muc = F.matrix, np.eye(n), W.mu, W.muc
-    r = np.asarray(R0, dtype=float)
-    g = _gradient(mu, muc, r, f, eye)[jj, ii]
-    for _ in range(max_iters):
-        gn = np.linalg.norm(g)
-        if gn <= tol:
-            break
-        rk = r @ matcore.skew_exp(h * basis)
-        jac = ((_gradient(mu, muc, rk, f, eye)[:, jj, ii] - g) / h).T
-        dx, *_ = np.linalg.lstsq(jac, -g, rcond=None)
-        step = np.tensordot(dx, basis, axes=1)
-        factor = 1.0
-        while factor > 1e-6:
-            r_try = r @ matcore.skew_exp(factor * step)
-            g_try = _gradient(mu, muc, r_try, f, eye)[jj, ii]
-            if np.linalg.norm(g_try) < gn:
-                r, g = r_try, g_try
-                break
-            factor *= 0.5
-        else:
-            break
-    return r
-
-
 def critical_scan(
     W: CosseratWeights, F: DeformationGradient, cfg: OracleConfig
 ) -> list[tuple[np.ndarray, float]]:
@@ -306,45 +314,31 @@ def critical_scan(
     Two searches run from every start point (Haar samples plus the
     principal-frame sign corners polar(F) Q diag(+-1) Q^T with det +1,
     exact and slightly perturbed): energy descent, which lands on minima
-    and stays put when started exactly at a critical point, and a damped
-    Newton iteration on the gradient field, which also converges to
-    saddles. Endpoints failing the Euler-Lagrange certificate (defect
-    above 1e-8) are dropped; the rest are clustered (same point = energy
-    within 1e-6 and Frobenius distance within 1e-4) and sorted by energy.
+    and stays put when started exactly at a critical point, and damped
+    Newton on the gradient field, which also converges to saddles; each
+    runs all the starts as one stack. Endpoints failing the Euler-Lagrange
+    certificate (defect above 1e-8) are dropped; the rest are clustered
+    (same point = energy within 1e-6 and Frobenius distance within 1e-4)
+    and sorted by energy.
     """
     n = F.dim
-    starts: list[np.ndarray] = []
-    corners = []
-    for signs in itertools.product((1.0, -1.0), repeat=n):
-        if np.prod(signs) > 0:
-            corners.append(np.diag(signs))
-    for s in corners:
-        starts.append(absolute_rotation(s, F))
+    corners = [np.diag(s) for s in itertools.product((1.0, -1.0), repeat=n) if np.prod(s) > 0]
+    starts = [absolute_rotation(s, F) for s in corners]
     rng = np.random.default_rng((cfg.seed, 0xC0))
-    for s in corners:
-        a = matcore.skew(rng.standard_normal((n, n))) * 0.05
-        starts.append(absolute_rotation(s, F) @ matcore.skew_exp(a))
-    for i in range(cfg.samples):
-        starts.append(haar_sample(n, np.random.default_rng((cfg.seed, i))))
+    starts += [r @ matcore.skew_exp(matcore.skew(rng.standard_normal((n, n))) * 0.05) for r in starts]
+    starts += [haar_sample(n, np.random.default_rng((cfg.seed, i))) for i in range(cfg.samples)]
 
     newton_tol = 1e-13 * (1.0 + matcore.frobenius_sq(F.matrix))
     r_desc, _, _ = _descend(W, F, np.array(starts), cfg)
-    candidates: list[np.ndarray] = []
-    for r0, rd in zip(starts, r_desc):
-        candidates.append(rd)
-        candidates.append(_newton_refine(W, F, r0, newton_tol))
+    r_newt, _ = _newton(W, F, np.array(starts), newton_tol)
+    candidates = [r for pair in zip(r_desc, r_newt) for r in pair]
 
     found: list[tuple[np.ndarray, float]] = []
     for r in candidates:
         if _stationarity_defect(W, r, F) > 1e-8:
             continue
         e = energy(W, r, F)
-        matched = False
-        for rk, ek in found:
-            if abs(e - ek) <= 1e-6 and matcore.frobenius(r - rk) <= 1e-4:
-                matched = True
-                break
-        if not matched:
+        if not any(abs(e - ek) <= 1e-6 and matcore.frobenius(r - rk) <= 1e-4 for rk, ek in found):
             found.append((r, e))
     found.sort(key=lambda t: t[1])
     return found

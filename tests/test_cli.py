@@ -323,10 +323,21 @@ def test_ndim_degenerate_is_that_of_solve(nus, capsys):
         (["sweep-planar", "--range", "1", "5", "inf", "--out", "unused.csv"], cli.EXIT_DOMAIN),
         (["scatter-mc", "--range", "2.5", "inf", "2", "--out", "unused.csv"], cli.EXIT_DOMAIN),
         (["scatter-mc", "--range", "2.5", "5", "2.5", "--out", "unused.csv"], cli.EXIT_DOMAIN),
+        # negative numbers with an exponent are values, not unknown options
+        (["solve", "--shear", "-1e-3"], cli.EXIT_OK),
+        (["ndim", "2.5", "-1e-3"], cli.EXIT_DOMAIN),
+        (["solve", "--shear", "1", "--mu", "-1e-3"], cli.EXIT_DOMAIN),
+        (["sweep-planar", "--range", "-1e308", "1e308", "3", "--out", "unused.csv"], cli.EXIT_DOMAIN),
     ],
 )
 def test_exit_codes(argv, code, capsys):
     assert run(argv, capsys)[0] == code
+
+
+def test_negative_exponent_reads_as_with_equals(capsys):
+    code, out, _ = run(["solve", "--shear", "-1e-3"], capsys)
+    assert code == cli.EXIT_OK
+    assert out == run(["solve", "--shear=-1e-3"], capsys)[1]
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from relaxed_polar import (
     critical_scan,
     critical_value,
     enumerate_critical_partitions,
+    global_minimize,
     haar_sample,
     is_rotation,
     matcore,
@@ -145,3 +146,48 @@ def test_critical_scan_finds_census_values(m):
         assert is_rotation(r, tol=1e-12)
         assert oracle._stationarity_defect(W, r, F) <= 1e-8
     assert found[0][1] == pytest.approx(reduced_energy(W, F), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("mu, muc", [(1.0, 0.0), (1.7, 0.4), (1.0, 2.0)])
+def test_jacobian_matches_central_differences(n, mu, muc):
+    rng = np.random.default_rng(n)
+    f, eye = random_gl_plus(n, rng, lo=0.3, hi=3.0).matrix, np.eye(n)
+    r = haar_starts(n, 3)
+    jac = oracle._jacobian(mu, muc, r, f, eye)
+    ii, jj = np.triu_indices(n, 1)
+    h = 1e-6
+    for k in range(len(ii)):
+        b = np.zeros((n, n))
+        b[jj[k], ii[k]], b[ii[k], jj[k]] = 1.0, -1.0
+        gp, gm = (oracle._gradient(mu, muc, r @ matcore.skew_exp(s * b), f, eye) for s in (h, -h))
+        np.testing.assert_allclose(jac[:, :, k], (gp - gm)[:, jj, ii] / (2 * h), rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("W, F", problems())
+@pytest.mark.parametrize("tol", [1e-12, 0.0])
+def test_newton_stack_is_bit_identical_to_single_starts(W, F, tol):
+    # tol = 0 is never reached: every start ends at the rounding floor,
+    # where no step shrinks ||G||, or at the step cap
+    starts = haar_starts(F.dim, CFG.samples)
+    r, gn = oracle._newton(W, F, starts, tol)
+    for i, r0 in enumerate(starts):
+        ri, gi = oracle._newton(W, F, r0[None], tol)
+        np.testing.assert_array_equal(ri[0], r[i])
+        assert gi[0] == gn[i]
+    ra, ga = oracle._newton(W, F, starts[:5], tol)
+    rb, gb = oracle._newton(W, F, starts[5:], tol)
+    np.testing.assert_array_equal(np.concatenate([ra, rb]), r)
+    np.testing.assert_array_equal(np.concatenate([ga, gb]), gn)
+    assert all(is_rotation(x, tol=1e-12) for x in r)
+
+
+def test_newton_finishes_a_descent_stuck_in_a_narrow_valley():
+    # at muc > mu the best restart bounces across a narrow valley, as descent
+    # accepts any decrease: 10,000 more descent steps from it still end 8e-4
+    # above the minimum with |G| = 0.18
+    W, F = CosseratWeights(1.0, 3.0), DeformationGradient(np.diag([2.0, 2.0, 0.5]))
+    cfg = OracleConfig(seed=2017, samples=16, tol_grad=1e-9)
+    res = global_minimize(W, F, cfg, warm_starts=False)
+    assert abs(res.best_energy - reduced_energy(W, F)) <= 1e-12
+    assert res.grad_norm_at_best <= 1e-9

@@ -12,7 +12,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relaxed_polar import CosseratWeights, DeformationGradient, energy, matcore, solve
-from relaxed_polar.energy import BOUNDARY_RTOL, DEGENERACY_RTOL, reduced_energy_values
+from relaxed_polar.energy import (
+    BOUNDARY_RTOL,
+    DEGENERACY_RTOL,
+    reduce_parameters,
+    reduced_energy_values,
+)
 from relaxed_polar.oracle import haar_sample
 
 from conftest import sets_equal
@@ -124,3 +129,41 @@ def test_closed_form_is_below_sampled_rotations(data, W, scale, seed):
     samples += list(np.array(mset.minimizers) @ matcore.skew_exp(5e-6 * (a - a.swapaxes(1, 2))))
     for r in samples:
         assert energy(W, r, F) >= mset.reduced_energy * (1.0 - 1e-12) - 1e-12
+
+
+@PROFILE
+@given(st.data(), weights(), st.integers(0, 2**32 - 1))
+def test_reduction_keeps_the_minimizers(data, W, seed):
+    rho = radius(W)
+    d = data.draw(spectra(rho))
+    sums = d[0 : len(d) - 1 : 2] + d[1::2]
+    assume(np.all(np.abs(sums - rho) > BOUNDARY_RTOL * rho))
+    _, _, F = rotated(d, seed)
+    mset = solve(W, F)
+    assume(not mset.degenerate)
+    red = solve(*reduce_parameters(W, F)[1:])
+    assert red.k == mset.k
+    # the reduced problem shares F's rotation and frame; its pair cosines
+    # 2 / (s / lam) and rho / s differ by rounding, which arccos amplifies
+    # by 1 / sin(beta) next to the band
+    sine = min(np.sin(mset.angles), default=1.0)
+    assert sets_equal(mset.minimizers, red.minimizers, tol=1e-12 / sine)
+
+
+@PROFILE
+@given(st.data(), weights(), st.integers(0, 2**32 - 1))
+def test_objectivity_at_extreme_scales(data, W, seed):
+    # both scales on every spectrum: no pair branches at 1e-110, and every pair
+    # does at 1e110 when mu > muc
+    spectrum = data.draw(spectra(radius(W)))
+    for d in (1e-110 * spectrum, 1e110 * spectrum):
+        mset = solve(W, DeformationGradient(np.diag(d)))
+        if mset.degenerate:
+            continue
+        q1, q2, G = rotated(d, seed)
+        got = solve(W, G)
+        assert got.k == mset.k and got.domain is mset.domain
+        # the frames of the branching pairs are fixed to about eps d_1 / gap
+        gaps = [d[i] - d[i + 1] for i in range(min(2 * mset.k, len(d) - 1))]
+        tol = 1e-12 * d[0] / min(gaps + [d[-1]])
+        assert sets_equal([q1 @ r @ q2.T for r in mset.minimizers], got.minimizers, tol=tol)

@@ -49,6 +49,7 @@ from . import ndim, oracle, planar, spatial
 from .energy import (
     CosseratWeights,
     DeformationGradient,
+    pair_block,
     reduced_energy_stack,
     relative_rotation,
     solve,
@@ -208,7 +209,7 @@ def cmd_sweep_planar(args) -> int:
     bifurcated = k > 0
     beta = np.zeros_like(tr_u)
     if bifurcated.any():  # classical weights never branch and have no singular radius
-        beta[bifurcated] = np.arccos(W.singular_radius / nus[bifurcated].sum(axis=-1))
+        beta[bifurcated] = pair_block(nus[bifurcated].sum(axis=-1), W.singular_radius)[2]
     columns = (tr_u, beta, np.where(bifurcated, -beta, 0.0), wred)
     rows = (
         [*map(repr, values), "true" if f else "false"]

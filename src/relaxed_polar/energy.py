@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -86,7 +85,7 @@ class CosseratWeights:
     @property
     def singular_radius(self) -> float:
         self._require_non_classical()
-        return 2.0 * self.mu / (self.mu - self.muc)
+        return 2.0 * self.scaling  # not (2 mu) / ..., which overflows for mu > ~9e307
 
     @property
     def scaling(self) -> float:
@@ -96,7 +95,7 @@ class CosseratWeights:
     @property
     def zeta(self) -> float:
         self._require_non_classical()
-        return 2.0 * self.muc / (self.mu - self.muc)
+        return 2.0 * (self.muc / (self.mu - self.muc))
 
 
 class DeformationGradient:
@@ -326,20 +325,32 @@ def classify_domain(W: CosseratWeights, F: DeformationGradient) -> Domain:
     return _domain(F.singular_values.tolist(), W.singular_radius)
 
 
-def pair_rotations(n: int, cosines, signs) -> np.ndarray:
+def pair_block(s, rho):
+    """(cos, sine, angle) of the block turning a pair with sum s >= rho.
+
+    c = rho / s and sine^2 = ((s - rho) / s) (1 + c), with s - rho exact for
+    rho <= s <= 2 rho (Sterbenz): next to the band this keeps the digits that
+    sqrt(1 - c^2) and arccos(c) lose, about log10(rho / (s - rho)) of them.
+    fmin maps s = inf to (0, 1, pi/2). Elementwise on scalars and arrays.
+    """
+    c = rho / s
+    sine = np.sqrt(np.fmin((s - rho) / s, 1.0) * (1.0 + c))
+    return c, sine, np.arctan2(sine, c)
+
+
+def pair_rotations(n: int, blocks, signs) -> np.ndarray:
     """Stack of rotations (m, n, n), one per sign tuple in ``signs``.
 
-    Rotation j turns each plane (2p, 2p + 1) by signs[j][p] * arccos(c_p),
-    c_p = ``cosines[p]``, and leaves the rest fixed. Block p is
-    [[c, -s], [s, c]] with s = signs[j][p] * sqrt(1 - c^2), so no angle is
-    formed.
+    Rotation j turns each plane (2p, 2p + 1) by signs[j][p] times the angle
+    of ``blocks[p]``, a :func:`pair_block` triple (c, sine, angle), and
+    leaves the rest fixed. Block p is [[c, -t], [t, c]] with
+    t = signs[j][p] * sine, so no angle is read.
     """
-    sines = [math.sqrt(max(0.0, 1.0 - c * c)) for c in cosines]
     flat: list[float] = []
     for sign_tuple in signs:
         r = [0.0] * (n * n)
         r[:: n + 1] = [1.0] * n
-        for p, (c, sine, sign) in enumerate(zip(cosines, sines, sign_tuple)):
+        for p, ((c, sine, _), sign) in enumerate(zip(blocks, sign_tuple)):
             i = 2 * p * (n + 1)  # flat index of entry (2p, 2p)
             r[i] = r[i + n + 1] = c
             r[i + 1] = -sign * sine
@@ -352,7 +363,7 @@ class MinimizerSet(NamedTuple):
     """All energy-minimizing rotations for one (weights, F) instance.
 
     The first ``k`` pairs of descending singular values branch, pair p by
-    ``angles[p]`` = arccos(rho / (nu_2p + nu_2p+1)) in the plane of the
+    ``angles[p]``, its :func:`pair_block` angle, in the plane of the
     spectral frame columns q_2p, q_2p+1. There are 2^k ``minimizers``, one
     per sign tuple of :attr:`signs`: the minimizer for signs sigma has the
     :func:`relative_rotation` that turns plane p by sigma_p * angles[p].
@@ -394,12 +405,12 @@ class MinimizerSet(NamedTuple):
 
 
 def _branches(W: CosseratWeights, d: list[float]) -> tuple:
-    """(k, reduced energy, pair cosines, domain, degenerate) of descending values d.
+    """(k, reduced energy, pair blocks, domain, degenerate) of descending values d.
 
     The values-level core of :func:`solve`: k and the energy are
-    :func:`reduced_energy_values`, branching pair p has cosine
-    rho / (d[2p] + d[2p+1]), and ``domain`` and ``degenerate`` follow the
-    rules documented on :class:`MinimizerSet`.
+    :func:`reduced_energy_values`, pair p has the :func:`pair_block` of
+    (d[2p] + d[2p+1], rho) in Python floats, and ``domain`` and
+    ``degenerate`` follow the rules documented on :class:`MinimizerSet`.
     """
     k, value = reduced_energy_values(W, d)
     gap = DEGENERACY_RTOL * d[0]
@@ -408,27 +419,28 @@ def _branches(W: CosseratWeights, d: list[float]) -> tuple:
     rho = W.singular_radius
     if not k:
         return 0, value, [], _domain(d, rho), False
-    cosines = [rho / (d[2 * p] + d[2 * p + 1]) for p in range(k)]
+    blocks = [pair_block(d[2 * p] + d[2 * p + 1], rho) for p in range(k)]
+    blocks = [(c, float(sine), float(b)) for c, sine, b in blocks]  # keeps np.array fast
     # a branching pair's own gap and its gap to the next value
     degenerate = any([d[i] - d[i + 1] <= gap for i in range(min(2 * k, len(d) - 1))])
-    return k, value, cosines, _domain(d, rho), degenerate
+    return k, value, blocks, _domain(d, rho), degenerate
 
 
 def solve(W: CosseratWeights, F: DeformationGradient) -> MinimizerSet:
     """The minimizer set of F, its reduced energy and labels, in any dimension.
 
-    k, the energy, the pair cosines and the labels come from F's own
-    singular values (pair p turns by arccos(rho / (nu_2p + nu_2p+1))), and
-    the minimizers are polar(F) Q B Q^T with B the :func:`pair_rotations`
-    by -sigma_p beta_p (its transpose, the relative rotation, turns by
-    +sigma_p beta_p).
+    k, the energy, the pair blocks and the labels come from F's own
+    singular values (pair p turns by the angle of :func:`pair_block`
+    (nu_2p + nu_2p+1, rho)), and the minimizers are polar(F) Q B Q^T with
+    B the :func:`pair_rotations` by -sigma_p beta_p (its transpose, the
+    relative rotation, turns by +sigma_p beta_p).
     """
-    k, value, cosines, domain, degenerate = _branches(W, F.singular_values.tolist())
+    k, value, blocks, domain, degenerate = _branches(W, F.singular_values.tolist())
     pol = F.polar.rotation
     if not k:
         return MinimizerSet(domain, 0, (), (pol.copy(),), value, degenerate)
     q = F.polar.spectral.frame
     # block signs are the negated relative signs, in the order of MinimizerSet.signs
-    blocks = pair_rotations(F.dim, cosines, itertools.product((-1, 1), repeat=k))
-    angles = tuple([float(np.arccos(c)) for c in cosines])
-    return MinimizerSet(domain, k, angles, tuple(pol @ q @ blocks @ q.T), value, degenerate)
+    rotations = pair_rotations(F.dim, blocks, itertools.product((-1, 1), repeat=k))
+    angles = tuple([b[2] for b in blocks])
+    return MinimizerSet(domain, k, angles, tuple(pol @ q @ rotations @ q.T), value, degenerate)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import CosseratWeights, _branches, pair_rotations
+from .energy import CosseratWeights, _branches, pair_block, pair_rotations
 from .errors import InadmissiblePartition, OrientationError, TooLarge
 
 ENUMERATION_MAX_DIM = 10
@@ -196,7 +196,7 @@ def realize_rotation(p: CriticalPartition, nus) -> np.ndarray:
     energy). Raises ``OrientationError`` when the sign pattern has odd
     -1 count and therefore overall determinant -1.
     """
-    d = _as_descending(nus)
+    d = _as_descending(nus).tolist()
     _check_admissible(p, d)
     if p.overall_det() != 1:
         raise OrientationError("sign pattern has overall determinant -1")
@@ -206,22 +206,10 @@ def realize_rotation(p: CriticalPartition, nus) -> np.ndarray:
         if len(b) == 1:
             (i,) = b
             r[i, i] = float(s)
-        else:
+        else:  # cos = 2 / (nu_i + s nu_j); a -1 pair is a reflection block
             i, j = b
-            if s == 1:
-                c = 2.0 / (d[i] + d[j])
-                sn = np.sqrt(1.0 - c * c)
-                r[i, i] = c
-                r[i, j] = -sn
-                r[j, i] = sn
-                r[j, j] = c
-            else:
-                c = 2.0 / (d[i] - d[j])
-                sn = np.sqrt(1.0 - c * c)
-                r[i, i] = c
-                r[i, j] = sn
-                r[j, i] = sn
-                r[j, j] = -c
+            c, sn, _ = pair_block(d[i] + s * d[j], 2.0)
+            r[i, i], r[i, j], r[j, i], r[j, j] = c, -s * sn, sn, s * c
     return r
 
 
@@ -333,18 +321,18 @@ def global_minimizers_nd(nus, *, with_rotations: bool = True) -> GlobalMinimizer
     while the pair sum strictly exceeds 2; each pair contributes a +/-
     angle choice, for 2^k minimizers total, built by ``pair_rotations``
     in the sign order of ``MinimizerSet`` (all + first). k, the energy,
-    the pair cosines and ``degenerate`` are those of
+    the pair blocks and ``degenerate`` are those of
     :func:`~relaxed_polar.energy.solve` on the same values. Pass
     ``with_rotations=False`` to skip materializing the rotations (k grows
     with n and the list is exponential in k).
     """
     d = _as_descending(nus).tolist()
     n = len(d)
-    k, wred, cosines, _, degenerate = _branches(_W10, d)
+    k, wred, pair_blocks, _, degenerate = _branches(_W10, d)
     blocks = canonical_blocks(k, n)
     rotations = ()
     if with_rotations:
-        rotations = tuple(pair_rotations(n, cosines, itertools.product((1, -1), repeat=k)))
+        rotations = tuple(pair_rotations(n, pair_blocks, itertools.product((1, -1), repeat=k)))
     return GlobalMinimizers(
         partition=CriticalPartition(blocks=blocks, signs=(1,) * len(blocks)),
         rotations=rotations,

@@ -85,8 +85,8 @@ def optimal_angles(W: CosseratWeights, F: DeformationGradient) -> PlanarSolution
     """
     _require_2d(F)
     ap = polar_angle(F)
-    k, wred, cosines, _, _ = _branches(W, F.singular_values.tolist())
-    b = float(np.arccos(cosines[0])) if k else 0.0
+    k, wred, blocks, _, _ = _branches(W, F.singular_values.tolist())
+    b = blocks[0][2] if k else 0.0
     relative = (b, -b) if k else (0.0,)
     return PlanarSolution(ap, _branch_angles(ap, relative, k), relative, wred, bool(k))
 

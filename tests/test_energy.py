@@ -55,6 +55,11 @@ class TestWeights:
         assert w.zeta == pytest.approx(w.singular_radius - 2.0, abs=1e-15)
         assert CosseratWeights(1.0, 0.0).singular_radius == 2.0
 
+    def test_derived_constants_of_huge_weights_stay_finite(self):
+        w = CosseratWeights(1.5e308, 1e308)
+        assert (w.singular_radius, w.scaling, w.zeta) == (6.0, 3.0, 4.0)
+        assert CosseratWeights(1e308, 0.0).singular_radius == 2.0
+
     def test_classical_has_no_derived_constants(self):
         for attr in ("singular_radius", "scaling", "zeta"):
             with pytest.raises(RegimeError):

@@ -377,13 +377,17 @@ class TestGlobalMinimizers:
 def reference_global_minimizers(d):
     """Reference: the formula global_minimizers_nd used before it read solve's core.
 
-    Its own cosines 2 / (d_2p + d_2p+1) on the numpy diagonal and its own
-    boundary tie; k and the value come from the pairing rule.
+    Its own pair blocks on the numpy diagonal, cosine 2 / s and sine
+    sqrt(((s - 2) / s) (1 + c)) for s = d_2p + d_2p+1, and its own boundary
+    tie; k and the value come from the pairing rule.
     """
     k, wred = reduced_energy_values(W10, d)
     n = len(d)
-    cosines = [2.0 / (d[2 * p] + d[2 * p + 1]) for p in range(k)]
-    rotations = pair_rotations(n, cosines, itertools.product((1, -1), repeat=k))
+    pair_blocks = []
+    for s in (d[2 * p] + d[2 * p + 1] for p in range(k)):
+        c = 2.0 / s
+        pair_blocks.append((c, np.sqrt(np.fmin((s - 2.0) / s, 1.0) * (1.0 + c)), None))
+    rotations = pair_rotations(n, pair_blocks, itertools.product((1, -1), repeat=k))
     boundary_tie = bool(2 * k + 1 < n and d[2 * k] + d[2 * k + 1] == 2.0)
     blocks = tuple((2 * p, 2 * p + 1) for p in range(k)) + tuple((i,) for i in range(2 * k, n))
     return k, wred, blocks, boundary_tie, rotations

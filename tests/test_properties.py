@@ -18,7 +18,7 @@ from relaxed_polar.energy import (
     reduce_parameters,
     reduced_energy_values,
 )
-from relaxed_polar.oracle import haar_sample
+from relaxed_polar.oracle import _gradient, _jacobian, _norm, haar_sample
 
 from conftest import sets_equal
 
@@ -148,6 +148,20 @@ def test_reduction_keeps_the_minimizers(data, W, seed):
     # by 1 / sin(beta) next to the band
     sine = min(np.sin(mset.angles), default=1.0)
     assert sets_equal(mset.minimizers, red.minimizers, tol=1e-12 / sine)
+
+
+@PROFILE
+@given(st.data(), weights(), st.integers(0, 2**32 - 1))
+def test_closed_form_minimizers_are_second_order_critical_points(data, W, seed):
+    d = data.draw(spectra(radius(W)))
+    _, _, F = rotated(d, seed)
+    r, eye = np.array(solve(W, F).minimizers), np.eye(len(d))
+    # rounding of the energy's terms, which grow like mu |d|^2
+    tol = 1e-12 * W.mu * (1.0 + float(d @ d))
+    assert _norm(_gradient(W.mu, W.muc, r, F.matrix, eye)).max() <= tol
+    # at a critical point the Hessian is the symmetric part of the gradient's Jacobian
+    jac = _jacobian(W.mu, W.muc, r, F.matrix, eye)
+    assert np.linalg.eigvalsh(0.5 * (jac + jac.swapaxes(1, 2))).min(initial=0.0) >= -tol
 
 
 @PROFILE

@@ -1,6 +1,10 @@
 """solve(W, F): one minimizer set for every dimension and weight regime."""
 
+import csv
+import decimal
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +20,9 @@ from relaxed_polar import (
     rpolar_3d,
     solve,
 )
+from relaxed_polar import cli
 from relaxed_polar.energy import BOUNDARY_RTOL, DEGENERACY_RTOL, reduced_energy_values
+from relaxed_polar.ndim import CriticalPartition, realize_rotation
 
 from conftest import random_gl_plus, random_rotation
 
@@ -133,7 +139,11 @@ def test_domain_is_symmetric_about_the_band_in_every_dimension():
 
 
 def rpolar_3d_reference(W, F):
-    """The closed 3D formula that rpolar_3d used before it became a view of solve."""
+    """The closed 3D formula that rpolar_3d used before it became a view of solve.
+
+    Its pair block is written out: cosine rho / s, sine
+    sqrt(((s - rho) / s) (1 + c)) and angle atan2(sine, c).
+    """
     nu = F.singular_values
     pol = F.polar.rotation
     frame = F.polar.spectral.frame
@@ -153,10 +163,11 @@ def rpolar_3d_reference(W, F):
         u = s / (2.0 * W.scaling)
         if domain is Domain.NON_CLASSICAL:
             c = rho / s
-            b = float(np.arccos(c))
+            sine = np.sqrt(np.fmin((s - rho) / s, 1.0) * (1.0 + c))
+            b = float(np.arctan2(sine, c))
 
             def block_z(sign):
-                t = sign * np.sqrt(max(0.0, 1.0 - c * c))
+                t = sign * sine
                 return np.array([[c, -t, 0.0], [t, c, 0.0], [0.0, 0.0, 1.0]])
 
             minimizers = (
@@ -193,3 +204,82 @@ def test_spatial_view_is_bitwise_the_closed_3d_formula():
         assert sol.reduced_energy == reduced_energy_values(W, F.singular_values)[1]
         checked += 1
     assert checked > 300
+
+
+def test_huge_weights_give_the_minimizers_of_their_ratio():
+    # the minimizers depend on mu and muc only through rho = 2 mu / (mu - muc)
+    F = DeformationGradient(np.diag([3.0, 1.0]))
+    huge, unit = solve(CosseratWeights(1e308, 0.0), F), solve(CosseratWeights(1.0, 0.0), F)
+    assert huge.k == 1 and huge.domain is Domain.NON_CLASSICAL
+    assert huge.angles == unit.angles
+    for a, b in zip(huge.minimizers, unit.minimizers, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_an_overflowing_pair_sum_turns_by_a_right_angle():
+    # nu_1 + nu_2 = inf: the cosine rho / s is 0, with no warning on the way
+    mset = solve(CosseratWeights(1.0, 0.0), DeformationGradient(np.diag([1e308, 1e308])))
+    assert mset.k == 1 and mset.angles == (math.pi / 2,)
+    assert mset.minimizers[1].tolist() == [[0.0, -1.0], [1.0, 0.0]]
+
+
+# rho = 2, 2 / 0.7, 10 / 3 and 3.4 / 1.4
+PAIR_WEIGHTS = [CosseratWeights(*w) for w in [(1.0, 0.0), (1.0, 0.3), (1.0, 0.4), (1.7, 0.3)]]
+# relative distances s / rho - 1 of a pair sum s above the radius
+DELTAS = [10.0**-e for e in range(15, -1, -1)]
+
+
+def exact_sine(s, rho):
+    """sqrt(1 - (rho / s)^2) for the doubles s and rho: exact fraction, 50-digit root."""
+    x, r = Fraction(s), Fraction(rho)
+    q = (x - r) * (x + r) / (x * x)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        return float((decimal.Decimal(q.numerator) / q.denominator).sqrt())
+
+
+def assert_ulps(got, expected, ulps=4):
+    assert abs(got - expected) <= ulps * math.ulp(expected), (got, expected)
+
+
+@pytest.mark.parametrize("W", PAIR_WEIGHTS, ids=lambda W: f"rho={W.singular_radius:.4f}")
+def test_pair_sine_and_angle_keep_their_digits_next_to_the_radius(W):
+    rho = W.singular_radius
+    for delta in DELTAS:
+        F = DeformationGradient(np.diag([rho * (1.0 + delta) - 0.5, 0.5]))
+        a, b = F.singular_values.tolist()
+        sine = exact_sine(a + b, rho)
+        mset = solve(W, F)
+        assert mset.k == 1
+        assert_ulps(abs(mset.minimizers[0][0, 1]), sine)
+        assert_ulps(math.sin(mset.angles[0]), sine)
+
+
+def test_reflection_pair_keeps_its_digits_next_to_the_radius():
+    # a -1 pair {i, j} is a reflection block with cosine 2 / (nu_i - nu_j)
+    part = CriticalPartition(blocks=((0, 1), (2,)), signs=(-1, -1))
+    for delta in DELTAS:
+        d = [2.0 * (1.0 + delta) + 0.25, 0.25, 0.1]
+        r = realize_rotation(part, d)
+        assert r[0, 1] == r[1, 0] and r[1, 1] == -r[0, 0]
+        assert_ulps(r[0, 1], exact_sine(d[0] - d[1], 2.0))
+
+
+def test_sweep_planar_beta_keeps_its_digits_next_to_the_radius(tmp_path):
+    out = tmp_path / "sweep.csv"
+    for W in PAIR_WEIGHTS:
+        rho = W.singular_radius
+        for delta in DELTAS:
+            # rows at rho (1 - delta / 2), about rho, rho (1 + delta / 2) and rho (1 + delta)
+            lo, hi = rho * (1.0 - 0.5 * delta), rho * (1.0 + delta)
+            argv = ["sweep-planar", "--mu", repr(W.mu), "--muc", repr(W.muc)]
+            argv += ["--range", repr(lo), repr(hi), "4", "--out", str(out)]
+            assert cli.main(argv) == cli.EXIT_OK
+            with open(out, newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            bifurcated = [r for r in rows if r["bifurcated"] == "true"]
+            assert len(bifurcated) >= 2
+            for row in bifurcated:
+                # the pair is diag(tr U - nu2, nu2) with the default nu2 = 0.25
+                s = (float(row["tr_U"]) - 0.25) + 0.25
+                assert_ulps(math.sin(float(row["beta_plus"])), exact_sine(s, rho))

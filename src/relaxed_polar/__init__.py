@@ -1,9 +1,9 @@
 """Energy-minimizing rotations for the weighted Cosserat shear-stretch energy.
 
 Closed-form relaxed polar factors in every dimension from one
-``solve(W, F)``, the reduced energies in terms of singular values, and an
-independent stochastic Riemannian-descent oracle that verifies every
-closed form.
+``solve(W, F)`` (or ``solve_values(W, nus)`` from singular values alone),
+the reduced energies in terms of singular values, and an independent
+stochastic Riemannian-descent oracle that verifies every closed form.
 """
 
 from .energy import (
@@ -13,13 +13,13 @@ from .energy import (
     MinimizerSet,
     Regime,
     absolute_rotation,
-    classify_domain,
     energy,
     reduce_parameters,
     reduced_energy,
     relative_rotation,
     rescale,
     solve,
+    solve_values,
 )
 from .errors import (
     DegenerateSpectrum,
@@ -60,7 +60,6 @@ from .oracle import (
 from .planar import PlanarSolution, optimal_angles, polar_angle, simple_shear
 from .polar import PolarData, dist_sq_so_n, polar_2d_explicit
 from .spatial import (
-    SpatialSolution,
     classical_neighborhood_check,
     plane_of_max_stretch,
     rpolar_3d,
@@ -89,12 +88,10 @@ __all__ = [
     "PolarData",
     "Regime",
     "RegimeError",
-    "SpatialSolution",
     "SpectralData",
     "TooLarge",
     "absolute_rotation",
     "classical_neighborhood_check",
-    "classify_domain",
     "critical_scan",
     "critical_value",
     "dist_sq_so_n",
@@ -121,6 +118,7 @@ __all__ = [
     "skew_exp",
     "sl3_criterion",
     "solve",
+    "solve_values",
     "svd_ordered",
     "sym",
     "traversal_path",

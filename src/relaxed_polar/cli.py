@@ -6,7 +6,7 @@ Subcommands::
     rpolar sweep-planar pitchfork branch data over tr U (CSV)
     rpolar scatter-mc   Monte-Carlo relative angles vs prediction (CSV)
     rpolar iso-grid     reduced-energy samples over a singular-value grid (CSV)
-    rpolar ndim         global minimum data for a list of singular values (JSON)
+    rpolar ndim         minimizer set data at weights (1, 0) for singular values (JSON)
 
 The solve report gives, in every dimension: ``reduced_energy``; the
 minimizer set of :func:`~relaxed_polar.energy.solve` as ``minimizers``
@@ -21,8 +21,9 @@ most ``DEGENERACY_RTOL`` nu_1 at a branching pair); ``k``, the number of
 branching pairs; and ``partition``, the canonical blocks (1-based). 2D
 adds ``polar_angle`` and the minimizers' absolute angles
 ``branch_angles``; 3D adds the rotation ``axis`` q3, ``u_mmp`` and
-``s_mmp``. The ndim report's ``degenerate`` is the same rule at weights
-(1, 0), so it agrees with ``solve`` on the diagonal matrix.
+``s_mmp``. The ndim report is ``solve_values`` at weights (1, 0) on the
+sorted values, so its ``k``, ``wred`` and ``degenerate`` agree with
+``solve`` on the diagonal matrix.
 
 Matrices are accepted as JSON rows (``[[...],[...]]``) or whitespace
 separated lines, inline via ``--matrix`` or from a file. All numbers are
@@ -53,6 +54,7 @@ from .energy import (
     reduced_energy_stack,
     relative_rotation,
     solve,
+    solve_values,
 )
 from .errors import MatrixParseError
 
@@ -279,21 +281,21 @@ def cmd_iso_grid(args) -> int:
 
 def cmd_ndim(args) -> int:
     nus = sorted((float(v) for v in args.nus), reverse=True)
-    d = np.array(nus)
-    gm = ndim.global_minimizers_nd(d, with_rotations=False)
+    mset = solve_values(CosseratWeights(1.0, 0.0), nus)
+    blocks = ndim.canonical_blocks(mset.k, len(nus))
     report = {
         "nus_sorted": nus,
-        "k": gm.k,
-        "partition": _partition_1based(gm.partition.blocks, gm.partition.signs),
-        "wred": gm.reduced_energy,
-        "num_minimizers": 2**gm.k,
-        "degenerate": gm.degenerate,
+        "k": mset.k,
+        "partition": _partition_1based(blocks, [1] * len(blocks)),
+        "wred": mset.reduced_energy,
+        "num_minimizers": 2**mset.k,
+        "degenerate": mset.degenerate,
     }
     if args.census:
-        parts = ndim.enumerate_critical_partitions(d)
+        parts = ndim.enumerate_critical_partitions(nus)
         report["census"] = [
             {"partition": _partition_1based(p.blocks, p.signs), "value": v}
-            for p, v in zip(parts, ndim.critical_values(parts, d))
+            for p, v in zip(parts, ndim.critical_values(parts, nus))
         ]
     print(json.dumps(report, default=_json_default))
     return EXIT_OK

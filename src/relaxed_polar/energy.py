@@ -9,16 +9,19 @@ regimes exist: for muc >= mu ("classical") the polar factor is the unique
 minimizer; for mu > muc ("non-classical") the whole family reduces to the
 limit case (1, 0) evaluated on a rescaled deformation gradient, and the
 minimizers can deviate from the polar factor. :func:`solve` gives the
-minimizer set in every dimension from one pairing rule.
+minimizer set of F in every dimension from one pairing rule, and
+:func:`solve_values` the same set from singular values alone, as relative
+rotations; either set builds its rotations only when they are read.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+import math
 import sys
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -305,26 +308,6 @@ def reduced_energy(W: CosseratWeights, F: DeformationGradient) -> float:
     return reduced_energy_values(W, F.singular_values)[1]
 
 
-def _domain(d: list[float], rho: float) -> Domain:
-    if len(d) < 2:
-        return Domain.CLASSICAL
-    s = d[0] + d[1]
-    if abs(s - rho) <= BOUNDARY_RTOL * rho:
-        return Domain.BOUNDARY
-    return Domain.CLASSICAL if s < rho else Domain.NON_CLASSICAL
-
-
-def classify_domain(W: CosseratWeights, F: DeformationGradient) -> Domain:
-    """Compare nu_1 + nu_2 against the singular radius of the weights.
-
-    The boundary tag is a thin deterministic band of relative width
-    ``BOUNDARY_RTOL`` on both sides of rho; below it is classical, above
-    it non-classical. A 1 x 1 gradient has no pair and is classical.
-    Requires non-classical weights (mu > muc).
-    """
-    return _domain(F.singular_values.tolist(), W.singular_radius)
-
-
 def pair_block(s, rho):
     """(cos, sine, angle) of the block turning a pair with sum s >= rho.
 
@@ -359,17 +342,20 @@ def pair_rotations(n: int, blocks, signs) -> np.ndarray:
     return np.array(flat).reshape(-1, n, n)
 
 
-class MinimizerSet(NamedTuple):
-    """All energy-minimizing rotations for one (weights, F) instance.
+@dataclass(frozen=True)
+class MinimizerSet:
+    """All energy-minimizing rotations for one (weights, values) instance.
 
     The first ``k`` pairs of descending singular values branch, pair p by
     ``angles[p]``, its :func:`pair_block` angle, in the plane of the
     spectral frame columns q_2p, q_2p+1. There are 2^k ``minimizers``, one
-    per sign tuple of :attr:`signs`: the minimizer for signs sigma has the
-    :func:`relative_rotation` that turns plane p by sigma_p * angles[p].
-    They are ordered as ``itertools.product((1, -1), repeat=k)``, pair 0
-    most significant: the first has every relative angle +beta_p, the last
-    every -beta_p. With k = 0 the set is the polar factor alone.
+    per sign tuple of :attr:`signs`, ordered as
+    ``itertools.product((1, -1), repeat=k)`` with pair 0 most significant:
+    minimizer sigma has the relative rotation that turns plane p by
+    sigma_p * angles[p]. ``minimizers`` is built on first read, and no other
+    field builds a rotation. From :func:`solve` they are rotations of F (the
+    polar factor alone for k = 0), from :func:`solve_values` the relative
+    rotations themselves (the identity for k = 0).
 
     ``domain`` labels nu_1 + nu_2 against rho, with a band of
     ``BOUNDARY_RTOL`` on both sides; it does not decide k. ``degenerate``
@@ -377,15 +363,30 @@ class MinimizerSet(NamedTuple):
     sample from the cached frame rather than exhaustive: for classical
     weights nu_1 - nu_n <= ``DEGENERACY_RTOL`` nu_1; otherwise a branching
     pair whose own gap, or whose gap to the next value, is that small.
-    :attr:`relative_angles` gives each minimizer's relative rotation angle.
     """
 
     domain: Domain
     k: int
     angles: tuple[float, ...]
-    minimizers: tuple[np.ndarray, ...]
     reduced_energy: float
     degenerate: bool
+    _blocks: list = field(repr=False, compare=False)
+    _dim: int = field(repr=False, compare=False)
+    _gradient: DeformationGradient | None = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def minimizers(self) -> tuple[np.ndarray, ...]:
+        """The 2^k rotations, in the order of :attr:`signs`; built on first read."""
+        F = self._gradient
+        if F is None:
+            return tuple(pair_rotations(self._dim, self._blocks, self.signs))
+        pol = F.polar.rotation
+        if not self.k:
+            return (pol.copy(),)
+        q = F.polar.spectral.frame
+        # polar(F) Q B Q^T, B by the negated relative signs, in the order of signs
+        signs = itertools.product((-1, 1), repeat=self.k)
+        return tuple(pol @ q @ pair_rotations(self._dim, self._blocks, signs) @ q.T)
 
     @property
     def signs(self) -> list[tuple[int, ...]]:
@@ -404,43 +405,50 @@ class MinimizerSet(NamedTuple):
         return tuple(tuple(s * b for s, b in zip(signs, self.angles)) for signs in self.signs)
 
 
-def _branches(W: CosseratWeights, d: list[float]) -> tuple:
-    """(k, reduced energy, pair blocks, domain, degenerate) of descending values d.
+def _minimizer_set(W: CosseratWeights, d: list[float], F=None) -> MinimizerSet:
+    """The set of descending values d; its minimizers are rotations of F if given.
 
-    The values-level core of :func:`solve`: k and the energy are
-    :func:`reduced_energy_values`, pair p has the :func:`pair_block` of
-    (d[2p] + d[2p+1], rho) in Python floats, and ``domain`` and
-    ``degenerate`` follow the rules documented on :class:`MinimizerSet`.
+    Pair p has the :func:`pair_block` of (d[2p] + d[2p+1], rho) in floats.
     """
     k, value = reduced_energy_values(W, d)
     gap = DEGENERACY_RTOL * d[0]
     if W.is_classical:
-        return 0, value, [], Domain.CLASSICAL, d[0] - d[-1] <= gap
+        return MinimizerSet(Domain.CLASSICAL, 0, (), value, d[0] - d[-1] <= gap, [], len(d), F)
     rho = W.singular_radius
+    s = d[0] + d[1] if len(d) > 1 else 0.0  # a lone value has no pair: classical
+    if abs(s - rho) <= BOUNDARY_RTOL * rho:
+        domain = Domain.BOUNDARY
+    else:
+        domain = Domain.CLASSICAL if s < rho else Domain.NON_CLASSICAL
     if not k:
-        return 0, value, [], _domain(d, rho), False
+        return MinimizerSet(domain, 0, (), value, False, [], len(d), F)
     blocks = [pair_block(d[2 * p] + d[2 * p + 1], rho) for p in range(k)]
     blocks = [(c, float(sine), float(b)) for c, sine, b in blocks]  # keeps np.array fast
     # a branching pair's own gap and its gap to the next value
     degenerate = any([d[i] - d[i + 1] <= gap for i in range(min(2 * k, len(d) - 1))])
-    return k, value, blocks, _domain(d, rho), degenerate
+    angles = tuple([b[2] for b in blocks])
+    return MinimizerSet(domain, k, angles, value, degenerate, blocks, len(d), F)
 
 
 def solve(W: CosseratWeights, F: DeformationGradient) -> MinimizerSet:
     """The minimizer set of F, its reduced energy and labels, in any dimension.
 
-    k, the energy, the pair blocks and the labels come from F's own
-    singular values (pair p turns by the angle of :func:`pair_block`
-    (nu_2p + nu_2p+1, rho)), and the minimizers are polar(F) Q B Q^T with
-    B the :func:`pair_rotations` by -sigma_p beta_p (its transpose, the
-    relative rotation, turns by +sigma_p beta_p).
+    :func:`solve_values` on F's singular values, with minimizer sigma the
+    rotation polar(F) Q B Q^T, B the :func:`pair_rotations` by -sigma_p beta_p
+    (its transpose, the relative rotation, turns by +sigma_p beta_p).
     """
-    k, value, blocks, domain, degenerate = _branches(W, F.singular_values.tolist())
-    pol = F.polar.rotation
-    if not k:
-        return MinimizerSet(domain, 0, (), (pol.copy(),), value, degenerate)
-    q = F.polar.spectral.frame
-    # block signs are the negated relative signs, in the order of MinimizerSet.signs
-    rotations = pair_rotations(F.dim, blocks, itertools.product((-1, 1), repeat=k))
-    angles = tuple([b[2] for b in blocks])
-    return MinimizerSet(domain, k, angles, tuple(pol @ q @ rotations @ q.T), value, degenerate)
+    return _minimizer_set(W, F.singular_values.tolist(), F)
+
+
+def solve_values(W: CosseratWeights, nus) -> MinimizerSet:
+    """The minimizer set of diag(nus) as relative rotations, from the values.
+
+    The values may come in any order and must be positive and finite.
+    Minimizer sigma turns plane (2p, 2p + 1) by sigma_p beta_p (the identity
+    for k = 0); every other field is that of :func:`solve` on any F with
+    these singular values.
+    """
+    d = sorted(map(float, nus), reverse=True)
+    if not d or not all(0.0 < v < math.inf for v in d):
+        raise ValueError("diagonal entries must be positive and finite")
+    return _minimizer_set(W, d)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import CosseratWeights, _branches, pair_block, pair_rotations
+from .energy import CosseratWeights, _minimizer_set, pair_block, reduced_energy_values
 from .errors import InadmissiblePartition, OrientationError, TooLarge
 
 ENUMERATION_MAX_DIM = 10
@@ -277,7 +277,7 @@ def traversal_path(start: CriticalPartition, nus) -> list[CriticalPartition]:
             push(blocks, signs)
 
     # stage 4: extend the pair prefix to the pairing rule's k (stage 3 leaves m <= k)
-    k = _branches(_W10, d)[0]
+    k = reduced_energy_values(_W10, d)[0]
     while m < k:
         blocks = [b for b in blocks if b not in ((2 * m,), (2 * m + 1,))]
         blocks.append((2 * m, 2 * m + 1))
@@ -297,13 +297,12 @@ def canonical_blocks(k: int, n: int) -> tuple[tuple[int, ...], ...]:
 class GlobalMinimizers:
     """Canonical minimum partition, its 2^k rotations, and the energy.
 
-    ``degenerate`` is the rule of :class:`~relaxed_polar.energy.MinimizerSet`
-    at (1, 0): a branching pair whose own gap, or whose gap to the next
-    entry, is at most ``DEGENERACY_RTOL`` times the largest entry (the
-    rotation list is then a representative sample of a non-isolated
-    minimizer family); ``boundary_tie`` flags an exactly-2 pair sum just
-    past the prefix, in which case merging that pair would tie the minimum
-    value and the singleton form is reported as canonical.
+    A view of :func:`~relaxed_polar.energy.solve_values` at (1, 0): its
+    minimizers (``rotations``, empty unless asked for), energy, k and
+    ``degenerate`` (the rotations are then a representative sample of a
+    non-isolated minimizer family). ``boundary_tie`` flags an exactly-2
+    pair sum just past the prefix, in which case merging that pair would
+    tie the minimum value and the singleton form is reported as canonical.
     """
 
     partition: CriticalPartition
@@ -319,25 +318,22 @@ def global_minimizers_nd(nus, *, with_rotations: bool = True) -> GlobalMinimizer
 
     The canonical partition pairs the descending entries consecutively
     while the pair sum strictly exceeds 2; each pair contributes a +/-
-    angle choice, for 2^k minimizers total, built by ``pair_rotations``
-    in the sign order of ``MinimizerSet`` (all + first). k, the energy,
-    the pair blocks and ``degenerate`` are those of
-    :func:`~relaxed_polar.energy.solve` on the same values. Pass
-    ``with_rotations=False`` to skip materializing the rotations (k grows
-    with n and the list is exponential in k).
+    angle choice, for 2^k minimizers total, in the sign order of
+    ``MinimizerSet`` (all + first). The entries must be descending; the
+    set is that of :func:`~relaxed_polar.energy.solve_values` on them.
+    Pass ``with_rotations=False`` to skip materializing the rotations (k
+    grows with n and the list is exponential in k).
     """
     d = _as_descending(nus).tolist()
     n = len(d)
-    k, wred, pair_blocks, _, degenerate = _branches(_W10, d)
+    mset = _minimizer_set(_W10, d)
+    k = mset.k
     blocks = canonical_blocks(k, n)
-    rotations = ()
-    if with_rotations:
-        rotations = tuple(pair_rotations(n, pair_blocks, itertools.product((1, -1), repeat=k)))
     return GlobalMinimizers(
         partition=CriticalPartition(blocks=blocks, signs=(1,) * len(blocks)),
-        rotations=rotations,
-        reduced_energy=wred,
+        rotations=mset.minimizers if with_rotations else (),
+        reduced_energy=mset.reduced_energy,
         k=k,
-        degenerate=degenerate,
+        degenerate=mset.degenerate,
         boundary_tie=2 * k + 1 < n and d[2 * k] + d[2 * k + 1] == 2.0,
     )

@@ -9,11 +9,12 @@ whose relative rotation turns by +beta for i = 0 and by -beta for i = 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import CosseratWeights, DeformationGradient, _branches
+from .energy import CosseratWeights, DeformationGradient, solve
 from .errors import DimensionMismatch
 
 
@@ -58,15 +59,14 @@ def _require_2d(F: DeformationGradient):
 def polar_angle(F: DeformationGradient) -> float:
     """Rotation angle alpha_p of the planar polar factor, in (-pi, pi].
 
-    Satisfies (sin a, cos a) = (-tr JF, tr F) / tr U; computed with atan2
-    so the compressive case tr F < 0, tr JF = 0 lands on +pi.
+    Read with atan2 from the first column (cos a, sin a) of F's cached
+    polar factor, whose entries cannot overflow at any scale of F; the
+    compressive case, polar factor -1, lands on +pi.
     """
     _require_2d(F)
-    m = F.matrix
-    tr_f = m[0, 0] + m[1, 1]
-    tr_jf = m[0, 1] - m[1, 0]
-    a = float(np.arctan2(-tr_jf, tr_f))
-    return np.pi if a == -np.pi else a
+    r = F.polar.rotation
+    a = math.atan2(r[1, 0], r[0, 0])
+    return math.pi if a == -math.pi else a
 
 
 def _branch_angles(ap: float, relative_angles, k: int) -> tuple[float, ...]:
@@ -85,10 +85,9 @@ def optimal_angles(W: CosseratWeights, F: DeformationGradient) -> PlanarSolution
     """
     _require_2d(F)
     ap = polar_angle(F)
-    k, wred, blocks, _, _ = _branches(W, F.singular_values.tolist())
-    b = blocks[0][2] if k else 0.0
-    relative = (b, -b) if k else (0.0,)
-    return PlanarSolution(ap, _branch_angles(ap, relative, k), relative, wred, bool(k))
+    mset = solve(W, F)
+    rel = mset.relative_angles
+    return PlanarSolution(ap, _branch_angles(ap, rel, mset.k), rel, mset.reduced_energy, mset.k > 0)
 
 
 def simple_shear(gamma: float) -> DeformationGradient:

@@ -4,52 +4,24 @@ In 3D the optimal deviation from the polar factor is a rotation inside
 the plane of maximal stretch span{q1, q2} about the axis q3 (eigenvector
 of the stretch for the smallest singular value). The bifurcation is
 controlled by nu_1 + nu_2 against the singular radius rho of the weights.
+:func:`rpolar_3d` is :func:`~relaxed_polar.energy.solve` limited to 3D,
+and :func:`mean_planar_stretch` gives the u_mmp of the CLI report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-# BOUNDARY_RTOL, Domain and classify_domain are also read from here
-from .energy import (  # noqa: F401
-    BOUNDARY_RTOL,
+from .energy import (
     DEGENERACY_RTOL,
     CosseratWeights,
     DeformationGradient,
-    Domain,
-    classify_domain,
+    MinimizerSet,
     reduced_energy_values,
     solve,
 )
 from .errors import DegenerateSpectrum, DimensionMismatch, RegimeError
 from .polar import dist_sq_so_n
-
-
-@dataclass(frozen=True)
-class SpatialSolution:
-    """Globally optimal rotations for one (weights, F) instance in 3D.
-
-    A view of the :class:`~relaxed_polar.energy.MinimizerSet` of F:
-    ``minimizers`` holds one rotation (the polar factor) or two (the
-    bifurcated pair, relative angle +beta first); ``relative_angles`` are
-    the matching in-plane angles of Q^T R^T polar(F) Q about ``axis`` = q3.
-    ``u_mmp`` is the maximal mean planar stretch of the rescaled gradient
-    (of F itself when the weights are classical and no rescaling exists),
-    and ``s_mmp`` = u_mmp - 1 the corresponding strain. ``degenerate``
-    flags repeated singular values, for which the minimizer set is a
-    representative sample from the cached frame rather than exhaustive.
-    """
-
-    minimizers: tuple[np.ndarray, ...]
-    relative_angles: tuple[float, ...]
-    axis: np.ndarray
-    reduced_energy: float
-    domain: Domain
-    u_mmp: float
-    s_mmp: float
-    degenerate: bool = False
 
 
 def _require_3d(F: DeformationGradient):
@@ -74,28 +46,13 @@ def mean_planar_stretch(W: CosseratWeights, F: DeformationGradient) -> float:
     return s / 2.0 if W.is_classical else s / (2.0 * W.scaling)
 
 
-def rpolar_3d(W: CosseratWeights, F: DeformationGradient) -> SpatialSolution:
-    """The set of globally optimal rotations with branch labels.
+def rpolar_3d(W: CosseratWeights, F: DeformationGradient) -> MinimizerSet:
+    """The :func:`~relaxed_polar.energy.solve` set of a 3D F.
 
-    The minimizers, energy, domain and degeneracy are those of
-    :func:`~relaxed_polar.energy.solve`: the polar factor alone unless
-    nu_1 + nu_2 > rho, and then polar(F) @ Q @ Rz(-/+ beta) @ Q.T, where
-    the "+" branch has relative rotation angle +beta (the transpose inside
-    the relative rotation flips the sign, hence the crossed construction).
+    Its branches turn about the axis q3 = ``F.polar.spectral.frame[:, 2]``.
     """
     _require_3d(F)
-    mset = solve(W, F)
-    u = mean_planar_stretch(W, F)
-    return SpatialSolution(
-        minimizers=mset.minimizers,
-        relative_angles=mset.relative_angles,
-        axis=F.polar.spectral.frame[:, 2].copy(),
-        reduced_energy=mset.reduced_energy,
-        domain=mset.domain,
-        u_mmp=u,
-        s_mmp=u - 1.0,
-        degenerate=mset.degenerate,
-    )
+    return solve(W, F)
 
 
 def plane_of_max_stretch(

@@ -17,13 +17,13 @@ from relaxed_polar import (
     solve,
 )
 from relaxed_polar.energy import (
+    BOUNDARY_RTOL,
     nonclassical_pair_energy,
     reduced_energy_stack,
     reduced_energy_values,
 )
 from relaxed_polar.errors import DimensionMismatch, RegimeError
 from relaxed_polar.oracle import OracleConfig, global_minimize
-from relaxed_polar.spatial import BOUNDARY_RTOL
 
 from conftest import random_gl_plus, random_rotation, sets_equal
 

@@ -52,6 +52,13 @@ class TestPolarAngle:
                 np.linalg.norm(rotation_2d(polar_angle(F)) - F.polar.rotation) <= 1e-12
             )
 
+    def test_huge_gradient_reads_the_polar_factor(self):
+        # tr F overflows here; the polar factor's entries cannot
+        F = DeformationGradient(1e308 * (rotation_2d(0.3) @ np.diag([1.2, 0.9])))
+        assert polar_angle(F) == pytest.approx(0.3, abs=1e-15)
+        sol = optimal_angles(W10, F)  # tr U >> rho: the branches sit at pi/2 either side
+        assert sol.branch_angles == pytest.approx((0.3 - np.pi / 2, 0.3 + np.pi / 2), abs=1e-15)
+
     def test_dim_guard(self):
         with pytest.raises(DimensionMismatch):
             polar_angle(DeformationGradient(np.eye(3)))

@@ -2,6 +2,7 @@
 
 import csv
 import decimal
+import importlib
 import itertools
 import math
 from fractions import Fraction
@@ -16,13 +17,17 @@ from relaxed_polar import (
     energy,
     matcore,
     reduced_energy,
+    global_minimizers_nd,
+    optimal_angles,
     relative_rotation,
     rpolar_3d,
     solve,
+    solve_values,
 )
 from relaxed_polar import cli
 from relaxed_polar.energy import BOUNDARY_RTOL, DEGENERACY_RTOL, reduced_energy_values
 from relaxed_polar.ndim import CriticalPartition, realize_rotation
+from relaxed_polar.spatial import mean_planar_stretch
 
 from conftest import random_gl_plus, random_rotation
 
@@ -108,6 +113,53 @@ def test_set_size_energy_and_relative_angles():
             assert np.abs(rhat - expected).max() <= 1e-12
         count += 1
     assert count > 300
+
+
+def test_minimizers_are_built_on_first_read_only(monkeypatch):
+    energy_module = importlib.import_module("relaxed_polar.energy")
+    calls = []
+    pair_rotations = energy_module.pair_rotations
+
+    def counted(*args):
+        calls.append(args)
+        return pair_rotations(*args)
+
+    monkeypatch.setattr(energy_module, "pair_rotations", counted)
+    W, nus = CosseratWeights(1.0, 0.0), [0.5, 2.0, 4.0, 3.0, 2.5]
+    for mset in (solve(W, DeformationGradient(np.diag(nus))), solve_values(W, nus)):
+        assert mset.k == 2 and mset.domain is Domain.NON_CLASSICAL and len(mset.angles) == 2
+        assert mset.reduced_energy > 0.0 and not mset.degenerate
+        assert len(mset.signs) == len(mset.relative_angles) == 4
+        assert calls == []
+        first = mset.minimizers
+        assert mset.minimizers is first and len(first) == 4 and len(calls) == 1
+        calls.clear()
+    assert optimal_angles(W, DeformationGradient(np.diag([3.0, 1.0]))).bifurcated
+    assert global_minimizers_nd(sorted(nus, reverse=True), with_rotations=False).k == 2
+    assert calls == []
+
+
+def test_solve_values_is_solve_in_the_principal_frame():
+    rng = np.random.default_rng(2019)
+    count = 0
+    for W, F in cases():
+        nus = F.singular_values.tolist()
+        rng.shuffle(nus)
+        mset, ref = solve_values(W, nus), solve(W, F)
+        assert mset.k == ref.k and mset.angles == ref.angles
+        assert mset.reduced_energy == ref.reduced_energy
+        assert mset.domain is ref.domain and mset.degenerate == ref.degenerate
+        assert len(mset.minimizers) == len(ref.minimizers)
+        for rhat, R in zip(mset.minimizers, ref.minimizers):
+            assert np.abs(rhat - relative_rotation(R, F)).max() <= 1e-14
+        count += 1
+    assert count > 300
+
+
+@pytest.mark.parametrize("nus", [[], [0.0, 1.0], [2.0, -1.0], [np.nan, 1.0], [1.0, np.inf]])
+def test_solve_values_rejects_bad_values(nus):
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve_values(CosseratWeights(1.0, 0.0), nus)
 
 
 def test_degenerate_generalises_the_spatial_rule():
@@ -199,8 +251,10 @@ def test_spatial_view_is_bitwise_the_closed_3d_formula():
         for a, b in zip(sol.minimizers, mins):
             assert np.array_equal(a, b)
         assert sol.relative_angles == angles and sol.domain is domain
-        assert sol.degenerate == degenerate and np.array_equal(sol.axis, axis)
-        assert sol.u_mmp == u and sol.s_mmp == strain
+        assert sol.degenerate == degenerate
+        assert np.array_equal(F.polar.spectral.frame[:, 2], axis)
+        u_mmp = mean_planar_stretch(W, F)
+        assert u_mmp == u and u_mmp - 1.0 == strain
         assert sol.reduced_energy == reduced_energy_values(W, F.singular_values)[1]
         checked += 1
     assert checked > 300

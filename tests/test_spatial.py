@@ -4,6 +4,7 @@ import pytest
 from relaxed_polar import (
     CosseratWeights,
     DeformationGradient,
+    Domain,
     energy,
     matcore,
     relative_rotation,
@@ -12,9 +13,8 @@ from relaxed_polar import (
 from relaxed_polar.errors import DegenerateSpectrum, DimensionMismatch, RegimeError
 from relaxed_polar.oracle import OracleConfig, global_minimize
 from relaxed_polar.spatial import (
-    Domain,
     classical_neighborhood_check,
-    classify_domain,
+    mean_planar_stretch,
     plane_of_max_stretch,
     rpolar_3d,
     sl3_criterion,
@@ -79,7 +79,7 @@ class TestRelativeRotation3D:
 
 class TestClassifyDomain:
     def test_identity_is_boundary_at_limit_weights(self):
-        assert classify_domain(W10, DeformationGradient(np.eye(3))) is Domain.BOUNDARY
+        assert solve(W10, DeformationGradient(np.eye(3))).domain is Domain.BOUNDARY
 
     def test_unit_determinant_is_non_classical(self):
         rng = np.random.default_rng(61)
@@ -89,15 +89,11 @@ class TestClassifyDomain:
             F = DeformationGradient(f)
             if abs(F.singular_values[0] + F.singular_values[1] - 2.0) < 1e-9:
                 continue
-            assert classify_domain(W10, F) is Domain.NON_CLASSICAL
+            assert solve(W10, F).domain is Domain.NON_CLASSICAL
 
     def test_small_stretches_classical(self):
         F = gradient_from_values([0.5, 0.4, 0.3])
-        assert classify_domain(W10, F) is Domain.CLASSICAL
-
-    def test_regime_guard(self):
-        with pytest.raises(RegimeError):
-            classify_domain(W11, DeformationGradient(np.eye(3)))
+        assert solve(W10, F).domain is Domain.CLASSICAL
 
 
 class TestRpolar3D:
@@ -116,7 +112,7 @@ class TestRpolar3D:
         assert sol.domain is Domain.NON_CLASSICAL
         beta = np.arccos(1.0 / 3.0)
         assert sol.relative_angles == pytest.approx((beta, -beta), abs=1e-14)
-        assert np.allclose(sol.axis, [0.0, 0.0, 1.0], atol=1e-14)
+        assert np.allclose(F.polar.spectral.frame[:, 2], [0.0, 0.0, 1.0], atol=1e-14)
         # the "+" branch carries relative angle +beta; as an absolute
         # rotation it is the z-block rotation by -beta (crossed signs)
         c, s = np.cos(beta), np.sin(beta)
@@ -233,13 +229,13 @@ class TestNeighborhoodCriterion:
     def test_identity_case(self):
         F = DeformationGradient(np.eye(3))
         assert classical_neighborhood_check(W_HALF, F)
-        assert classify_domain(W_HALF, F) is Domain.CLASSICAL
+        assert solve(W_HALF, F).domain is Domain.CLASSICAL
 
     def test_small_strain_example(self):
         F = gradient_from_values([1.1, 1.0, 0.9])
         # ||U - 1||^2 = 0.02 < zeta^2 / 2 = 2
         assert classical_neighborhood_check(W_HALF, F)
-        assert classify_domain(W_HALF, F) is Domain.CLASSICAL
+        assert solve(W_HALF, F).domain is Domain.CLASSICAL
 
     def test_regime_guards(self):
         F = DeformationGradient(np.eye(3))
@@ -256,7 +252,7 @@ class TestNeighborhoodCriterion:
             F = gradient_from_values(nus)
             if classical_neighborhood_check(W_HALF, F):
                 hits += 1
-                assert classify_domain(W_HALF, F) is not Domain.NON_CLASSICAL
+                assert solve(W_HALF, F).domain is not Domain.NON_CLASSICAL
         assert hits > 100  # the sample actually exercises the inclusion
 
 
@@ -301,9 +297,10 @@ class TestBifurcationGeometry:
             lam = w.scaling
             for s in (0.8 * rho, rho, 1.2 * rho):
                 nus = [s / 2 + 0.1, s / 2 - 0.1, 0.1]
-                sol = rpolar_3d(w, DeformationGradient(np.diag(nus)))
+                F = DeformationGradient(np.diag(nus))
+                sol = rpolar_3d(w, F)
                 u_rescaled = (nus[0] + nus[1]) / (2.0 * lam)
-                assert sol.u_mmp == pytest.approx(u_rescaled, rel=1e-12)
+                assert mean_planar_stretch(w, F) == pytest.approx(u_rescaled, rel=1e-12)
                 if s > rho * (1.0 + 1e-9):
                     assert len(sol.minimizers) == 2
                 else:
@@ -323,8 +320,8 @@ class TestBifurcationGeometry:
     def test_broken_inversion_symmetry_witness(self):
         F_star = gradient_from_values([1.5, 1.2, 1.1])
         inv = DeformationGradient(np.linalg.inv(F_star.matrix))
-        assert classify_domain(W10, F_star) is Domain.NON_CLASSICAL
-        assert classify_domain(W10, inv) is Domain.CLASSICAL
+        assert solve(W10, F_star).domain is Domain.NON_CLASSICAL
+        assert solve(W10, inv).domain is Domain.CLASSICAL
         sol_fwd = rpolar_3d(W10, F_star)
         sol_inv = rpolar_3d(W10, inv)
         inverted = [m.T for m in sol_fwd.minimizers]

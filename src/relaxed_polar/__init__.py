@@ -32,7 +32,6 @@ from .errors import (
     TooLarge,
 )
 from .matcore import (
-    SpectralData,
     frobenius_sq,
     is_rotation,
     skew,
@@ -88,7 +87,6 @@ __all__ = [
     "PolarData",
     "Regime",
     "RegimeError",
-    "SpectralData",
     "TooLarge",
     "absolute_rotation",
     "classical_neighborhood_check",

@@ -160,7 +160,7 @@ def _solve_report(W: CosseratWeights, F: DeformationGradient) -> dict:
         report["polar_angle"] = ap
     elif n == 3:
         u = spatial.mean_planar_stretch(W, F)
-        report["axis"] = F.polar.spectral.frame[:, 2]
+        report["axis"] = F.polar.frame[:, 2]
         report["u_mmp"] = u
         report["s_mmp"] = u - 1.0
     blocks = ndim.canonical_blocks(mset.k, n)
@@ -187,7 +187,7 @@ def cmd_solve(args) -> int:
             "grad_norm": res.grad_norm_at_best,
             "restarts_converged": res.restarts_converged,
         }
-    print(json.dumps(report, default=_json_default))
+    print(json.dumps(report, default=_json_default, allow_nan=False))
     return EXIT_OK
 
 
@@ -297,7 +297,7 @@ def cmd_ndim(args) -> int:
             {"partition": _partition_1based(p.blocks, p.signs), "value": v}
             for p, v in zip(parts, ndim.critical_values(parts, nus))
         ]
-    print(json.dumps(report, default=_json_default))
+    print(json.dumps(report, default=_json_default, allow_nan=False))
     return EXIT_OK
 
 

@@ -139,9 +139,7 @@ class DeformationGradient:
             a.setflags(write=False)
         self._matrix = matrix
         self._values = values
-        self._polar = PolarData(
-            rotation=rotation, spectral=matcore.SpectralData(values=values, frame=frame)
-        )
+        self._polar = PolarData(rotation=rotation, values=values, frame=frame)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -187,7 +185,7 @@ def rescale(W: CosseratWeights, F: DeformationGradient) -> DeformationGradient:
         return F
     lam = W.scaling
     ft = DeformationGradient.__new__(DeformationGradient)
-    ft._set(F.matrix / lam, F.singular_values / lam, F.polar.rotation, F.polar.spectral.frame)
+    ft._set(F.matrix / lam, F.singular_values / lam, F.polar.rotation, F.polar.frame)
     return ft
 
 
@@ -214,7 +212,7 @@ def relative_rotation(R, F: DeformationGradient) -> np.ndarray:
     r = np.asarray(R, dtype=float)
     if r.shape != (F.dim, F.dim):
         raise DimensionMismatch(f"rotation shape {r.shape} does not match dim {F.dim}")
-    q = F.polar.spectral.frame
+    q = F.polar.frame
     return q.T @ r.T @ F.polar.rotation @ q
 
 
@@ -223,7 +221,7 @@ def absolute_rotation(Rhat, F: DeformationGradient) -> np.ndarray:
     rh = np.asarray(Rhat, dtype=float)
     if rh.shape != (F.dim, F.dim):
         raise DimensionMismatch(f"rotation shape {rh.shape} does not match dim {F.dim}")
-    q = F.polar.spectral.frame
+    q = F.polar.frame
     return F.polar.rotation @ q @ rh.T @ q.T
 
 
@@ -383,7 +381,7 @@ class MinimizerSet:
         pol = F.polar.rotation
         if not self.k:
             return (pol.copy(),)
-        q = F.polar.spectral.frame
+        q = F.polar.frame
         # polar(F) Q B Q^T, B by the negated relative signs, in the order of signs
         signs = itertools.product((-1, 1), repeat=self.k)
         return tuple(pol @ q @ pair_rotations(self._dim, self._blocks, signs) @ q.T)

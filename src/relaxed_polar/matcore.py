@@ -9,8 +9,6 @@ forms for n = 2 and 3, a Hermitian eigendecomposition otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NotSkew
@@ -47,11 +45,6 @@ def frobenius_sq(x) -> float:
     return float(np.sum(a * a))
 
 
-def frobenius(x) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(x, dtype=float)))
-
-
 def is_rotation(r, tol: float = STRUCTURAL_TOL) -> bool:
     """True if R^T R = 1 and det R = 1 within ``tol`` (Frobenius / absolute)."""
     a = np.asarray(r, dtype=float)
@@ -62,18 +55,6 @@ def is_rotation(r, tol: float = STRUCTURAL_TOL) -> bool:
         return False
     ortho = np.linalg.norm(a.T @ a - np.eye(n)) <= tol * max(1.0, np.sqrt(n))
     return bool(ortho and abs(np.linalg.det(a) - 1.0) <= tol * max(1.0, np.sqrt(n)))
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigendata of a symmetric matrix: descending values, det-+1 frame.
-
-    ``frame`` columns are the eigenvectors q_i matching ``values``;
-    ``frame @ diag(values) @ frame.T`` reconstructs the input.
-    """
-
-    values: np.ndarray
-    frame: np.ndarray
 
 
 def svd_ordered(f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

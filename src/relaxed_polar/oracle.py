@@ -8,6 +8,10 @@ are verified at. Every restart draws its own random stream from (seed,
 restart index). Descent and Newton run their starts as one stack, each
 with its own step and stopping rule, so results do not depend on how the
 stack is split and are bit-identical for a fixed seed.
+
+Stationarity has one measure, the gradient norm ||G|| both searches
+return: for mu > muc it is mu lam ||skew((Rhat D / lam - 1)^2)||, the
+paper's symmetric-square defect scaled, so it certifies critical points.
 """
 
 from __future__ import annotations
@@ -18,14 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matcore
-from .energy import (
-    CosseratWeights,
-    DeformationGradient,
-    absolute_rotation,
-    energy,
-    relative_rotation,
-    solve,
-)
+from .energy import CosseratWeights, DeformationGradient, absolute_rotation, energy, solve
 from .errors import DimensionMismatch
 
 # first step length of every descent; each start then adapts its own
@@ -56,6 +53,16 @@ class OracleConfig:
 
 @dataclass(frozen=True)
 class OracleResult:
+    """What :func:`global_minimize` found.
+
+    ``best_rotation`` is the lowest-energy descent endpoint after Newton,
+    ``best_energy`` its energy by :func:`~relaxed_polar.energy.energy` and
+    ``grad_norm_at_best`` its gradient norm ||G||. ``restarts_converged``
+    counts the descents that ended with ||G|| <= tol_grad before Newton;
+    at tol_grad = 1e-9 most descents end by step underflow with ||G|| near
+    that bound, so the count depends on rounding.
+    """
+
     best_rotation: np.ndarray
     best_energy: float
     grad_norm_at_best: float
@@ -290,22 +297,6 @@ def global_minimize(
     )
 
 
-def _stationarity_defect(W: CosseratWeights, R, F: DeformationGradient) -> float:
-    """Size of the Euler-Lagrange residual at R.
-
-    For non-classical weights this is the symmetric-square condition on
-    the reduced problem: ||skew((Rhat Dt - 1)^2)|| with Dt the rescaled
-    diagonal (Dt = D for muc = 0). Classical weights fall back to the
-    gradient norm.
-    """
-    if W.is_classical:
-        return matcore.frobenius(_gradient(W.mu, W.muc, np.asarray(R, float), F.matrix, np.eye(F.dim)))
-    rhat = relative_rotation(R, F)
-    dt = np.diag(F.singular_values / W.scaling)
-    x = rhat @ dt - np.eye(F.dim)
-    return matcore.frobenius(matcore.skew(x @ x))
-
-
 def critical_scan(
     W: CosseratWeights, F: DeformationGradient, cfg: OracleConfig
 ) -> list[tuple[np.ndarray, float]]:
@@ -316,10 +307,12 @@ def critical_scan(
     exact and slightly perturbed): energy descent, which lands on minima
     and stays put when started exactly at a critical point, and damped
     Newton on the gradient field, which also converges to saddles; each
-    runs all the starts as one stack. Endpoints failing the Euler-Lagrange
-    certificate (defect above 1e-8) are dropped; the rest are clustered
-    (same point = energy within 1e-6 and Frobenius distance within 1e-4)
-    and sorted by energy.
+    runs all the starts as one stack. An endpoint is kept when the ||G||
+    its search returns is at most 1e-8 s, s = 1 for classical weights and
+    mu lam otherwise, where ||G|| / (mu lam) = ||skew((Rhat D / lam - 1)^2)||
+    is the paper's defect. Kept endpoints, each start's descent before its
+    Newton, are clustered (same point = energy within 1e-6 and Frobenius
+    distance within 1e-4; the first stays) and sorted by energy.
     """
     n = F.dim
     corners = [np.diag(s) for s in itertools.product((1.0, -1.0), repeat=n) if np.prod(s) > 0]
@@ -329,16 +322,16 @@ def critical_scan(
     starts += [haar_sample(n, np.random.default_rng((cfg.seed, i))) for i in range(cfg.samples)]
 
     newton_tol = 1e-13 * (1.0 + matcore.frobenius_sq(F.matrix))
-    r_desc, _, _ = _descend(W, F, np.array(starts), cfg)
-    r_newt, _ = _newton(W, F, np.array(starts), newton_tol)
-    candidates = [r for pair in zip(r_desc, r_newt) for r in pair]
+    r_desc, _, gn_desc = _descend(W, F, np.array(starts), cfg)
+    r_newt, gn_newt = _newton(W, F, np.array(starts), newton_tol)
+    r = np.stack((r_desc, r_newt), axis=1).reshape(-1, n, n)
+    gn = np.stack((gn_desc, gn_newt), axis=1).ravel()
+    tol = 1e-8 * (1.0 if W.is_classical else W.mu * W.scaling)
 
     found: list[tuple[np.ndarray, float]] = []
-    for r in candidates:
-        if _stationarity_defect(W, r, F) > 1e-8:
-            continue
-        e = energy(W, r, F)
-        if not any(abs(e - ek) <= 1e-6 and matcore.frobenius(r - rk) <= 1e-4 for rk, ek in found):
-            found.append((r, e))
+    for ri in r[gn <= tol]:
+        e = energy(W, ri, F)
+        if not any(abs(e - ek) <= 1e-6 and _norm(ri - rk) <= 1e-4 for rk, ek in found):
+            found.append((ri, e))
     found.sort(key=lambda t: t[1])
     return found

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatch
-from .matcore import SpectralData
 
 if TYPE_CHECKING:  # pragma: no cover
     from .energy import DeformationGradient
@@ -24,18 +23,19 @@ if TYPE_CHECKING:  # pragma: no cover
 class PolarData:
     """Factors of F = rotation @ stretch plus the spectral frame of the stretch.
 
-    ``spectral`` holds the eigenframe Q of the stretch and its descending
-    eigenvalues (the singular values of F). ``stretch`` = Q diag(nu) Q^T,
-    symmetric positive definite and read-only, is computed on first read.
+    ``values`` are the descending eigenvalues of the stretch (the singular
+    values of F), and the columns of ``frame``, a rotation, are its matching
+    eigenvectors q_i. ``stretch`` = Q diag(nu) Q^T, symmetric positive
+    definite and read-only, is computed on first read.
     """
 
     rotation: np.ndarray
-    spectral: SpectralData
+    values: np.ndarray
+    frame: np.ndarray
 
     @functools.cached_property
     def stretch(self) -> np.ndarray:
-        q = self.spectral.frame
-        s = q @ np.diag(self.spectral.values) @ q.T
+        s = self.frame @ np.diag(self.values) @ self.frame.T
         s = (s + s.T) / 2.0
         s.setflags(write=False)
         return s

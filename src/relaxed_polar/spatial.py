@@ -49,7 +49,7 @@ def mean_planar_stretch(W: CosseratWeights, F: DeformationGradient) -> float:
 def rpolar_3d(W: CosseratWeights, F: DeformationGradient) -> MinimizerSet:
     """The :func:`~relaxed_polar.energy.solve` set of a 3D F.
 
-    Its branches turn about the axis q3 = ``F.polar.spectral.frame[:, 2]``.
+    Its branches turn about the axis q3 = ``F.polar.frame[:, 2]``.
     """
     _require_3d(F)
     return solve(W, F)
@@ -70,7 +70,7 @@ def plane_of_max_stretch(
         raise DegenerateSpectrum(
             f"nu_2 = {nu[1]:g} and nu_3 = {nu[2]:g} too close; plane undefined"
         )
-    q = F.polar.spectral.frame
+    q = F.polar.frame
     return q[:, 0].copy(), q[:, 1].copy(), q[:, 2].copy()
 
 

@@ -11,7 +11,7 @@ PUBLIC = {
     "DimensionMismatch", "Domain", "GlobalMinimizers", "InadmissiblePartition",
     "MatrixParseError", "MinimizerSet", "NotSkew", "OracleConfig", "OracleResult",
     "OrientationError", "PlanarSolution", "PolarData", "Regime", "RegimeError",
-    "SpectralData", "TooLarge", "absolute_rotation",
+    "TooLarge", "absolute_rotation",
     "classical_neighborhood_check", "critical_scan", "critical_value",
     "dist_sq_so_n", "energy", "enumerate_critical_partitions", "frobenius_sq",
     "global_minimize", "global_minimizers_nd", "haar_sample", "is_rotation", "optimal_angles",

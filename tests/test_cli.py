@@ -116,7 +116,7 @@ class TestSolve:
         assert rep["relative_angles"] == list(sol.relative_angles)
         u = mean_planar_stretch(W, F)
         assert rep["u_mmp"] == u and rep["s_mmp"] == u - 1.0
-        np.testing.assert_array_equal(rep["axis"], F.polar.spectral.frame[:, 2])
+        np.testing.assert_array_equal(rep["axis"], F.polar.frame[:, 2])
         assert_rotations_equal(rep["minimizers"], sol.minimizers)
 
     def test_degenerate_is_a_json_bool(self, capsys):
@@ -339,6 +339,21 @@ def test_negative_exponent_reads_as_with_equals(capsys):
     code, out, _ = run(["solve", "--shear", "-1e-3"], capsys)
     assert code == cli.EXIT_OK
     assert out == run(["solve", "--shear=-1e-3"], capsys)[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ndim", "1e200", "1"],
+        ["solve", "--matrix", "[[1e200, 0], [0, 1e200]]", "--muc", "2"],
+    ],
+)
+def test_an_overflowing_report_is_an_error_not_infinity(argv, capsys):
+    # JSON has no Infinity: an energy that overflows ends the run, with nothing printed
+    code, out, err = run(argv, capsys)
+    assert code == cli.EXIT_DOMAIN
+    assert out == ""
+    assert err.startswith("error:")
 
 
 @pytest.mark.parametrize(

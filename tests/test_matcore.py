@@ -74,7 +74,7 @@ def test_frobenius_orthogonal_invariance():
 
 
 def test_sym_eig_diagonal():
-    out = DeformationGradient(np.diag([1.0, 2.0, 3.0])).polar.spectral
+    out = DeformationGradient(np.diag([1.0, 2.0, 3.0])).polar
     assert np.allclose(out.values, [3.0, 2.0, 1.0], atol=1e-14)
     # frame is a signed permutation with det +1
     assert np.allclose(np.abs(out.frame), np.fliplr(np.eye(3)), atol=1e-14)
@@ -83,7 +83,7 @@ def test_sym_eig_diagonal():
 
 def test_sym_eig_identity_keeps_identity_frame():
     for n in (2, 3, 5):
-        out = DeformationGradient(np.eye(n)).polar.spectral
+        out = DeformationGradient(np.eye(n)).polar
         assert np.array_equal(out.values, np.ones(n))
         assert np.array_equal(out.frame, np.eye(n))
 
@@ -95,7 +95,7 @@ def test_sym_eig_round_trip():
         q = random_rotation(n, rng)
         d = np.sort(rng.uniform(0.2, 3.0, n))[::-1]
         s = q @ np.diag(d) @ q.T
-        out = DeformationGradient(s).polar.spectral
+        out = DeformationGradient(s).polar
         assert np.allclose(out.values, d, atol=1e-10)
         resid = np.linalg.norm(out.frame @ np.diag(out.values) @ out.frame.T - s)
         assert resid <= 1e-10 * (1.0 + np.linalg.norm(s))

@@ -16,6 +16,7 @@ from relaxed_polar import (
     matcore,
     oracle,
     reduced_energy,
+    relative_rotation,
     riemannian_descent,
 )
 
@@ -134,6 +135,33 @@ def scan_cases():
     return cases
 
 
+def symmetric_square_defect(W, r, F):
+    """The paper's stationarity condition for mu > muc: ||skew((Rhat D / lam - 1)^2)||."""
+    x = relative_rotation(r, F) @ np.diag(F.singular_values / W.scaling) - np.eye(F.dim)
+    return np.linalg.norm(matcore.skew(x @ x))
+
+
+def reference_certificate(W, r, F):
+    """The defect for mu > muc, the gradient norm for classical weights."""
+    if W.is_classical:
+        return oracle._norm(oracle._gradient(W.mu, W.muc, r, F.matrix, np.eye(F.dim)))
+    return symmetric_square_defect(W, r, F)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("positive_muc", [False, True], ids=["muc=0", "0<muc<mu"])
+def test_symmetric_square_defect_is_the_scaled_gradient_norm(n, positive_muc):
+    # G = (mu - muc) skew(Y^2) - 2 mu skew(Y) = mu lam skew((Y / lam - 1)^2), Q^T Y Q = Rhat D
+    rng = np.random.default_rng(100 + n)
+    for _ in range(25):
+        mu = rng.uniform(0.5, 3.0)
+        W = CosseratWeights(mu, rng.uniform(0.0, mu) if positive_muc else 0.0)
+        F = random_gl_plus(n, rng, lo=0.3, hi=3.0)
+        r = haar_sample(n, rng)
+        gn = oracle._norm(oracle._gradient(W.mu, W.muc, r, F.matrix, np.eye(n)))
+        assert gn == pytest.approx(W.mu * W.scaling * symmetric_square_defect(W, r, F), rel=1e-12)
+
+
 @pytest.mark.parametrize("m", scan_cases())
 def test_critical_scan_finds_census_values(m):
     W, F = CosseratWeights(1.0, 0.0), DeformationGradient(m)
@@ -144,7 +172,19 @@ def test_critical_scan_finds_census_values(m):
     for r, e in found:
         assert min(abs(e - v) for v in census) <= 1e-8 * (1.0 + abs(e))
         assert is_rotation(r, tol=1e-12)
-        assert oracle._stationarity_defect(W, r, F) <= 1e-8
+        assert symmetric_square_defect(W, r, F) <= 1e-8
+    assert found[0][1] == pytest.approx(reduced_energy(W, F), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("m", scan_cases())
+@pytest.mark.parametrize("mu, muc", [(1.7, 0.4), (1.0, 2.0)])
+def test_critical_scan_in_the_other_weight_regimes(m, mu, muc):
+    W, F = CosseratWeights(mu, muc), DeformationGradient(m)
+    found = critical_scan(W, F, OracleConfig(seed=3, samples=8))
+    assert found
+    for r, _ in found:
+        assert is_rotation(r, tol=1e-12)
+        assert reference_certificate(W, r, F) <= 1e-8
     assert found[0][1] == pytest.approx(reduced_energy(W, F), rel=1e-12, abs=1e-12)
 
 

@@ -198,7 +198,7 @@ def rpolar_3d_reference(W, F):
     """
     nu = F.singular_values
     pol = F.polar.rotation
-    frame = F.polar.spectral.frame
+    frame = F.polar.frame
     s = float(nu[0] + nu[1])
     minimizers, angles = (pol.copy(),), (0.0,)
     degenerate = False
@@ -252,7 +252,7 @@ def test_spatial_view_is_bitwise_the_closed_3d_formula():
             assert np.array_equal(a, b)
         assert sol.relative_angles == angles and sol.domain is domain
         assert sol.degenerate == degenerate
-        assert np.array_equal(F.polar.spectral.frame[:, 2], axis)
+        assert np.array_equal(F.polar.frame[:, 2], axis)
         u_mmp = mean_planar_stretch(W, F)
         assert u_mmp == u and u_mmp - 1.0 == strain
         assert sol.reduced_energy == reduced_energy_values(W, F.singular_values)[1]

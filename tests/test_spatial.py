@@ -112,7 +112,7 @@ class TestRpolar3D:
         assert sol.domain is Domain.NON_CLASSICAL
         beta = np.arccos(1.0 / 3.0)
         assert sol.relative_angles == pytest.approx((beta, -beta), abs=1e-14)
-        assert np.allclose(F.polar.spectral.frame[:, 2], [0.0, 0.0, 1.0], atol=1e-14)
+        assert np.allclose(F.polar.frame[:, 2], [0.0, 0.0, 1.0], atol=1e-14)
         # the "+" branch carries relative angle +beta; as an absolute
         # rotation it is the z-block rotation by -beta (crossed signs)
         c, s = np.cos(beta), np.sin(beta)

@@ -28,6 +28,9 @@ sorted values, so its ``k``, ``wred`` and ``degenerate`` agree with
 Matrices are accepted as JSON rows (``[[...],[...]]``) or whitespace
 separated lines, inline via ``--matrix`` or from a file. All numbers are
 serialized with full round-trip precision so downstream checks are exact.
+JSON has no infinity: a report field that overflows float64 at extreme
+input scales ends the run with exit 3 and an error naming the field. CSV
+rows keep such a value and read ``inf``, without a warning.
 iso-grid, sweep-planar and the ndim census compute their columns as
 arrays; every row is bit-identical to a per-row library call. Range
 options (MIN MAX COUNT) need finite MIN < MAX and a whole COUNT >= 2.
@@ -78,6 +81,20 @@ def _json_default(obj):
     if isinstance(obj, (np.ndarray, np.bool_, np.integer)):
         return obj.tolist()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(report: dict) -> str:
+    """The report as one JSON line. JSON has no infinity, so a field that
+    overflowed float64 raises a ``ValueError`` that names it."""
+    try:
+        return json.dumps(report, default=_json_default, allow_nan=False)
+    except ValueError:
+        for field, value in report.items():
+            try:
+                json.dumps(value, default=_json_default, allow_nan=False)
+            except ValueError:
+                raise ValueError(f"{field} overflows float64: the input scale is too large") from None
+        raise
 
 
 def parse_matrix_text(text: str) -> list[list[float]]:
@@ -187,7 +204,7 @@ def cmd_solve(args) -> int:
             "grad_norm": res.grad_norm_at_best,
             "restarts_converged": res.restarts_converged,
         }
-    print(json.dumps(report, default=_json_default, allow_nan=False))
+    print(_dumps(report))
     return EXIT_OK
 
 
@@ -207,7 +224,8 @@ def cmd_sweep_planar(args) -> int:
         raise ValueError("fixed singular value must be positive and below the range")
     # diag(tr_u - nu2, nu2) has those two entries as its singular values
     nus = np.stack([tr_u - nu2, np.full_like(tr_u, nu2)], axis=-1)
-    k, wred = reduced_energy_stack(W, nus)
+    with np.errstate(over="ignore"):  # an overflowing wred reads inf
+        k, wred = reduced_energy_stack(W, nus)
     bifurcated = k > 0
     beta = np.zeros_like(tr_u)
     if bifurcated.any():  # classical weights never branch and have no singular radius
@@ -267,7 +285,8 @@ def cmd_iso_grid(args) -> int:
     if not axis[0] > 0.0:
         raise ValueError("--grid needs MIN > 0")
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    wred = reduced_energy_stack(CosseratWeights(1.0, 0.0), grid)[1].tolist()
+    with np.errstate(over="ignore"):  # an overflowing wred reads inf
+        wred = reduced_energy_stack(CosseratWeights(1.0, 0.0), grid)[1].tolist()
     labels = [fmt(v) for v in axis]
     rows = (
         [a, b, c, repr(w)]
@@ -297,7 +316,7 @@ def cmd_ndim(args) -> int:
             {"partition": _partition_1based(p.blocks, p.signs), "value": v}
             for p, v in zip(parts, ndim.critical_values(parts, nus))
         ]
-    print(json.dumps(report, default=_json_default, allow_nan=False))
+    print(_dumps(report))
     return EXIT_OK
 
 

@@ -4,7 +4,9 @@ All routines operate on plain ``numpy`` arrays and are pure functions:
 nothing here mutates its inputs or keeps state, so everything is safe to
 call concurrently. Intended scale is n <= ~50; nothing is tuned beyond
 that. ``skew_exp`` takes stacks and needs no Pade approximant: closed
-forms for n = 2 and 3, a Hermitian eigendecomposition otherwise.
+forms for n = 2 and 3, a Hermitian eigendecomposition otherwise. The
+oracle no longer calls it for its descent and Newton steps, which use the
+cheaper Cayley retraction; it perturbs ``critical_scan``'s corner starts.
 """
 
 from __future__ import annotations

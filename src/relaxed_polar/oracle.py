@@ -2,12 +2,17 @@
 
 Multi-start Riemannian gradient descent over the rotation group from
 Haar-uniform restarts, finished by Newton on the gradient field with its
-exact Jacobian. The rotation group is compact, so enough restarts make
-this a credible global oracle at the small dimensions the closed forms
-are verified at. Every restart draws its own random stream from (seed,
-restart index). Descent and Newton run their starts as one stack, each
-with its own step and stopping rule, so results do not depend on how the
-stack is split and are bit-identical for a fixed seed.
+exact Jacobian. Both step by the Cayley retraction R <- R C(A), C(A) =
+(1 - A/2)^-1 (1 + A/2) for skew A: one real linear solve per step, where
+the exponential of ``matcore.skew_exp`` needs an eigendecomposition for
+n >= 4. C agrees with expm to second order (Absil, Mahony and Sepulchre,
+*Optimization Algorithms on Matrix Manifolds*, 2008, sec. 4.1), so Newton
+keeps its exact Jacobian. The rotation group is compact, so enough
+restarts make this a credible global oracle at the small dimensions the
+closed forms are verified at. Every restart draws its own random stream
+from (seed, restart index). Descent and Newton run their starts as one
+stack, each with its own step and stopping rule, so results do not depend
+on how the stack is split and are bit-identical for a fixed seed.
 
 Stationarity has one measure, the gradient norm ||G|| both searches
 return: for mu > muc it is mu lam ||skew((Rhat D / lam - 1)^2)||, the
@@ -29,7 +34,9 @@ from .errors import DimensionMismatch
 _STEP_INIT = 0.1
 _MIN_STEP = 1e-18
 # generous cap: backtracking rejects overshoots anyway, and nearly flat
-# modes (repeated singular values) need steps far above unity to converge
+# modes (repeated singular values) need steps far above unity to converge.
+# A Cayley step turns a plane of angle t theta by 2 atan(t theta / 2), so at
+# the cap a step saturates just short of pi rather than wrapping around
 _MAX_STEP = 1e6
 
 
@@ -130,6 +137,20 @@ def _norm(g: np.ndarray) -> np.ndarray:
     return np.sqrt((g * g).sum(axis=(-2, -1)))
 
 
+def _cayley(a: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Cayley transform (1 - A/2)^-1 (1 + A/2) of a stack of skew A (S, n, n).
+
+    A rotation for every skew A, since 1 - A/2 is then invertible; each
+    slice is solved on its own, so a slice's result does not depend on the
+    stack. A is not checked: both callers build it skew. The orthogonality
+    error is a few ulps for ||A|| <= 10. 1 - A/2 has condition number about
+    ||A|| / 2, so at ||A|| = 1e6 the error grows to about 1e-10 in odd n;
+    the descent's SVD re-projection every 64 steps removes that drift.
+    """
+    half = 0.5 * a
+    return np.linalg.solve(eye - half, eye + half)
+
+
 def _descend(
     W: CosseratWeights,
     F: DeformationGradient,
@@ -139,14 +160,16 @@ def _descend(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Backtracking descent of a stack of starts (S, n, n), each on its own.
 
-    Each start keeps its own step t: the trial R expm(-t G) is accepted if
-    the energy strictly decreases, else t is halved; after acceptance t
-    doubles up to ``_MAX_STEP``, and every 64 accepted steps R is
-    re-projected onto the rotations by SVD. A start stops at ||G|| <=
-    tol_grad, at t < ``_MIN_STEP`` or after max_iters accepted steps. A
-    round evaluates only the running starts, slice by slice, so no start
-    depends on the rest of the stack. ``energy_trace`` needs one start.
-    Returns the rotations, energies and gradient norms.
+    Each start keeps its own step t: the trial R C(-t G), C the Cayley
+    retraction ``_cayley``, is accepted if the energy strictly decreases,
+    else t is halved; after acceptance t doubles up to ``_MAX_STEP``, where
+    a step saturates just short of a half turn rather than wrapping, and
+    every 64 accepted steps R is re-projected onto the rotations by SVD. A
+    start stops at ||G|| <= tol_grad, at t < ``_MIN_STEP`` or after
+    max_iters accepted steps. A round evaluates only the running starts,
+    slice by slice, so no start depends on the rest of the stack.
+    ``energy_trace`` needs one start. Returns the rotations, energies and
+    gradient norms.
     """
     mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
     r = np.array(starts, dtype=float)
@@ -168,7 +191,7 @@ def _descend(
             pos, r, e, g, gn, t, steps = (x[keep] for x in (pos, r, e, g, gn, t, steps))
         if not len(pos):
             return out_r, out_e, out_gn
-        r_try = r @ matcore.skew_exp(-t[:, None, None] * g)
+        r_try = r @ _cayley(-t[:, None, None] * g, eye)
         e_try = _energy(mu, muc, r_try, f, eye)
         ok = e_try < e
         t = np.where(ok, np.minimum(2.0 * t, _MAX_STEP), 0.5 * t)
@@ -199,12 +222,14 @@ def _newton(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton iteration on G(R) = 0 for a stack of starts (S, n, n).
 
-    Each start takes the least-squares step on the exact Jacobian, halved
-    until ||G|| shrinks, and stops at ||G|| <= tol, after 60 steps or once
-    the factor falls to 1e-6. It converges quadratically to whichever
-    critical point (minimum, saddle or maximum) it starts near. As in
-    ``_descend``, a start's result does not depend on the rest of the stack.
-    Returns the rotations and gradient norms.
+    Each start solves J dx = -G by least squares on the exact Jacobian and
+    tries R C(f dx), C the Cayley retraction ``_cayley``, with the factor f
+    halved until ||G|| shrinks. C has the velocity of expm at 0, so the
+    Jacobian taken along R expm(s B) is exact for it too. A start stops at
+    ||G|| <= tol, after 60 steps or once f falls to 1e-6. It converges
+    quadratically to whichever critical point (minimum, saddle or maximum)
+    it starts near. As in ``_descend``, a start's result does not depend on
+    the rest of the stack. Returns the rotations and gradient norms.
     """
     mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
     ii, jj = np.triu_indices(F.dim, 1)
@@ -230,7 +255,7 @@ def _newton(
             dx = (np.linalg.pinv(jac) @ -g[fresh][:, jj, ii, None])[..., 0]
             new = np.flatnonzero(fresh)[:, None]
             step[new, jj, ii], step[new, ii, jj], factor[fresh] = dx, -dx, 1.0
-        r_try = r @ matcore.skew_exp(factor[:, None, None] * step)
+        r_try = r @ _cayley(factor[:, None, None] * step, eye)
         g_try = _gradient(mu, muc, r_try, f, eye)
         gn_try = _norm(g_try)
         fresh = gn_try < gn
@@ -245,10 +270,11 @@ def riemannian_descent(
 ) -> tuple[np.ndarray, float, float]:
     """Backtracking gradient descent on the rotation group from R0.
 
-    Steps R <- R expm(-t G); the step is halved until the energy strictly
-    decreases and regrown after acceptance. Stops once ||G|| <= tol_grad,
-    the step underflows (stationary to machine precision), or max_iters
-    is hit. This is the one-start case of the stacked descent of
+    Steps R <- R C(-t G), C(A) = (1 - A/2)^-1 (1 + A/2) the Cayley
+    retraction; the step is halved until the energy strictly decreases and
+    regrown after acceptance. Stops once ||G|| <= tol_grad, the step
+    underflows (stationary to machine precision), or max_iters is hit.
+    This is the one-start case of the stacked descent of
     ``global_minimize``. Pass ``energy_trace`` to record the energy after
     each accepted step: it strictly decreases, except across the SVD
     re-projection every 64 steps, which can move it by rounding.

@@ -349,11 +349,30 @@ def test_negative_exponent_reads_as_with_equals(capsys):
     ],
 )
 def test_an_overflowing_report_is_an_error_not_infinity(argv, capsys):
-    # JSON has no Infinity: an energy that overflows ends the run, with nothing printed
+    # JSON has no Infinity: an energy that overflows ends the run, with nothing
+    # printed, and the error names the field
+    field = {"ndim": "wred", "solve": "reduced_energy"}[argv[0]]
     code, out, err = run(argv, capsys)
     assert code == cli.EXIT_DOMAIN
     assert out == ""
-    assert err.startswith("error:")
+    assert err.startswith(f"error: {field} overflows float64")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iso-grid", "--grid", "1e200", "1e201", "3", "--out", "{out}"],
+        ["sweep-planar", "--range", "1e200", "1e201", "3", "--out", "{out}"],
+    ],
+)
+def test_an_overflowing_csv_row_reads_inf_without_a_warning(argv, tmp_path, capsys):
+    # the test configuration turns a numpy RuntimeWarning into an error
+    out = tmp_path / "rows.csv"
+    code, _, err = run([a.format(out=out) for a in argv], capsys)
+    assert code == cli.EXIT_OK
+    assert err == ""
+    header, rows = read_csv(out)
+    assert {row[header.index("wred")] for row in rows} == {"inf"}
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,8 @@ CFG = OracleConfig(seed=2017, samples=16, max_iters=150, tol_grad=1e-9)
 
 
 def reference_descent(W, F, r0, cfg):
-    """The descent rules written one start at a time, on the oracle's kernels.
+    """The descent rules written one start at a time, on the oracle's kernels
+    and its Cayley step.
 
     Same arithmetic as the stacked loop, so its results must be identical.
     """
@@ -43,7 +44,7 @@ def reference_descent(W, F, r0, cfg):
             break
         moved = False
         while t >= oracle._MIN_STEP:
-            r_try = r @ matcore.skew_exp(-t * g)
+            r_try = r @ oracle._cayley(-t * g, eye)
             e_try = oracle._energy(mu, muc, r_try, f, eye)
             if e_try[0] < e[0]:
                 r, e, moved = r_try, e_try, True
@@ -76,6 +77,52 @@ def problems():
 
 def haar_starts(n, count):
     return np.array([haar_sample(n, np.random.default_rng((CFG.seed, i))) for i in range(count)])
+
+
+def random_skew(n, count, norm, rng):
+    """A stack of skew matrices, each of Frobenius norm ``norm``."""
+    b = rng.standard_normal((count, n, n))
+    a = b - b.swapaxes(-1, -2)
+    return a * (norm / np.linalg.norm(a, axis=(-2, -1)))[:, None, None]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cayley_step_is_a_rotation(n):
+    rng, eye = np.random.default_rng(60 + n), np.eye(n)
+    for norm, tol in [(1e-3, 1e-14), (1.0, 1e-14), (10.0, 1e-14), (1e6, 1e-9)]:
+        c = oracle._cayley(random_skew(n, 64, norm, rng), eye)
+        assert np.linalg.norm(c.swapaxes(-1, -2) @ c - eye, axis=(-2, -1)).max() <= tol
+        np.testing.assert_allclose(np.linalg.det(c), 1.0, rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cayley_step_agrees_with_the_exponential_to_second_order(n):
+    # C(A) = 1 + A + A^2/2 + A^3/4 + ..., so C(sA) - expm(sA) falls as s^3
+    a, eye = random_skew(n, 1, 1.0, np.random.default_rng(70 + n)), np.eye(n)
+    err = [np.linalg.norm(oracle._cayley(s * a, eye) - matcore.skew_exp(s * a)) for s in (1e-2, 1e-3)]
+    assert 500.0 <= err[0] / err[1] <= 2000.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_cayley_stack_is_bit_identical_to_single_slices(n):
+    rng, eye = np.random.default_rng(80 + n), np.eye(n)
+    a = random_skew(n, 16, 1.0, rng) * rng.uniform(1e-3, 10.0, 16)[:, None, None]
+    c = oracle._cayley(a, eye)
+    for i in range(len(a)):
+        np.testing.assert_array_equal(oracle._cayley(a[i : i + 1], eye)[0], c[i])
+    split = [oracle._cayley(a[:5], eye), oracle._cayley(a[5:], eye)]
+    np.testing.assert_array_equal(np.concatenate(split), c)
+
+
+@pytest.mark.parametrize("theta", [0.5, 3.0, 1e6])
+def test_cayley_step_turns_by_twice_the_arctangent_of_half_the_angle(theta):
+    # the step saturates short of a half turn instead of wrapping around
+    x, y, z = np.array([1.0, -2.0, 2.0]) / 3.0
+    a = theta * np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    c = oracle._cayley(a[None], np.eye(3))[0]
+    # sin and cos of the angle, each doubled: ||C - C^T|| = 2 sqrt(2) sin, tr C - 1 = 2 cos
+    angle = np.arctan2(np.linalg.norm(c - c.T) / np.sqrt(2.0), np.trace(c) - 1.0)
+    assert abs(angle - 2.0 * np.arctan(theta / 2.0)) <= 1e-15
 
 
 @pytest.mark.parametrize("W, F", problems())

@@ -31,14 +31,7 @@ from .errors import (
     RegimeError,
     TooLarge,
 )
-from .matcore import (
-    frobenius_sq,
-    is_rotation,
-    skew,
-    skew_exp,
-    svd_ordered,
-    sym,
-)
+from .matcore import skew_exp
 from .ndim import (
     CriticalPartition,
     GlobalMinimizers,
@@ -95,11 +88,9 @@ __all__ = [
     "dist_sq_so_n",
     "energy",
     "enumerate_critical_partitions",
-    "frobenius_sq",
     "global_minimize",
     "global_minimizers_nd",
     "haar_sample",
-    "is_rotation",
     "optimal_angles",
     "plane_of_max_stretch",
     "polar_2d_explicit",
@@ -112,13 +103,10 @@ __all__ = [
     "riemannian_descent",
     "rpolar_3d",
     "simple_shear",
-    "skew",
     "skew_exp",
     "sl3_criterion",
     "solve",
     "solve_values",
-    "svd_ordered",
-    "sym",
     "traversal_path",
     "wred_3d",
 ]

@@ -196,6 +196,7 @@ def cmd_solve(args) -> int:
     F = load_gradient(args)
     report = _solve_report(W, F)
     if args.verify:
+        _dumps(report)  # an overflowing field ends the run before the oracle sees it
         cfg = oracle.OracleConfig(seed=args.seed, samples=args.samples, tol_grad=1e-9)
         res = oracle.global_minimize(W, F, cfg)
         report["oracle"] = {

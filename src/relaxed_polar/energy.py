@@ -163,14 +163,22 @@ class DeformationGradient:
 
 
 def energy(W: CosseratWeights, R, F: DeformationGradient) -> float:
-    """Evaluate the shear-stretch energy of a rotation against F."""
+    """The shear-stretch energy mu ||sym X||^2 + muc ||skew X||^2, X = R^T F - 1.
+
+    Evaluated from the definition. A non-finite R raises ``ValueError``
+    before the product, where inf * 0 would warn, and so does an X that
+    overflows.
+    """
     r = np.asarray(R, dtype=float)
     if r.shape != (F.dim, F.dim):
         raise DimensionMismatch(f"rotation shape {r.shape} does not match dim {F.dim}")
+    if not np.isfinite(r).all():
+        raise ValueError("matrix entries must be finite")
     x = r.T @ F.matrix - np.eye(F.dim)
-    return W.mu * matcore.frobenius_sq(matcore.sym(x)) + W.muc * matcore.frobenius_sq(
-        matcore.skew(x)
-    )
+    if not np.isfinite(x).all():
+        raise ValueError("matrix entries must be finite")
+    s, a = (x + x.T) / 2.0, (x - x.T) / 2.0
+    return W.mu * float(np.sum(s * s)) + W.muc * float(np.sum(a * a))
 
 
 def rescale(W: CosseratWeights, F: DeformationGradient) -> DeformationGradient:

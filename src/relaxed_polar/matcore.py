@@ -3,10 +3,11 @@
 All routines operate on plain ``numpy`` arrays and are pure functions:
 nothing here mutates its inputs or keeps state, so everything is safe to
 call concurrently. Intended scale is n <= ~50; nothing is tuned beyond
-that. ``skew_exp`` takes stacks and needs no Pade approximant: closed
-forms for n = 2 and 3, a Hermitian eigendecomposition otherwise. The
-oracle no longer calls it for its descent and Newton steps, which use the
-cheaper Cayley retraction; it perturbs ``critical_scan``'s corner starts.
+that. ``svd_ordered`` is the one SVD that ``DeformationGradient`` takes
+all its decompositions from. ``skew_exp`` is the exact exponential of a
+skew matrix, public and the reference the oracle's Cayley step is tested
+against; it takes stacks and needs no Pade approximant: closed forms for
+n = 2 and 3, a Hermitian eigendecomposition otherwise.
 """
 
 from __future__ import annotations
@@ -15,58 +16,23 @@ import numpy as np
 
 from .errors import NotSkew
 
-# Structural checks (orthogonality, skewness, ...) use an absolute tolerance.
+# skew_exp's skewness check uses an absolute tolerance.
 STRUCTURAL_TOL = 1e-12
-
-
-def as_square(x) -> np.ndarray:
-    """Coerce to a finite, square, float matrix of dim >= 1."""
-    a = np.asarray(x, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    return a
-
-
-def sym(x) -> np.ndarray:
-    """Symmetric part (X + X^T) / 2."""
-    a = as_square(x)
-    return (a + a.T) / 2.0
-
-
-def skew(x) -> np.ndarray:
-    """Skew-symmetric part (X - X^T) / 2."""
-    a = as_square(x)
-    return (a - a.T) / 2.0
-
-
-def frobenius_sq(x) -> float:
-    """Squared Frobenius norm tr(X^T X)."""
-    a = np.asarray(x, dtype=float)
-    return float(np.sum(a * a))
-
-
-def is_rotation(r, tol: float = STRUCTURAL_TOL) -> bool:
-    """True if R^T R = 1 and det R = 1 within ``tol`` (Frobenius / absolute)."""
-    a = np.asarray(r, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    n = a.shape[0]
-    if not np.all(np.isfinite(a)):
-        return False
-    ortho = np.linalg.norm(a.T @ a - np.eye(n)) <= tol * max(1.0, np.sqrt(n))
-    return bool(ortho and abs(np.linalg.det(a) - 1.0) <= tol * max(1.0, np.sqrt(n)))
 
 
 def svd_ordered(f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """SVD F = left @ diag(values) @ right.T with descending values.
 
-    ``left`` and ``right`` are orthogonal (not necessarily det +1). In the
-    hot path its one caller is the ``DeformationGradient`` constructor,
-    which takes every decomposition it caches from this one SVD.
+    ``left`` and ``right`` are orthogonal (not necessarily det +1). F must
+    be a finite square matrix of dim >= 1, else ``ValueError``. In the hot
+    path its one caller is the ``DeformationGradient`` constructor, which
+    takes every decomposition it caches from this one SVD.
     """
-    a = as_square(f)
+    a = np.asarray(f, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
     u, s, vh = np.linalg.svd(a)
     return u, s, vh.T
 

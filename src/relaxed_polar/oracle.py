@@ -4,12 +4,14 @@ Multi-start Riemannian gradient descent over the rotation group from
 Haar-uniform restarts, finished by Newton on the gradient field with its
 exact Jacobian. Both step by the Cayley retraction R <- R C(A), C(A) =
 (1 - A/2)^-1 (1 + A/2) for skew A: one real linear solve per step, where
-the exponential of ``matcore.skew_exp`` needs an eigendecomposition for
-n >= 4. C agrees with expm to second order (Absil, Mahony and Sepulchre,
-*Optimization Algorithms on Matrix Manifolds*, 2008, sec. 4.1), so Newton
-keeps its exact Jacobian. The rotation group is compact, so enough
-restarts make this a credible global oracle at the small dimensions the
-closed forms are verified at. Every restart draws its own random stream
+the exact exponential needs an eigendecomposition for n >= 4. C agrees
+with expm to second order (Absil, Mahony and Sepulchre, *Optimization
+Algorithms on Matrix Manifolds*, 2008, sec. 4.1), so Newton keeps its
+exact Jacobian. ``critical_scan`` perturbs its corner starts by a small
+Cayley step too, so the oracle moves on the rotation group only by C(A),
+in every dimension. The rotation group is compact, so enough restarts
+make this a credible global oracle at the small dimensions the closed
+forms are verified at. Every restart draws its own random stream
 from (seed, restart index). Descent and Newton run their starts as one
 stack, each with its own step and stopping rule, so results do not depend
 on how the stack is split and are bit-identical for a fixed seed.
@@ -26,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matcore
-from .energy import CosseratWeights, DeformationGradient, absolute_rotation, energy, solve
+from .energy import CosseratWeights, DeformationGradient, energy, solve
 from .errors import DimensionMismatch
 
 # first step length of every descent; each start then adapts its own
@@ -81,8 +82,6 @@ def haar_sample(n: int, rng: np.random.Generator) -> np.ndarray:
     factors, then a last-column negation if the determinant is -1."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    if n == 1:
-        return np.ones((1, 1))
     g = rng.standard_normal((n, n))
     q, r = np.linalg.qr(g)
     d = np.sign(np.diagonal(r))
@@ -330,26 +329,28 @@ def critical_scan(
 
     Two searches run from every start point (Haar samples plus the
     principal-frame sign corners polar(F) Q diag(+-1) Q^T with det +1,
-    exact and slightly perturbed): energy descent, which lands on minima
-    and stays put when started exactly at a critical point, and damped
-    Newton on the gradient field, which also converges to saddles; each
-    runs all the starts as one stack. An endpoint is kept when the ||G||
+    exact and perturbed by the Cayley step C(0.025 (G - G^T)) of a
+    Gaussian G): energy descent, which lands on minima and stays put when
+    started exactly at a critical point, and damped Newton on the gradient
+    field, which also converges to saddles; each runs all the starts as
+    one stack. An endpoint is kept when the ||G||
     its search returns is at most 1e-8 s, s = 1 for classical weights and
     mu lam otherwise, where ||G|| / (mu lam) = ||skew((Rhat D / lam - 1)^2)||
     is the paper's defect. Kept endpoints, each start's descent before its
     Newton, are clustered (same point = energy within 1e-6 and Frobenius
     distance within 1e-4; the first stays) and sorted by energy.
     """
-    n = F.dim
-    corners = [np.diag(s) for s in itertools.product((1.0, -1.0), repeat=n) if np.prod(s) > 0]
-    starts = [absolute_rotation(s, F) for s in corners]
-    rng = np.random.default_rng((cfg.seed, 0xC0))
-    starts += [r @ matcore.skew_exp(matcore.skew(rng.standard_normal((n, n))) * 0.05) for r in starts]
-    starts += [haar_sample(n, np.random.default_rng((cfg.seed, i))) for i in range(cfg.samples)]
+    n, q, eye = F.dim, F.polar.frame, np.eye(F.dim)
+    signs = np.array([s for s in itertools.product((1.0, -1.0), repeat=n) if np.prod(s) > 0])
+    corners = (F.polar.rotation @ q * signs[:, None, :]) @ q.T
+    g = np.random.default_rng((cfg.seed, 0xC0)).standard_normal(corners.shape)
+    nudged = corners @ _cayley(0.025 * (g - g.swapaxes(-1, -2)), eye)
+    haar = [haar_sample(n, np.random.default_rng((cfg.seed, i))) for i in range(cfg.samples)]
+    starts = np.concatenate((corners, nudged, haar))
 
-    newton_tol = 1e-13 * (1.0 + matcore.frobenius_sq(F.matrix))
-    r_desc, _, gn_desc = _descend(W, F, np.array(starts), cfg)
-    r_newt, gn_newt = _newton(W, F, np.array(starts), newton_tol)
+    newton_tol = 1e-13 * (1.0 + np.sum(F.matrix * F.matrix))
+    r_desc, _, gn_desc = _descend(W, F, starts, cfg)
+    r_newt, gn_newt = _newton(W, F, starts, newton_tol)
     r = np.stack((r_desc, r_newt), axis=1).reshape(-1, n, n)
     gn = np.stack((gn_desc, gn_newt), axis=1).ravel()
     tol = 1e-8 * (1.0 if W.is_classical else W.mu * W.scaling)

@@ -18,11 +18,6 @@ from .energy import CosseratWeights, DeformationGradient, solve
 from .errors import DimensionMismatch
 
 
-def rotation_2d(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
 def wrap_angle(a: float) -> float:
     """Wrap to (-pi, pi], choosing +pi over -pi."""
     w = float(np.remainder(a + np.pi, 2.0 * np.pi) - np.pi)

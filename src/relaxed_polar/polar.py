@@ -7,7 +7,6 @@ and reuses the singular values every other formula needs anyway.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -21,24 +20,16 @@ if TYPE_CHECKING:  # pragma: no cover
 
 @dataclass(frozen=True)
 class PolarData:
-    """Factors of F = rotation @ stretch plus the spectral frame of the stretch.
+    """The polar factor of F plus the spectral frame of its stretch.
 
-    ``values`` are the descending eigenvalues of the stretch (the singular
-    values of F), and the columns of ``frame``, a rotation, are its matching
-    eigenvectors q_i. ``stretch`` = Q diag(nu) Q^T, symmetric positive
-    definite and read-only, is computed on first read.
+    ``rotation`` is the polar factor, ``values`` are the descending singular
+    values of F, and the columns of ``frame``, a rotation, are the matching
+    eigenvectors q_i of the stretch Q diag(nu) Q^T.
     """
 
     rotation: np.ndarray
     values: np.ndarray
     frame: np.ndarray
-
-    @functools.cached_property
-    def stretch(self) -> np.ndarray:
-        s = self.frame @ np.diag(self.values) @ self.frame.T
-        s = (s + s.T) / 2.0
-        s.setflags(write=False)
-        return s
 
 
 def dist_sq_so_n(F: "DeformationGradient") -> float:

@@ -12,6 +12,28 @@ def random_rotation(n, rng):
     return haar_sample(n, rng)
 
 
+def rotation_2d(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def stretch(polar):
+    """The symmetric stretch U = Q diag(nu) Q^T of a gradient's ``polar`` data."""
+    u = polar.frame @ np.diag(polar.values) @ polar.frame.T
+    return (u + u.T) / 2.0
+
+
+def is_rotation(r, tol):
+    """True if R is finite and square with R^T R = 1 and det R = 1 within
+    tol max(1, sqrt(n)), the orthogonality error in the Frobenius norm."""
+    a = np.asarray(r, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all():
+        return False
+    n = a.shape[0]
+    bound = tol * max(1.0, np.sqrt(n))
+    return bool(np.linalg.norm(a.T @ a - np.eye(n)) <= bound and abs(np.linalg.det(a) - 1.0) <= bound)
+
+
 def random_singular_values(n, rng, lo=0.2, hi=5.0, min_rel_gap=0.0):
     """Descending positive singular values, optionally with a relative gap."""
     while True:

@@ -13,12 +13,12 @@ PUBLIC = {
     "OrientationError", "PlanarSolution", "PolarData", "Regime", "RegimeError",
     "TooLarge", "absolute_rotation",
     "classical_neighborhood_check", "critical_scan", "critical_value",
-    "dist_sq_so_n", "energy", "enumerate_critical_partitions", "frobenius_sq",
-    "global_minimize", "global_minimizers_nd", "haar_sample", "is_rotation", "optimal_angles",
+    "dist_sq_so_n", "energy", "enumerate_critical_partitions",
+    "global_minimize", "global_minimizers_nd", "haar_sample", "optimal_angles",
     "plane_of_max_stretch", "polar_2d_explicit", "polar_angle", "realize_rotation",
     "reduce_parameters", "reduced_energy", "relative_rotation", "rescale",
-    "riemannian_descent", "rpolar_3d", "simple_shear", "skew", "skew_exp", "sl3_criterion",
-    "solve", "solve_values", "svd_ordered", "sym", "traversal_path", "wred_3d",
+    "riemannian_descent", "rpolar_3d", "simple_shear", "skew_exp", "sl3_criterion",
+    "solve", "solve_values", "traversal_path", "wred_3d",
 }
 
 # (module, name) pairs that perfbench calls, or wraps in a timing shim; a

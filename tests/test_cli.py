@@ -23,8 +23,9 @@ from relaxed_polar import (
     rpolar_3d,
 )
 from relaxed_polar import solve as solve_set
-from relaxed_polar.planar import rotation_2d
 from relaxed_polar.spatial import mean_planar_stretch, wred_3d_values
+
+from conftest import rotation_2d
 
 # the package exports a function named energy, so fetch the module itself
 energy_module = importlib.import_module("relaxed_polar.energy")
@@ -346,6 +347,7 @@ def test_negative_exponent_reads_as_with_equals(capsys):
     [
         ["ndim", "1e200", "1"],
         ["solve", "--matrix", "[[1e200, 0], [0, 1e200]]", "--muc", "2"],
+        ["solve", "--matrix", "[[1e200, 0], [0, 1e200]]", "--muc", "2", "--verify", "--samples", "4"],
     ],
 )
 def test_an_overflowing_report_is_an_error_not_infinity(argv, capsys):

@@ -8,65 +8,7 @@ import pytest
 from relaxed_polar import DeformationGradient, matcore
 from relaxed_polar.errors import NotSkew
 
-from conftest import random_rotation
-
-
-def test_sym_definition():
-    x = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(matcore.sym(x), np.array([[0.0, 0.5], [0.5, 0.0]]))
-
-
-def test_sym_fixed_point_and_annihilation():
-    s = np.array([[2.0, -1.0], [-1.0, 3.0]])
-    assert np.array_equal(matcore.sym(s), s)
-    a = np.array([[0.0, 4.0], [-4.0, 0.0]])
-    assert np.array_equal(matcore.sym(a), np.zeros((2, 2)))
-
-
-def test_skew_definition():
-    x = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(matcore.skew(x), np.array([[0.0, 0.5], [-0.5, 0.0]]))
-    s = np.array([[2.0, -1.0], [-1.0, 3.0]])
-    assert np.array_equal(matcore.skew(s), np.zeros((2, 2)))
-    a = np.array([[0.0, 4.0], [-4.0, 0.0]])
-    assert np.array_equal(matcore.skew(a), a)
-
-
-def test_sym_plus_skew_recovers_input():
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        x = rng.standard_normal((4, 4))
-        # one rounding per half-sum: recovery is exact to a few ulps
-        resid = np.abs(matcore.sym(x) + matcore.skew(x) - x)
-        assert np.all(resid <= 1e-15 * (1.0 + np.abs(x)))
-    # and bit-exact on dyadic entries
-    x = np.array([[0.25, 1.5], [-0.75, 4.0]])
-    assert np.array_equal(matcore.sym(x) + matcore.skew(x), x)
-
-
-def test_frobenius_sq_values():
-    assert matcore.frobenius_sq(np.eye(3)) == 3.0
-    assert matcore.frobenius_sq(np.array([[1.0, 2.0], [3.0, 4.0]])) == 30.0
-    nu = np.array([2.0, 0.5, 1.5])
-    assert matcore.frobenius_sq(np.diag(nu)) == pytest.approx(np.sum(nu**2), abs=0)
-
-
-def test_frobenius_orthogonal_split():
-    rng = np.random.default_rng(2)
-    for _ in range(30):
-        x = rng.standard_normal((5, 5))
-        total = matcore.frobenius_sq(x)
-        split = matcore.frobenius_sq(matcore.sym(x)) + matcore.frobenius_sq(matcore.skew(x))
-        assert abs(total - split) <= 1e-12 * (1.0 + total)
-
-
-def test_frobenius_orthogonal_invariance():
-    rng = np.random.default_rng(3)
-    for _ in range(30):
-        x = rng.standard_normal((4, 4))
-        q = random_rotation(4, rng)
-        a, b = matcore.frobenius_sq(q.T @ x @ q), matcore.frobenius_sq(x)
-        assert abs(a - b) <= 1e-10 * (1.0 + b)
+from conftest import is_rotation, random_rotation
 
 
 # the symmetric eigendecomposition (values descending, det +1 frame) is the
@@ -171,7 +113,7 @@ def test_skew_exp_rotation_invariants_and_inverse():
             a = rng.standard_normal((n, n))
             a = (a - a.T) / 2.0
             r = matcore.skew_exp(a)
-            assert matcore.is_rotation(r, tol=1e-12)
+            assert is_rotation(r, tol=1e-12)
             assert np.linalg.norm(r @ matcore.skew_exp(-a) - np.eye(n)) <= 1e-10
 
 
@@ -189,7 +131,7 @@ def test_skew_exp_stack_matches_slices(n):
     r = matcore.skew_exp(a)
     assert r.shape == a.shape
     for ak, rk in zip(a, r):
-        assert matcore.is_rotation(rk, tol=1e-12)
+        assert is_rotation(rk, tol=1e-12)
         np.testing.assert_array_equal(rk, matcore.skew_exp(ak))
     # a stack of stacks is exponentiated slice by slice too
     np.testing.assert_array_equal(matcore.skew_exp(a.reshape(5, 4, n, n)), r.reshape(5, 4, n, n))
@@ -233,8 +175,3 @@ def test_import_loads_no_scipy():
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 
-
-def test_is_rotation_rejects():
-    assert not matcore.is_rotation(np.diag([1.0, -1.0]))
-    assert not matcore.is_rotation(2.0 * np.eye(3))
-    assert matcore.is_rotation(np.eye(5))

@@ -7,7 +7,6 @@ from relaxed_polar import (
     CosseratWeights,
     DeformationGradient,
     energy,
-    matcore,
     relative_rotation,
     solve,
 )
@@ -23,7 +22,7 @@ from relaxed_polar.ndim import (
     traversal_path,
 )
 
-from conftest import random_singular_values
+from conftest import is_rotation, random_singular_values, rotation_2d
 
 W10 = CosseratWeights(1.0, 0.0)
 
@@ -185,7 +184,7 @@ class TestRealizeRotation:
             parts = enumerate_critical_partitions(nus)
             p = parts[int(rng.integers(len(parts)))]
             r = realize_rotation(p, nus)
-            assert matcore.is_rotation(r, tol=1e-12)
+            assert is_rotation(r, tol=1e-12)
             F = DeformationGradient(np.diag(nus))
             assert energy(W10, r, F) == pytest.approx(
                 critical_value(p, nus), rel=1e-10, abs=1e-10
@@ -335,7 +334,7 @@ class TestGlobalMinimizers:
 
     def test_consistency_with_planar(self):
         rng = np.random.default_rng(73)
-        from relaxed_polar.planar import optimal_angles, rotation_2d
+        from relaxed_polar.planar import optimal_angles
 
         for _ in range(20):
             nus = random_singular_values(2, rng, lo=0.3, hi=4.0, min_rel_gap=0.01)

@@ -9,10 +9,10 @@ from relaxed_polar import (
     OracleConfig,
     critical_scan,
     critical_value,
+    energy,
     enumerate_critical_partitions,
     global_minimize,
     haar_sample,
-    is_rotation,
     matcore,
     oracle,
     reduced_energy,
@@ -20,7 +20,7 @@ from relaxed_polar import (
     riemannian_descent,
 )
 
-from conftest import random_gl_plus
+from conftest import is_rotation, random_gl_plus
 
 # max_iters = 150 lets a descent end by each rule: tolerance, step
 # underflow and the cap, and pass the re-projections at 64 and 128 steps
@@ -84,6 +84,39 @@ def random_skew(n, count, norm, rng):
     b = rng.standard_normal((count, n, n))
     a = b - b.swapaxes(-1, -2)
     return a * (norm / np.linalg.norm(a, axis=(-2, -1)))[:, None, None]
+
+
+def test_haar_sample_of_one_dimension_is_the_identity():
+    for seed in range(20):
+        assert np.array_equal(haar_sample(1, np.random.default_rng(seed)), [[1.0]])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_haar_sample_is_a_reproducible_rotation(n):
+    for seed in range(20):
+        q = haar_sample(n, np.random.default_rng((seed, n)))
+        assert np.linalg.norm(q.T @ q - np.eye(n)) <= 1e-13
+        assert abs(np.linalg.det(q) - 1.0) <= 1e-13
+        assert np.array_equal(q, haar_sample(n, np.random.default_rng((seed, n))))
+
+
+def test_haar_sample_rejects_dimension_zero():
+    with pytest.raises(ValueError):
+        haar_sample(0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_stacked_energy_identity_matches_the_definition(n):
+    # ((mu+muc)||X||^2 + (mu-muc) tr X^2) / 2 against mu||sym X||^2 + muc||skew X||^2
+    rng, eye = np.random.default_rng(90 + n), np.eye(n)
+    for lo, hi in ((1.0, 3.0), (0.0, 0.0), (0.01, 0.99)):  # classical, muc = 0, 0 < muc < mu
+        for _ in range(25):
+            mu = float(rng.uniform(0.1, 3.0))
+            muc = mu * float(rng.uniform(lo, hi))
+            W, F, r = CosseratWeights(mu, muc), random_gl_plus(n, rng), haar_sample(n, rng)
+            x = r.T @ F.matrix - eye
+            e = oracle._energy(mu, muc, r[None], F.matrix, eye)[0]
+            assert abs(e - energy(W, r, F)) <= 1e-13 * (1.0 + (mu + muc) * np.sum(x * x))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -185,7 +218,8 @@ def scan_cases():
 def symmetric_square_defect(W, r, F):
     """The paper's stationarity condition for mu > muc: ||skew((Rhat D / lam - 1)^2)||."""
     x = relative_rotation(r, F) @ np.diag(F.singular_values / W.scaling) - np.eye(F.dim)
-    return np.linalg.norm(matcore.skew(x @ x))
+    y = x @ x
+    return np.linalg.norm((y - y.T) / 2.0)
 
 
 def reference_certificate(W, r, F):

@@ -15,7 +15,6 @@ from relaxed_polar import (
     DeformationGradient,
     Domain,
     energy,
-    matcore,
     reduced_energy,
     global_minimizers_nd,
     optimal_angles,
@@ -29,7 +28,7 @@ from relaxed_polar.energy import BOUNDARY_RTOL, DEGENERACY_RTOL, reduced_energy_
 from relaxed_polar.ndim import CriticalPartition, realize_rotation
 from relaxed_polar.spatial import mean_planar_stretch
 
-from conftest import random_gl_plus, random_rotation
+from conftest import is_rotation, random_gl_plus, random_rotation
 
 # muc = 0, 0 < muc < mu and classical
 WEIGHTS = [CosseratWeights(1.0, 0.0), CosseratWeights(1.7, 0.3), CosseratWeights(1.0, 2.0)]
@@ -101,7 +100,7 @@ def test_set_size_energy_and_relative_angles():
             assert rel == tuple(tuple(s * b for s, b in zip(signs, mset.angles))
                                 for signs in mset.signs)
         for R, signs in zip(mset.minimizers, mset.signs):
-            assert matcore.is_rotation(R, tol=1e-12)
+            assert is_rotation(R, tol=1e-12)
             assert abs(energy(W, R, F) - value) <= 1e-12 * (1.0 + abs(value))
             rhat = relative_rotation(R, F)
             expected = np.eye(n)

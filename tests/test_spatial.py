@@ -6,7 +6,6 @@ from relaxed_polar import (
     DeformationGradient,
     Domain,
     energy,
-    matcore,
     relative_rotation,
     solve,
 )
@@ -22,7 +21,7 @@ from relaxed_polar.spatial import (
     wred_3d_values,
 )
 
-from conftest import random_gl_plus, random_rotation, sets_equal, z_angle
+from conftest import is_rotation, random_gl_plus, random_rotation, sets_equal, z_angle
 
 W10 = CosseratWeights(1.0, 0.0)
 W11 = CosseratWeights(1.0, 1.0)
@@ -137,7 +136,7 @@ class TestRpolar3D:
             res = global_minimize(w, F, cfg, warm_starts=False)
             assert res.best_energy >= sol.reduced_energy - 1e-6
             for m in sol.minimizers:
-                assert matcore.is_rotation(m, tol=1e-10)
+                assert is_rotation(m, tol=1e-10)
                 e = energy(w, m, F)
                 assert abs(e - sol.reduced_energy) <= 1e-10 * (1.0 + e)
 

@@ -11,8 +11,10 @@ from .energy import (
     DeformationGradient,
     Domain,
     MinimizerSet,
+    PolarData,
     Regime,
     absolute_rotation,
+    dist_sq_so_n,
     energy,
     reduce_parameters,
     reduced_energy,
@@ -49,8 +51,7 @@ from .oracle import (
     haar_sample,
     riemannian_descent,
 )
-from .planar import PlanarSolution, optimal_angles, polar_angle, simple_shear
-from .polar import PolarData, dist_sq_so_n, polar_2d_explicit
+from .planar import PlanarSolution, optimal_angles, polar_2d_explicit, polar_angle, simple_shear
 from .spatial import (
     classical_neighborhood_check,
     plane_of_max_stretch,

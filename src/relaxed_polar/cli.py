@@ -36,8 +36,9 @@ arrays; every row is bit-identical to a per-row library call. Range
 options (MIN MAX COUNT) need finite MIN < MAX and a whole COUNT >= 2.
 scatter-mc's ``beta_predicted`` is ``solve``'s pair angle on the row's
 own F, signed like ``beta_mc`` (0.0 when F does not branch).
-Exit codes: 0 success, 2 parse error, 3 invalid weights/domain input,
-4 unwritable output.
+Exit codes: 0 success, 2 parse error, 3 invalid weights/domain input (also
+an input scale too large for the oracle of ``--verify`` and scatter-mc,
+about ||F|| > 5e76 at unit weights), 4 unwritable output.
 """
 
 from __future__ import annotations
@@ -180,15 +181,19 @@ def _solve_report(W: CosseratWeights, F: DeformationGradient) -> dict:
         report["axis"] = F.polar.frame[:, 2]
         report["u_mmp"] = u
         report["s_mmp"] = u - 1.0
-    blocks = ndim.canonical_blocks(mset.k, n)
     report["degenerate"] = mset.degenerate
-    report["partition"] = _partition_1based(blocks, [1] * len(blocks))
+    report["partition"] = _canonical_partition(mset.k, n)
     report["k"] = mset.k
     return report
 
 
 def _partition_1based(blocks, signs) -> list[dict]:
     return [{"indices": [i + 1 for i in b], "sign": s} for b, s in zip(blocks, signs)]
+
+
+def _canonical_partition(k: int, n: int) -> list[dict]:
+    """The n - k canonical blocks of k pairs among n values, 1-based, every sign +1."""
+    return _partition_1based(ndim.canonical_blocks(k, n), [1] * (n - k))
 
 
 def cmd_solve(args) -> int:
@@ -302,11 +307,10 @@ def cmd_iso_grid(args) -> int:
 def cmd_ndim(args) -> int:
     nus = sorted((float(v) for v in args.nus), reverse=True)
     mset = solve_values(CosseratWeights(1.0, 0.0), nus)
-    blocks = ndim.canonical_blocks(mset.k, len(nus))
     report = {
         "nus_sorted": nus,
         "k": mset.k,
-        "partition": _partition_1based(blocks, [1] * len(blocks)),
+        "partition": _canonical_partition(mset.k, len(nus)),
         "wred": mset.reduced_energy,
         "num_minimizers": 2**mset.k,
         "degenerate": mset.degenerate,

@@ -12,6 +12,9 @@ minimizers can deviate from the polar factor. :func:`solve` gives the
 minimizer set of F in every dimension from one pairing rule, and
 :func:`solve_values` the same set from singular values alone, as relative
 rotations; either set builds its rotations only when they are read.
+F's one SVD gives its singular values, and :class:`PolarData` from which
+:func:`absolute_rotation` builds every rotation of F; :func:`dist_sq_so_n`
+reads F's distance to the rotation group off the singular values.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ import numpy as np
 
 from . import matcore
 from .errors import DimensionMismatch, RegimeError
-from .polar import PolarData
 
 # relative width of the band classified as the bifurcation boundary
 BOUNDARY_RTOL = 1e-12
@@ -101,6 +103,15 @@ class CosseratWeights:
         return 2.0 * (self.muc / (self.mu - self.muc))
 
 
+@dataclass(frozen=True)
+class PolarData:
+    """The polar factor ``rotation`` of F and the spectral ``frame`` Q, a
+    rotation, of its stretch Q diag(nu) Q^T, nu = ``F.singular_values``."""
+
+    rotation: np.ndarray
+    frame: np.ndarray
+
+
 class DeformationGradient:
     """An n x n matrix with positive determinant plus cached decompositions.
 
@@ -139,7 +150,7 @@ class DeformationGradient:
             a.setflags(write=False)
         self._matrix = matrix
         self._values = values
-        self._polar = PolarData(rotation=rotation, values=values, frame=frame)
+        self._polar = PolarData(rotation=rotation, frame=frame)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -167,14 +178,15 @@ def energy(W: CosseratWeights, R, F: DeformationGradient) -> float:
 
     Evaluated from the definition. A non-finite R raises ``ValueError``
     before the product, where inf * 0 would warn, and so does an X that
-    overflows.
+    overflows, without a warning.
     """
     r = np.asarray(R, dtype=float)
     if r.shape != (F.dim, F.dim):
         raise DimensionMismatch(f"rotation shape {r.shape} does not match dim {F.dim}")
     if not np.isfinite(r).all():
         raise ValueError("matrix entries must be finite")
-    x = r.T @ F.matrix - np.eye(F.dim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = r.T @ F.matrix - np.eye(F.dim)
     if not np.isfinite(x).all():
         raise ValueError("matrix entries must be finite")
     s, a = (x + x.T) / 2.0, (x - x.T) / 2.0
@@ -225,12 +237,13 @@ def relative_rotation(R, F: DeformationGradient) -> np.ndarray:
 
 
 def absolute_rotation(Rhat, F: DeformationGradient) -> np.ndarray:
-    """Inverse of :func:`relative_rotation` for the same fixed frame."""
+    """Inverse of :func:`relative_rotation`, polar(F) Q Rhat^T Q^T, for one
+    (n, n) Rhat or slice by slice for a stack (..., n, n)."""
     rh = np.asarray(Rhat, dtype=float)
-    if rh.shape != (F.dim, F.dim):
+    if rh.shape[-2:] != (F.dim, F.dim):
         raise DimensionMismatch(f"rotation shape {rh.shape} does not match dim {F.dim}")
     q = F.polar.frame
-    return F.polar.rotation @ q @ rh.T @ q.T
+    return F.polar.rotation @ q @ rh.swapaxes(-1, -2) @ q.T
 
 
 def nonclassical_pair_energy(W: CosseratWeights, nu_i: float, nu_j: float) -> float:
@@ -314,6 +327,15 @@ def reduced_energy(W: CosseratWeights, F: DeformationGradient) -> float:
     return reduced_energy_values(W, F.singular_values)[1]
 
 
+def dist_sq_so_n(F: DeformationGradient) -> float:
+    """Squared Euclidean (Frobenius) distance of F to the rotation group.
+
+    Equals sum_i (nu_i - 1)^2 in the singular values of F, the minimum of
+    ||R^T F - 1||^2 over rotations, attained at the polar factor.
+    """
+    return float(np.sum((F.singular_values - 1.0) ** 2))
+
+
 def pair_block(s, rho):
     """(cos, sine, angle) of the block turning a pair with sum s >= rho.
 
@@ -384,15 +406,10 @@ class MinimizerSet:
     def minimizers(self) -> tuple[np.ndarray, ...]:
         """The 2^k rotations, in the order of :attr:`signs`; built on first read."""
         F = self._gradient
-        if F is None:
-            return tuple(pair_rotations(self._dim, self._blocks, self.signs))
-        pol = F.polar.rotation
-        if not self.k:
-            return (pol.copy(),)
-        q = F.polar.frame
-        # polar(F) Q B Q^T, B by the negated relative signs, in the order of signs
-        signs = itertools.product((-1, 1), repeat=self.k)
-        return tuple(pol @ q @ pair_rotations(self._dim, self._blocks, signs) @ q.T)
+        if F is not None and not self.k:
+            return (F.polar.rotation.copy(),)
+        rel = pair_rotations(self._dim, self._blocks, self.signs)
+        return tuple(rel if F is None else absolute_rotation(rel, F))
 
     @property
     def signs(self) -> list[tuple[int, ...]]:
@@ -440,8 +457,8 @@ def solve(W: CosseratWeights, F: DeformationGradient) -> MinimizerSet:
     """The minimizer set of F, its reduced energy and labels, in any dimension.
 
     :func:`solve_values` on F's singular values, with minimizer sigma the
-    rotation polar(F) Q B Q^T, B the :func:`pair_rotations` by -sigma_p beta_p
-    (its transpose, the relative rotation, turns by +sigma_p beta_p).
+    :func:`absolute_rotation` of its relative rotation, the
+    :func:`pair_rotations` by +sigma_p beta_p.
     """
     return _minimizer_set(W, F.singular_values.tolist(), F)
 

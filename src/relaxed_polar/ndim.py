@@ -113,18 +113,19 @@ def _check_admissible(p: CriticalPartition, d):
             raise InadmissiblePartition(f"pair {b} with sign {s:+d} needs {need}, got {got:g}")
 
 
-def _matchings(indices: tuple[int, ...]):
-    """All partitions of ``indices`` into blocks of size one or two."""
+def _matchings(indices: tuple[int, ...], d):
+    """All partitions of ``indices`` into singletons and admissible pairs, in
+    ascending order: ``head`` pairs with j only if d[head], d[j] have signs."""
     if not indices:
         yield ()
         return
     head, rest = indices[0], indices[1:]
-    for tail in _matchings(rest):
+    for tail in _matchings(rest, d):
         yield ((head,),) + tail
     for k, j in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1 :]
-        for tail in _matchings(remaining):
-            yield ((head, j),) + tail
+        if _pair_signs(d[head], d[j]):
+            for tail in _matchings(rest[:k] + rest[k + 1 :], d):
+                yield ((head, j),) + tail
 
 
 def enumerate_critical_partitions(
@@ -136,27 +137,16 @@ def enumerate_critical_partitions(
     count of -1 blocks are kept, i.e. those realizable by an actual
     rotation; the relaxed mode also lists the det -1 patterns. Guarded to
     n <= 10 because the matching count grows like the involution numbers.
-    Matchings and sign choices come in ascending order: the list is sorted.
+    Only admissible matchings are built, and they and their sign choices
+    come in ascending order: the list is sorted.
     """
     d = _as_descending(nus).tolist()
     n = len(d)
     if n > ENUMERATION_MAX_DIM:
         raise TooLarge(f"exhaustive enumeration guarded to n <= {ENUMERATION_MAX_DIM}")
     out: list[CriticalPartition] = []
-    for blocks in _matchings(tuple(range(n))):
-        choices: list[tuple[int, ...]] = []
-        feasible = True
-        for b in blocks:
-            if len(b) == 1:
-                choices.append((-1, 1))
-                continue
-            allowed = _pair_signs(d[b[0]], d[b[1]])
-            if not allowed:
-                feasible = False
-                break
-            choices.append(allowed)
-        if not feasible:
-            continue
+    for blocks in _matchings(tuple(range(n)), d):
+        choices = [(-1, 1) if len(b) == 1 else _pair_signs(d[b[0]], d[b[1]]) for b in blocks]
         for signs in itertools.product(*choices):
             if require_rotation and _det(signs) != 1:
                 continue

@@ -19,6 +19,9 @@ on how the stack is split and are bit-identical for a fixed seed.
 Stationarity has one measure, the gradient norm ||G|| both searches
 return: for mu > muc it is mu lam ||skew((Rhat D / lam - 1)^2)||, the
 paper's symmetric-square defect scaled, so it certifies critical points.
+||G|| <= c = 2 max(mu, muc) ||F|| (||F|| + sqrt(n)), and ``global_minimize``,
+``critical_scan`` and ``riemannian_descent`` raise ``ValueError`` where c^2
+overflows (||F|| above about 5e76 at unit weights), not run on inf gradients.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import CosseratWeights, DeformationGradient, energy, solve
+from .energy import CosseratWeights, DeformationGradient, absolute_rotation, energy, solve
 from .errors import DimensionMismatch
 
 # first step length of every descent; each start then adapts its own
@@ -90,6 +93,15 @@ def haar_sample(n: int, rng: np.random.Generator) -> np.ndarray:
     if np.linalg.det(q) < 0.0:
         q[:, -1] = -q[:, -1]
     return q
+
+
+def _check_scale(W: CosseratWeights, F: DeformationGradient):
+    """Raise ``ValueError`` where the module docstring's bound c^2 >= ||G||^2 overflows."""
+    with np.errstate(over="ignore"):  # an overflowing ||F|| reads inf and is refused
+        fn = float(np.linalg.norm(F.matrix))
+    c = 2.0 * max(W.mu, W.muc) * fn * (fn + F.dim**0.5)
+    if not np.isfinite(c * c):  # a product of Python floats: inf, no warning
+        raise ValueError(f"input scale ||F|| = {fn:g} overflows the oracle's gradient norm")
 
 
 def _energy(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> np.ndarray:
@@ -278,6 +290,7 @@ def riemannian_descent(
     each accepted step: it strictly decreases, except across the SVD
     re-projection every 64 steps, which can move it by rounding.
     """
+    _check_scale(W, F)
     r = np.asarray(R0, dtype=float)
     if r.shape != (F.dim, F.dim):
         raise DimensionMismatch(f"start shape {r.shape} does not match dim {F.dim}")
@@ -304,6 +317,7 @@ def global_minimize(
     gradient field finishes it towards ||G|| <= tol_grad, which descent
     alone reaches slowly or not at all in nearly flat or narrow valleys.
     """
+    _check_scale(W, F)
     starts: list[np.ndarray] = []
     if warm_starts:
         starts.append(F.polar.rotation)
@@ -340,9 +354,10 @@ def critical_scan(
     Newton, are clustered (same point = energy within 1e-6 and Frobenius
     distance within 1e-4; the first stays) and sorted by energy.
     """
-    n, q, eye = F.dim, F.polar.frame, np.eye(F.dim)
+    _check_scale(W, F)
+    n, eye = F.dim, np.eye(F.dim)
     signs = np.array([s for s in itertools.product((1.0, -1.0), repeat=n) if np.prod(s) > 0])
-    corners = (F.polar.rotation @ q * signs[:, None, :]) @ q.T
+    corners = absolute_rotation(signs[:, None, :] * eye, F)
     g = np.random.default_rng((cfg.seed, 0xC0)).standard_normal(corners.shape)
     nudged = corners @ _cayley(0.025 * (g - g.swapaxes(-1, -2)), eye)
     haar = [haar_sample(n, np.random.default_rng((cfg.seed, i))) for i in range(cfg.samples)]

@@ -5,6 +5,7 @@ corresponds to the angle alpha_p; for non-classical weights a pitchfork
 bifurcation at tr U = rho opens two optimal branches alpha_p -/+ beta
 with cos(beta) = rho / tr U: branch i is minimizer i of ``energy.solve``,
 whose relative rotation turns by +beta for i = 0 and by -beta for i = 1.
+:func:`polar_2d_explicit` reads the polar factor off two traces instead.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ def polar_angle(F: DeformationGradient) -> float:
     r = F.polar.rotation
     a = math.atan2(r[1, 0], r[0, 0])
     return math.pi if a == -math.pi else a
+
+
+def polar_2d_explicit(F: DeformationGradient) -> np.ndarray:
+    """Closed-form planar polar factor from the traces of F and JF.
+
+    Uses tr(U) = sqrt(tr(F)^2 + tr(JF)^2), so no decomposition is needed.
+    """
+    _require_2d(F)
+    (a, b), (c, d) = F.matrix
+    tr_f, tr_jf = a + d, b - c
+    return np.array([[tr_f, tr_jf], [-tr_jf, tr_f]]) / np.hypot(tr_f, tr_jf)
 
 
 def _branch_angles(ap: float, relative_angles, k: int) -> tuple[float, ...]:

@@ -17,11 +17,11 @@ from .energy import (
     CosseratWeights,
     DeformationGradient,
     MinimizerSet,
+    dist_sq_so_n,
     reduced_energy_values,
     solve,
 )
 from .errors import DegenerateSpectrum, DimensionMismatch, RegimeError
-from .polar import dist_sq_so_n
 
 
 def _require_3d(F: DeformationGradient):

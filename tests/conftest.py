@@ -17,9 +17,9 @@ def rotation_2d(angle):
     return np.array([[c, -s], [s, c]])
 
 
-def stretch(polar):
-    """The symmetric stretch U = Q diag(nu) Q^T of a gradient's ``polar`` data."""
-    u = polar.frame @ np.diag(polar.values) @ polar.frame.T
+def stretch(F):
+    """The symmetric stretch U = Q diag(nu) Q^T of a gradient F."""
+    u = F.polar.frame @ np.diag(F.singular_values) @ F.polar.frame.T
     return (u + u.T) / 2.0
 
 

@@ -342,22 +342,38 @@ def test_negative_exponent_reads_as_with_equals(capsys):
     assert out == run(["solve", "--shear=-1e-3"], capsys)[1]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["ndim", "1e200", "1"],
+OVERFLOWING = [
+    (["ndim", "1e200", "1"], "wred overflows float64"),
+    (
         ["solve", "--matrix", "[[1e200, 0], [0, 1e200]]", "--muc", "2"],
+        "reduced_energy overflows float64",
+    ),
+    (
         ["solve", "--matrix", "[[1e200, 0], [0, 1e200]]", "--muc", "2", "--verify", "--samples", "4"],
-    ],
+        "reduced_energy overflows float64",
+    ),
+    # the report fits in float64, but the oracle's squared gradient norm would not
+    (
+        ["solve", "--matrix", "[[9e153, 0], [0, 9e153]]", "--muc", "2", "--verify", "--samples", "4"],
+        "input scale ||F|| = 1.27279e+154",
+    ),
+    (
+        ["solve", "--matrix", "[[1e77, 0], [0, 1e77]]", "--verify", "--samples", "4"],
+        "input scale ||F|| = 1.41421e+77",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, error", OVERFLOWING, ids=[f"argv{i}" for i in range(len(OVERFLOWING))]
 )
-def test_an_overflowing_report_is_an_error_not_infinity(argv, capsys):
+def test_an_overflowing_report_is_an_error_not_infinity(argv, error, capsys):
     # JSON has no Infinity: an energy that overflows ends the run, with nothing
-    # printed, and the error names the field
-    field = {"ndim": "wred", "solve": "reduced_energy"}[argv[0]]
+    # printed, and the error names the field, or the scale the oracle refuses
     code, out, err = run(argv, capsys)
     assert code == cli.EXIT_DOMAIN
     assert out == ""
-    assert err.startswith(f"error: {field} overflows float64")
+    assert err.startswith(f"error: {error}")
 
 
 @pytest.mark.parametrize(

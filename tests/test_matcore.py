@@ -16,8 +16,9 @@ from conftest import is_rotation, random_rotation
 
 
 def test_sym_eig_diagonal():
-    out = DeformationGradient(np.diag([1.0, 2.0, 3.0])).polar
-    assert np.allclose(out.values, [3.0, 2.0, 1.0], atol=1e-14)
+    F = DeformationGradient(np.diag([1.0, 2.0, 3.0]))
+    out = F.polar
+    assert np.allclose(F.singular_values, [3.0, 2.0, 1.0], atol=1e-14)
     # frame is a signed permutation with det +1
     assert np.allclose(np.abs(out.frame), np.fliplr(np.eye(3)), atol=1e-14)
     assert np.linalg.det(out.frame) == pytest.approx(1.0, abs=1e-12)
@@ -25,8 +26,9 @@ def test_sym_eig_diagonal():
 
 def test_sym_eig_identity_keeps_identity_frame():
     for n in (2, 3, 5):
-        out = DeformationGradient(np.eye(n)).polar
-        assert np.array_equal(out.values, np.ones(n))
+        F = DeformationGradient(np.eye(n))
+        out = F.polar
+        assert np.array_equal(F.singular_values, np.ones(n))
         assert np.array_equal(out.frame, np.eye(n))
 
 
@@ -37,9 +39,10 @@ def test_sym_eig_round_trip():
         q = random_rotation(n, rng)
         d = np.sort(rng.uniform(0.2, 3.0, n))[::-1]
         s = q @ np.diag(d) @ q.T
-        out = DeformationGradient(s).polar
-        assert np.allclose(out.values, d, atol=1e-10)
-        resid = np.linalg.norm(out.frame @ np.diag(out.values) @ out.frame.T - s)
+        F = DeformationGradient(s)
+        out = F.polar
+        assert np.allclose(F.singular_values, d, atol=1e-10)
+        resid = np.linalg.norm(out.frame @ np.diag(F.singular_values) @ out.frame.T - s)
         assert resid <= 1e-10 * (1.0 + np.linalg.norm(s))
         assert np.linalg.det(out.frame) == pytest.approx(1.0, abs=1e-10)
 

@@ -14,6 +14,8 @@ from relaxed_polar.energy import pair_rotations, reduced_energy_values
 from relaxed_polar.errors import InadmissiblePartition, OrientationError, TooLarge
 from relaxed_polar.ndim import (
     CriticalPartition,
+    _matchings,
+    _pair_signs,
     critical_value,
     critical_values,
     enumerate_critical_partitions,
@@ -300,6 +302,56 @@ def reference_traversal_path(start, d):
         m += 1
         push(blocks, signs)
     return path
+
+
+def reference_census(d, require_rotation):
+    """Reference: the census as it was before it pruned at the source.
+
+    Every matching of the indices into singletons and pairs, then those
+    with an inadmissible pair thrown away; (blocks, signs) per partition.
+    """
+
+    def matchings(indices):
+        if not indices:
+            yield ()
+            return
+        head, rest = indices[0], indices[1:]
+        for tail in matchings(rest):
+            yield ((head,),) + tail
+        for k, j in enumerate(rest):
+            for tail in matchings(rest[:k] + rest[k + 1 :]):
+                yield ((head, j),) + tail
+
+    out = []
+    for blocks in matchings(tuple(range(len(d)))):
+        choices = []
+        for b in blocks:
+            choices.append((-1, 1) if len(b) == 1 else _pair_signs(d[b[0]], d[b[1]]))
+        if not all(choices):
+            continue
+        for signs in itertools.product(*choices):
+            if not require_rotation or signs.count(-1) % 2 == 0:
+                out.append((blocks, signs))
+    return out
+
+
+class TestPrunedCensus:
+    @pytest.mark.parametrize("require_rotation", [True, False])
+    def test_matches_the_reference_in_order(self, require_rotation):
+        rng = np.random.default_rng(81)
+        for i in range(200):
+            n = 1 + i % 8
+            # values up to 4 put pair sums and gaps on both sides of 2
+            d = np.sort(rng.uniform(0.05, 4.0, n))[::-1].tolist()
+            got = enumerate_critical_partitions(d, require_rotation=require_rotation)
+            assert [(p.blocks, p.signs) for p in got] == reference_census(d, require_rotation)
+
+    def test_matchings_build_no_inadmissible_pair(self):
+        rng = np.random.default_rng(82)
+        for n in range(1, 9):
+            d = np.sort(rng.uniform(0.05, 4.0, n))[::-1].tolist()
+            for blocks in _matchings(tuple(range(n)), d):
+                assert all(_pair_signs(d[b[0]], d[b[1]]) for b in blocks if len(b) == 2)
 
 
 class TestGlobalMinimizers:

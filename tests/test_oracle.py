@@ -303,6 +303,23 @@ def test_newton_stack_is_bit_identical_to_single_starts(W, F, tol):
     assert all(is_rotation(x, tol=1e-12) for x in r)
 
 
+@pytest.mark.parametrize("search", ["global_minimize", "critical_scan", "riemannian_descent"])
+def test_the_searches_refuse_a_scale_where_the_gradient_norm_overflows(search):
+    cfg = OracleConfig(seed=0, samples=4, max_iters=50)
+
+    def call(muc, scale):
+        start = (np.eye(2),) if search == "riemannian_descent" else ()
+        F = DeformationGradient(np.diag([scale, scale]))
+        return getattr(oracle, search)(CosseratWeights(1.0, muc), F, *start, cfg)
+
+    for muc, scale in ((2.0, 9e153), (0.0, 1e77)):
+        with pytest.raises(ValueError, match="input scale"):
+            call(muc, scale)
+    # one decade lower runs, and without a warning, which the test configuration makes an error
+    for muc in (0.0, 2.0):
+        call(muc, 1e76)
+
+
 def test_newton_finishes_a_descent_stuck_in_a_narrow_valley():
     # at muc > mu the best restart bounces across a narrow valley, as descent
     # accepts any decrease: 10,000 more descent steps from it still end 8e-4

@@ -19,18 +19,18 @@ def test_spd_input_has_identity_rotation():
     rng = np.random.default_rng(30)
     q = random_rotation(3, rng)
     u = q @ np.diag([2.0, 1.0, 0.5]) @ q.T
-    p = DeformationGradient(u).polar
-    assert np.linalg.norm(p.rotation - np.eye(3)) <= 1e-12
-    assert np.linalg.norm(stretch(p) - u) <= 1e-12
+    F = DeformationGradient(u)
+    assert np.linalg.norm(F.polar.rotation - np.eye(3)) <= 1e-12
+    assert np.linalg.norm(stretch(F) - u) <= 1e-12
 
 
 def test_rotation_input_is_its_own_polar_factor():
     rng = np.random.default_rng(31)
     for n in (2, 3, 4):
         r = random_rotation(n, rng)
-        p = DeformationGradient(r).polar
-        assert np.linalg.norm(p.rotation - r) <= 1e-12
-        assert np.linalg.norm(stretch(p) - np.eye(n)) <= 1e-12
+        F = DeformationGradient(r)
+        assert np.linalg.norm(F.polar.rotation - r) <= 1e-12
+        assert np.linalg.norm(stretch(F) - np.eye(n)) <= 1e-12
 
 
 def test_simple_shear_polar_angle():

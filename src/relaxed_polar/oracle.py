@@ -1,23 +1,27 @@
 """Independent numeric ground truth for the closed-form minimizers.
 
-Multi-start Riemannian gradient descent over the rotation group from
-Haar-uniform restarts, finished by Newton on the gradient field with its
-exact Jacobian. Both step by the Cayley retraction R <- R C(A), C(A) =
+Multi-start search over the rotation group from Haar-uniform restarts:
+Riemannian gradient descent while a start is far from any critical point,
+then saddle-free Newton steps (Dauphin et al., arXiv:1406.2572) on the
+energy's Hessian, which converge quadratically near a minimum and step
+down off a saddle; Newton on the gradient field with its exact Jacobian
+finishes the winner. All step by the Cayley retraction R <- R C(A), C(A) =
 (1 - A/2)^-1 (1 + A/2) for skew A: one real linear solve per step, where
 the exact exponential needs an eigendecomposition for n >= 4. C agrees
 with expm to second order (Absil, Mahony and Sepulchre, *Optimization
-Algorithms on Matrix Manifolds*, 2008, sec. 4.1), so Newton keeps its
-exact Jacobian. ``critical_scan`` perturbs its corner starts by a small
-Cayley step too, so the oracle moves on the rotation group only by C(A),
-in every dimension. The rotation group is compact, so enough restarts
-make this a credible global oracle at the small dimensions the closed
-forms are verified at. Every restart draws its own random stream
-from (seed, restart index). Descent and Newton run their starts as one
-stack, each with its own step and stopping rule, so results do not depend
-on how the stack is split and are bit-identical for a fixed seed.
+Algorithms on Matrix Manifolds*, 2008, sec. 4.1), so the Newton steps
+keep their exact Jacobian and Hessian. ``critical_scan`` perturbs its
+corner starts by a small Cayley step too, so the oracle moves on the
+rotation group only by C(A), in every dimension. The rotation group is
+compact, so enough restarts make this a credible global oracle at the
+small dimensions the closed forms are verified at. Every restart draws
+its own random stream from (seed, restart index). Each phase runs its
+starts as one stack, each with its own step and stopping rule, so
+results do not depend on how the stack is split and are bit-identical
+for a fixed seed.
 
-Stationarity has one measure, the gradient norm ||G|| both searches
-return: for mu > muc it is mu lam ||skew((Rhat D / lam - 1)^2)||, the
+Stationarity has one measure, the gradient norm ||G|| every search
+returns: for mu > muc it is mu lam ||skew((Rhat D / lam - 1)^2)||, the
 paper's symmetric-square defect scaled, so it certifies critical points.
 ||G|| <= c = 2 max(mu, muc) ||F|| (||F|| + sqrt(n)), and ``global_minimize``,
 ``critical_scan`` and ``riemannian_descent`` raise ``ValueError`` where c^2
@@ -27,7 +31,7 @@ overflows (||F|| above about 5e76 at unit weights), not run on inf gradients.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,11 +46,21 @@ _MIN_STEP = 1e-18
 # A Cayley step turns a plane of angle t theta by 2 atan(t theta / 2), so at
 # the cap a step saturates just short of pi rather than wrapping around
 _MAX_STEP = 1e6
+# descent hands a start to saddle-free Newton once ||G|| <= _HANDOVER c, c the
+# module docstring's bound: first order does the global part of the search,
+# far from any critical point, and Newton the local convergence it is slow at
+_HANDOVER = 1e-2
+# saddle-free Newton converges in a few steps or stalls; the cap ends the rest
+_SFN_STEPS = 60
 
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """Multi-start descent configuration. The seed is always explicit."""
+    """Multi-start search configuration. The seed is always explicit.
+
+    ``max_iters`` caps a start's accepted descent steps, and ``tol_grad``
+    is the gradient norm at which its search ends.
+    """
 
     seed: int
     samples: int = 2000
@@ -66,18 +80,28 @@ class OracleConfig:
 class OracleResult:
     """What :func:`global_minimize` found.
 
-    ``best_rotation`` is the lowest-energy descent endpoint after Newton,
+    ``best_rotation`` is the lowest-energy search endpoint after Newton,
     ``best_energy`` its energy by :func:`~relaxed_polar.energy.energy` and
-    ``grad_norm_at_best`` its gradient norm ||G||. ``restarts_converged``
-    counts the descents that ended with ||G|| <= tol_grad before Newton;
-    at tol_grad = 1e-9 most descents end by step underflow with ||G|| near
-    that bound, so the count depends on rounding.
+    ``grad_norm_at_best`` its gradient norm ||G||. The other three count
+    how the starts' searches ended, before Newton: ``restarts_converged``
+    at ||G|| <= tol_grad, ``restarts_stalled`` at a saddle-free Newton step
+    that did not lower the energy and ``restarts_capped`` at that phase's
+    step cap; they add up to the number of starts. Saddle-free Newton takes
+    most starts past tol_grad = 1e-9 in a few quadratic steps, so the
+    count measures convergence, where a count of descents alone read
+    rounding noise. A start stalls where a full step overshoots, far from
+    any critical point, or where the energy no longer resolves a step's
+    decrease, at ||G|| of about 1e-9 to 1e-7 at unit scale; so a last-bit
+    change of the input can still move a start or two of 16 between
+    converged and stalled.
     """
 
     best_rotation: np.ndarray
     best_energy: float
     grad_norm_at_best: float
     restarts_converged: int
+    restarts_stalled: int
+    restarts_capped: int
 
 
 def haar_sample(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -95,13 +119,14 @@ def haar_sample(n: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def _check_scale(W: CosseratWeights, F: DeformationGradient):
-    """Raise ``ValueError`` where the module docstring's bound c^2 >= ||G||^2 overflows."""
+def _check_scale(W: CosseratWeights, F: DeformationGradient) -> float:
+    """The module docstring's bound c >= ||G||; ``ValueError`` where c^2 overflows."""
     with np.errstate(over="ignore"):  # an overflowing ||F|| reads inf and is refused
         fn = float(np.linalg.norm(F.matrix))
     c = 2.0 * max(W.mu, W.muc) * fn * (fn + F.dim**0.5)
     if not np.isfinite(c * c):  # a product of Python floats: inf, no warning
         raise ValueError(f"input scale ||F|| = {fn:g} overflows the oracle's gradient norm")
+    return c
 
 
 def _energy(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> np.ndarray:
@@ -142,6 +167,17 @@ def _jacobian(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarr
     dy[:, k, jj], dy[:, k, ii] = -y[:, ii], y[:, jj]  # rows of -B Y
     d = dy @ _weigh(mu, muc, y - eye)[:, None] + y[:, None] @ _weigh(mu, muc, dy)
     return (d - d.swapaxes(-1, -2))[..., jj, ii].swapaxes(-1, -2)
+
+
+def _hessian(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> np.ndarray:
+    """Symmetric part (S, m, m) of ``_jacobian`` at a stack R (S, n, n).
+
+    Along R(s) = R expm(s A) the energy has second derivative <dG[A], A> =
+    2 a^T J a, a the lower triangle of A, so this is half the energy's
+    Hessian in that basis; at a critical point J itself is symmetric.
+    """
+    jac = _jacobian(mu, muc, r, f, eye)
+    return 0.5 * (jac + jac.swapaxes(-1, -2))
 
 
 def _norm(g: np.ndarray) -> np.ndarray:
@@ -276,25 +312,112 @@ def _newton(
         stop = (gn <= tol) | (steps >= 60) | (factor <= 1e-6)
 
 
+def _sfn(
+    W: CosseratWeights,
+    F: DeformationGradient,
+    starts: np.ndarray,
+    tol: float,
+    energy_trace: list | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Saddle-free Newton on the energy for a stack of starts (S, n, n).
+
+    Each step is dx = -V diag(1 / max(|lam|, 1e-8 s)) V^T g, (lam, V) the
+    eigenpairs of ``_hessian``, g the lower triangle of G and s =
+    max(mu, muc) (1 + ||F||^2) (Dauphin et al., arXiv:1406.2572): Newton
+    near a minimum, a descent direction everywhere, and a way down off a
+    saddle, where plain Newton is drawn to it. The trial R C(dx), C the
+    Cayley retraction ``_cayley``, is accepted only if the energy strictly
+    falls. A start ends at ||G|| <= tol, at the first step that does not
+    lower the energy (stall) or after ``_SFN_STEPS`` steps. As in
+    ``_descend``, a start's result does not depend on the rest of the
+    stack, and ``energy_trace`` needs one start. Returns the rotations,
+    energies, gradient norms and how each start ended: 0 at tol, 1 by
+    stall, 2 at the cap.
+    """
+    mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
+    ii, jj = np.triu_indices(F.dim, 1)
+    floor = 1e-8 * max(mu, muc) * (1.0 + np.sum(f * f))
+    r = np.array(starts, dtype=float)
+    e = _energy(mu, muc, r, f, eye)
+    g = _gradient(mu, muc, r, f, eye)
+    gn = _norm(g)
+    out_r, out_e, out_gn = r.copy(), e.copy(), gn.copy()
+    out_end, end = np.zeros(len(r), dtype=int), np.zeros(len(r), dtype=int)
+    pos, steps = np.arange(len(r)), np.zeros(len(r), dtype=int)
+    stop = gn <= tol
+    while True:
+        if stop.any():
+            out = pos[stop]
+            out_r[out], out_e[out], out_gn[out], out_end[out] = r[stop], e[stop], gn[stop], end[stop]
+            keep = ~stop
+            pos, r, e, g, gn, steps = (x[keep] for x in (pos, r, e, g, gn, steps))
+        if not len(pos):
+            return out_r, out_e, out_gn, out_end
+        lam, v = np.linalg.eigh(_hessian(mu, muc, r, f, eye))
+        # products and sums, not matmul, whose rounding can depend on the stack
+        vg = (v * g[:, jj, ii, None]).sum(axis=1) / np.maximum(np.abs(lam), floor)
+        dx = -(v * vg[:, None, :]).sum(axis=-1)
+        step = np.zeros_like(r)
+        step[:, jj, ii], step[:, ii, jj] = dx, -dx
+        r_try = r @ _cayley(step, eye)
+        e_try = _energy(mu, muc, r_try, f, eye)
+        ok = e_try < e
+        r[ok], e[ok] = r_try[ok], e_try[ok]
+        steps += ok
+        if energy_trace is not None and ok[0]:
+            energy_trace.append(float(e[0]))
+        # a stalled start keeps its rotation, so its gradient is unchanged
+        g = _gradient(mu, muc, r, f, eye)
+        gn = _norm(g)
+        end = np.where(gn <= tol, 0, np.where(ok, 2, 1))
+        stop = (gn <= tol) | ~ok | (steps >= _SFN_STEPS)
+
+
+def _search(
+    W: CosseratWeights,
+    F: DeformationGradient,
+    starts: np.ndarray,
+    cfg: OracleConfig,
+    c: float,
+    energy_trace: list | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Descent, then saddle-free Newton, for a stack of starts (S, n, n).
+
+    ``_descend`` runs each start until ||G|| <= max(tol_grad, ``_HANDOVER``
+    c), c = ``_check_scale``'s bound, or until it stalls or reaches
+    max_iters; ``_sfn`` then takes every start on to ||G|| <= tol_grad.
+    Each start runs on its own, so results do not depend on the stack.
+    ``energy_trace`` needs one start and records the energy after every
+    accepted step of both phases. Returns the rotations, energies, gradient
+    norms and how each start ended, as ``_sfn`` does.
+    """
+    handover = replace(cfg, tol_grad=max(cfg.tol_grad, _HANDOVER * c))
+    r, _, _ = _descend(W, F, starts, handover, energy_trace)
+    return _sfn(W, F, r, cfg.tol_grad, energy_trace)
+
+
 def riemannian_descent(
     W: CosseratWeights, F: DeformationGradient, R0, cfg: OracleConfig, energy_trace: list | None = None
 ) -> tuple[np.ndarray, float, float]:
-    """Backtracking gradient descent on the rotation group from R0.
+    """Descent on the rotation group from R0, finished by saddle-free Newton.
 
-    Steps R <- R C(-t G), C(A) = (1 - A/2)^-1 (1 + A/2) the Cayley
-    retraction; the step is halved until the energy strictly decreases and
-    regrown after acceptance. Stops once ||G|| <= tol_grad, the step
-    underflows (stationary to machine precision), or max_iters is hit.
-    This is the one-start case of the stacked descent of
+    Backtracking gradient descent steps R <- R C(-t G), C(A) = (1 - A/2)^-1
+    (1 + A/2) the Cayley retraction; the step is halved until the energy
+    strictly decreases and regrown after acceptance. Once ||G|| <= 1e-2 c
+    (c in the module docstring), the step underflows or max_iters is hit,
+    saddle-free Newton steps take over, each accepted only if the energy
+    falls, until ||G|| <= tol_grad or a step no longer lowers the energy.
+    This is the one-start case of the stacked search of
     ``global_minimize``. Pass ``energy_trace`` to record the energy after
-    each accepted step: it strictly decreases, except across the SVD
-    re-projection every 64 steps, which can move it by rounding.
+    each accepted step of both phases: it strictly decreases, except across
+    the descent's SVD re-projection every 64 steps, which can move it by
+    rounding.
     """
-    _check_scale(W, F)
+    c = _check_scale(W, F)
     r = np.asarray(R0, dtype=float)
     if r.shape != (F.dim, F.dim):
         raise DimensionMismatch(f"start shape {r.shape} does not match dim {F.dim}")
-    r, e, gn = _descend(W, F, r[None], cfg, energy_trace)
+    r, e, gn, _ = _search(W, F, r[None], cfg, c, energy_trace)
     return r[0], float(e[0]), float(gn[0])
 
 
@@ -310,14 +433,15 @@ def global_minimize(
     Warm starts are the polar factor and up to 8 rotations of the
     closed-form minimizer set from :func:`~relaxed_polar.energy.solve`; turn
     them off (``warm_starts=False``) for unbiased verification of those
-    same closed forms. All starts descend as one stack, each with its own
-    step and stopping rule, so a start ends where it would alone and the
-    result does not depend on how the stack is split or ordered. The
-    lowest energy wins, ties broken by start index, and Newton on the
-    gradient field finishes it towards ||G|| <= tol_grad, which descent
-    alone reaches slowly or not at all in nearly flat or narrow valleys.
+    same closed forms. All starts run one stacked search, each with its own
+    step and stopping rule: first-order descent while far from a critical
+    point, then saddle-free Newton, which converges in a few steps where
+    descent crawls. So a start ends where it would alone and the result
+    does not depend on how the stack is split or ordered. The lowest energy
+    wins, ties broken by start index, and Newton on the gradient field
+    finishes it towards ||G|| <= tol_grad.
     """
-    _check_scale(W, F)
+    c = _check_scale(W, F)
     starts: list[np.ndarray] = []
     if warm_starts:
         starts.append(F.polar.rotation)
@@ -325,14 +449,17 @@ def global_minimize(
             starts.extend(solve(W, F).minimizers[:8])
     starts += [haar_sample(F.dim, np.random.default_rng((cfg.seed, i))) for i in range(cfg.samples)]
 
-    r, e, gn = _descend(W, F, np.array(starts), cfg)
+    r, e, _, end = _search(W, F, np.array(starts), cfg, c)
     best = int(np.argmin(e))  # the first of equal energies: lowest start index
     r_best, gn_best = _newton(W, F, r[best][None], cfg.tol_grad)
+    tally = np.bincount(end, minlength=3)
     return OracleResult(
         best_rotation=r_best[0],
         best_energy=energy(W, r_best[0], F),
         grad_norm_at_best=float(gn_best[0]),
-        restarts_converged=int(np.count_nonzero(gn <= cfg.tol_grad)),
+        restarts_converged=int(tally[0]),
+        restarts_stalled=int(tally[1]),
+        restarts_capped=int(tally[2]),
     )
 
 

@@ -18,6 +18,7 @@ from relaxed_polar import (
     reduced_energy,
     relative_rotation,
     riemannian_descent,
+    solve,
 )
 
 from conftest import is_rotation, random_gl_plus
@@ -187,7 +188,7 @@ def test_stack_follows_the_one_start_rules(W, F):
 @pytest.mark.parametrize("W, F", problems())
 def test_riemannian_descent_is_the_one_start_case(W, F):
     starts = haar_starts(F.dim, 4)
-    r, e, gn = oracle._descend(W, F, starts, CFG)
+    r, e, gn, _ = oracle._search(W, F, starts, CFG, oracle._check_scale(W, F))
     for i, r0 in enumerate(starts):
         trace = []
         ri, ei, gi = riemannian_descent(W, F, r0, CFG, energy_trace=trace)
@@ -196,14 +197,105 @@ def test_riemannian_descent_is_the_one_start_case(W, F):
         assert trace[0] == oracle._energy(W.mu, W.muc, r0[None], F.matrix, np.eye(F.dim))[0]
         if (len(trace) - 1) % 64:
             assert trace[-1] == ei
-        # accepted steps strictly decrease the energy; only the SVD
-        # re-projection every 64 steps may move it, by rounding
+        # accepted steps of both phases strictly decrease the energy; only
+        # the descent's SVD re-projection every 64 steps may move it, by rounding
         for k, (a, b) in enumerate(zip(trace, trace[1:]), start=1):
             if (k - 1) % 64 or k == 1:
                 assert b < a
             else:
                 assert b < a + 1e-13 * (1.0 + abs(a))
         assert is_rotation(ri, tol=1e-12)
+
+
+def handed_over(W, F, count):
+    """Haar starts and their descents to the handover, where ``_sfn`` takes over."""
+    starts = haar_starts(F.dim, count)
+    cfg = OracleConfig(seed=CFG.seed, tol_grad=oracle._HANDOVER * oracle._check_scale(W, F))
+    return np.concatenate((starts, oracle._descend(W, F, starts, cfg)[0]))
+
+
+@pytest.mark.parametrize("W, F", problems())
+def test_sfn_stack_is_bit_identical_to_single_starts(W, F):
+    starts = handed_over(W, F, 8)
+    r, e, gn, end = oracle._sfn(W, F, starts, CFG.tol_grad)
+    for i, r0 in enumerate(starts):
+        ri, ei, gi, endi = oracle._sfn(W, F, r0[None], CFG.tol_grad)
+        np.testing.assert_array_equal(ri[0], r[i])
+        assert ei[0] == e[i] and gi[0] == gn[i] and endi[0] == end[i]
+    split = [oracle._sfn(W, F, starts[:5], CFG.tol_grad), oracle._sfn(W, F, starts[5:], CFG.tol_grad)]
+    for whole, a, b in zip((r, e, gn, end), *split):
+        np.testing.assert_array_equal(np.concatenate([a, b]), whole)
+    # an ending at tolerance is the only one with ||G|| <= tol
+    assert np.array_equal(end == 0, gn <= CFG.tol_grad)
+    assert (end == 0).any() and all(is_rotation(x, tol=1e-12) for x in r)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("mu, muc", [(1.0, 0.0), (1.7, 0.4), (1.0, 2.0)])
+def test_hessian_quadratic_form_matches_second_differences(n, mu, muc):
+    # d^2/ds^2 W(R expm(s A)) = 2 a^T H a at s = 0, a the lower triangle of A
+    rng = np.random.default_rng(30 + n)
+    F = random_gl_plus(n, rng, lo=0.3, hi=3.0)
+    f, eye = F.matrix, np.eye(n)
+    r = haar_starts(n, 3)
+    hess = oracle._hessian(mu, muc, r, f, eye)
+    np.testing.assert_array_equal(hess, hess.swapaxes(-1, -2))
+    ii, jj = np.triu_indices(n, 1)
+    h = 1e-4
+    for a in random_skew(n, 4, 1.0, rng):
+        quad = 2.0 * np.einsum("i,sij,j->s", a[jj, ii], hess, a[jj, ii])
+        ep, em = (oracle._energy(mu, muc, r @ matcore.skew_exp(s * a), f, eye) for s in (h, -h))
+        e0 = oracle._energy(mu, muc, r, f, eye)
+        second = (ep - 2.0 * e0 + em) / (h * h)
+        np.testing.assert_allclose(second, quad, rtol=0, atol=1e-5 * (1.0 + np.abs(quad).max()))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("mu, muc", [(1.0, 0.0), (1.7, 0.4), (1.0, 2.0)])
+def test_search_started_at_a_closed_form_minimizer_stays_there(n, mu, muc):
+    rng = np.random.default_rng(50 + n)
+    W, F = CosseratWeights(mu, muc), random_gl_plus(n, rng, lo=0.3, hi=3.0)
+    starts = np.array(solve(W, F).minimizers)
+    c = oracle._check_scale(W, F)
+    # tol_grad = 1e-300 is below any rounding floor, so saddle-free Newton
+    # steps from the minimizer until a step no longer lowers the energy
+    for cfg in (CFG, OracleConfig(seed=0, tol_grad=1e-300)):
+        r, e, gn, end = oracle._search(W, F, starts, cfg, c)
+        assert np.linalg.norm(r - starts, axis=(-2, -1)).max() <= 1e-10
+        np.testing.assert_allclose(e, reduced_energy(W, F), rtol=1e-13, atol=1e-13)
+        assert gn.max() <= 1e-9 and np.isin(end, (0, 1)).all()
+
+
+def test_search_gets_out_of_a_cayley_bounce():
+    # 3D at weights (1.2805, 0), from Haar start (2017, 9): the descent's
+    # step settles where t ||G|| is about 2.5 and its Cayley steps bounce
+    # across a valley, lowering the energy by about 1e-11 a step, until
+    # max_iters; saddle-free Newton takes it on to the minimum
+    W = CosseratWeights(1.28054218472887, 0.0)
+    F = DeformationGradient([
+        [0.4980019907066836, 0.16838397041321, 0.014143307318551705],
+        [-0.16975972949625515, -0.20353191918421748, -0.5656411922140945],
+        [-0.10418743745045066, 0.5026598515754087, 0.1654284167570435],
+    ])
+    cfg = OracleConfig(seed=2017, samples=16, tol_grad=1e-9)
+    r0 = haar_sample(3, np.random.default_rng((2017, 9)))
+    wred = reduced_energy(W, F)
+    _, e_desc, gn_desc = oracle._descend(W, F, r0[None], cfg)
+    assert e_desc[0] > wred + 0.3 and gn_desc[0] > 0.5
+    trace = []
+    r, e, gn = riemannian_descent(W, F, r0, cfg, energy_trace=trace)
+    assert abs(e - wred) <= 1e-12 * (1.0 + wred) and gn <= 1e-9
+    assert len(trace) - 1 > cfg.max_iters and is_rotation(r, tol=1e-12)
+
+
+@pytest.mark.parametrize("W, F", problems())
+@pytest.mark.parametrize("warm_starts", [False, True])
+def test_restart_endings_add_up_to_the_starts(W, F, warm_starts):
+    res = global_minimize(W, F, CFG, warm_starts=warm_starts)
+    warm = 0 if not warm_starts else 1 + (0 if W.is_classical else min(8, 2 ** solve(W, F).k))
+    ends = (res.restarts_converged, res.restarts_stalled, res.restarts_capped)
+    assert sum(ends) == CFG.samples + warm and min(ends) >= 0
+    assert abs(res.best_energy - reduced_energy(W, F)) <= 1e-12 * (1.0 + abs(res.best_energy))
 
 
 def scan_cases():

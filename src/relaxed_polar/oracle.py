@@ -15,10 +15,11 @@ corner starts by a small Cayley step too, so the oracle moves on the
 rotation group only by C(A), in every dimension. The rotation group is
 compact, so enough restarts make this a credible global oracle at the
 small dimensions the closed forms are verified at. Every restart draws
-its own random stream from (seed, restart index). Each phase runs its
-starts as one stack, each with its own step and stopping rule, so
-results do not depend on how the stack is split and are bit-identical
-for a fixed seed.
+its own random stream from (seed, restart index), and the restarts of
+one (n, seed, samples) are built once, as one stack, and shared. Each
+phase runs its starts as one stack, each with its own step and stopping
+rule, so results do not depend on how the stack is split and are
+bit-identical for a fixed seed.
 
 Stationarity has one measure, the gradient norm ||G|| every search
 returns: for mu > muc it is mu lam ||skew((Rhat D / lam - 1)^2)||, the
@@ -30,6 +31,7 @@ overflows (||F|| above about 5e76 at unit weights), not run on inf gradients.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, replace
 
@@ -82,18 +84,19 @@ class OracleResult:
 
     ``best_rotation`` is the lowest-energy search endpoint after Newton,
     ``best_energy`` its energy by :func:`~relaxed_polar.energy.energy` and
-    ``grad_norm_at_best`` its gradient norm ||G||. The other three count
-    how the starts' searches ended, before Newton: ``restarts_converged``
-    at ||G|| <= tol_grad, ``restarts_stalled`` at a saddle-free Newton step
-    that did not lower the energy and ``restarts_capped`` at that phase's
-    step cap; they add up to the number of starts. Saddle-free Newton takes
-    most starts past tol_grad = 1e-9 in a few quadratic steps, so the
-    count measures convergence, where a count of descents alone read
-    rounding noise. A start stalls where a full step overshoots, far from
-    any critical point, or where the energy no longer resolves a step's
-    decrease, at ||G|| of about 1e-9 to 1e-7 at unit scale; so a last-bit
-    change of the input can still move a start or two of 16 between
-    converged and stalled.
+    ``grad_norm_at_best`` its gradient norm ||G||, which Newton takes
+    towards min(tol_grad, 1e-13 (1 + ||F||^2)), the rounding floor. The
+    other three count how the starts' searches ended, before Newton:
+    ``restarts_converged`` at ||G|| <= tol_grad, ``restarts_stalled`` at a
+    saddle-free Newton step that did not lower the energy and
+    ``restarts_capped`` at that phase's step cap; they add up to the number
+    of starts. Saddle-free Newton takes most starts past tol_grad = 1e-9 in
+    a few quadratic steps, so the count measures convergence, where a count
+    of descents alone read rounding noise. A start stalls where a full step
+    overshoots, far from any critical point, or where the energy no longer
+    resolves a step's decrease, at ||G|| of about 1e-9 to 1e-7 at unit
+    scale; so a last-bit change of the input can still move a start or two
+    of 16 between converged and stalled.
     """
 
     best_rotation: np.ndarray
@@ -104,19 +107,44 @@ class OracleResult:
     restarts_capped: int
 
 
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Haar-uniform rotations from a stack of Gaussian matrices (S, n, n):
+    QR with sign-corrected factors, then a last-column negation where the
+    determinant is -1."""
+    q, r = np.linalg.qr(g)
+    d = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    d[d == 0.0] = 1.0
+    q = q * d[:, None, :]
+    q[np.linalg.det(q) < 0.0, :, -1] *= -1.0
+    return q
+
+
 def haar_sample(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-uniform rotation: QR of a Gaussian matrix with sign-corrected
-    factors, then a last-column negation if the determinant is -1."""
+    """Haar-uniform rotation from one (n, n) Gaussian draw of ``rng``, by
+    the rule that builds the oracle's restarts."""
     if n < 1:
         raise ValueError("dimension must be >= 1")
-    g = rng.standard_normal((n, n))
-    q, r = np.linalg.qr(g)
-    d = np.sign(np.diagonal(r))
-    d[d == 0.0] = 1.0
-    q = q * d
-    if np.linalg.det(q) < 0.0:
-        q[:, -1] = -q[:, -1]
+    return _haar(rng.standard_normal((1, n, n)))[0]
+
+
+@functools.lru_cache(maxsize=16)
+def _haar_starts(n: int, seed: int, samples: int) -> np.ndarray:
+    """Read-only stack (samples, n, n) of Haar restarts, start i as
+    ``haar_sample`` draws it from ``default_rng((seed, i))``. The bound caps
+    a caller with a new seed per call (``scatter-mc``) at 6.4 MB for 2,000
+    starts in 5D."""
+    g = np.array([np.random.default_rng((seed, i)).standard_normal((n, n)) for i in range(samples)])
+    q = _haar(g)
+    q.flags.writeable = False
     return q
+
+
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``np.triu_indices(n, 1)``: the pairs (ii, jj) of skew coordinates."""
+    ii, jj = np.triu_indices(n, 1)
+    ii.flags.writeable = jj.flags.writeable = False
+    return ii, jj
 
 
 def _check_scale(W: CosseratWeights, F: DeformationGradient) -> float:
@@ -129,9 +157,20 @@ def _check_scale(W: CosseratWeights, F: DeformationGradient) -> float:
     return c
 
 
-def _energy(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> np.ndarray:
+def _stretch(r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Y = R^T F and X = Y - 1 at R (or a stack): the kernels below take these."""
+    y = r.swapaxes(-1, -2) @ f
+    return y, y - eye
+
+
+def _newton_tol(F: DeformationGradient) -> float:
+    """The rounding floor 1e-13 (1 + ||F||^2) of ||G||, whose terms grow
+    like ||F||^2: where the oracle's Newton runs aim to end."""
+    return 1e-13 * (1.0 + float(np.sum(F.matrix * F.matrix)))
+
+
+def _energy(mu: float, muc: float, x: np.ndarray) -> np.ndarray:
     # mu||sym X||^2 + muc||skew X||^2 = ((mu+muc)||X||^2 + (mu-muc) tr X^2)/2
-    x = r.swapaxes(-1, -2) @ f - eye
     nsq = (x * x).sum(axis=(-2, -1))
     q = (x * x.swapaxes(-1, -2)).sum(axis=(-2, -1))
     return 0.5 * ((mu + muc) * nsq + (mu - muc) * q)
@@ -142,41 +181,40 @@ def _weigh(mu: float, muc: float, x: np.ndarray) -> np.ndarray:
     return 0.5 * ((mu - muc) * x + (mu + muc) * x.swapaxes(-1, -2))
 
 
-def _gradient(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> np.ndarray:
+def _gradient(mu: float, muc: float, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Riemannian gradient G at R (or a stack), in the left trivialization.
 
     Along R(s) = R expm(s A) with skew A the energy changes at rate <G, A>:
     G = 2 skew( Y N(X) ),  Y = R^T F,  X = Y - 1,  N(X) = mu sym(X) - muc skew(X).
     """
-    y = r.swapaxes(-1, -2) @ f
-    b = y @ _weigh(mu, muc, y - eye)
+    b = y @ _weigh(mu, muc, x)
     return b - b.swapaxes(-1, -2)  # = 2 skew(B)
 
 
-def _jacobian(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """Exact Jacobian (S, m, m) of the gradient field at a stack R (S, n, n).
+def _jacobian(mu: float, muc: float, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Exact Jacobian (S, m, m) of the gradient field at a stack R (S, n, n),
+    given by its ``_stretch`` (Y, X).
 
     Skew G is a vector by its lower triangle G[jj, ii]; basis element k has
     +1 at (jj[k], ii[k]) and -1 at (ii[k], jj[k]). Along R expm(s B), Y =
     R^T F moves by dY = -B Y, so column k is 2 skew(dY N(X) + Y N(dY)).
     """
-    ii, jj = np.triu_indices(f.shape[-1], 1)
+    ii, jj = _pairs(y.shape[-1])
     k = np.arange(len(ii))
-    y = r.swapaxes(-1, -2) @ f
-    dy = np.zeros((len(y), len(k)) + f.shape)
+    dy = np.zeros((len(y), len(k)) + y.shape[1:])
     dy[:, k, jj], dy[:, k, ii] = -y[:, ii], y[:, jj]  # rows of -B Y
-    d = dy @ _weigh(mu, muc, y - eye)[:, None] + y[:, None] @ _weigh(mu, muc, dy)
+    d = dy @ _weigh(mu, muc, x)[:, None] + y[:, None] @ _weigh(mu, muc, dy)
     return (d - d.swapaxes(-1, -2))[..., jj, ii].swapaxes(-1, -2)
 
 
-def _hessian(mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> np.ndarray:
+def _hessian(mu: float, muc: float, y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Symmetric part (S, m, m) of ``_jacobian`` at a stack R (S, n, n).
 
     Along R(s) = R expm(s A) the energy has second derivative <dG[A], A> =
     2 a^T J a, a the lower triangle of A, so this is half the energy's
     Hessian in that basis; at a critical point J itself is symmetric.
     """
-    jac = _jacobian(mu, muc, r, f, eye)
+    jac = _jacobian(mu, muc, y, x)
     return 0.5 * (jac + jac.swapaxes(-1, -2))
 
 
@@ -220,8 +258,9 @@ def _descend(
     """
     mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
     r = np.array(starts, dtype=float)
-    e = _energy(mu, muc, r, f, eye)
-    g = _gradient(mu, muc, r, f, eye)
+    y, x = _stretch(r, f, eye)
+    e = _energy(mu, muc, x)
+    g = _gradient(mu, muc, y, x)
     gn = _norm(g)
     out_r, out_e, out_gn = r.copy(), e.copy(), gn.copy()
     t = np.full(len(r), _STEP_INIT)
@@ -235,20 +274,24 @@ def _descend(
             # write out the starts that ended and drop them from the stack
             out_r[pos[stop]], out_e[pos[stop]], out_gn[pos[stop]] = r[stop], e[stop], gn[stop]
             keep = ~stop
-            pos, r, e, g, gn, t, steps = (x[keep] for x in (pos, r, e, g, gn, t, steps))
+            pos, r, y, x, e, g, gn, t, steps = (
+                a[keep] for a in (pos, r, y, x, e, g, gn, t, steps)
+            )
         if not len(pos):
             return out_r, out_e, out_gn
         r_try = r @ _cayley(-t[:, None, None] * g, eye)
-        e_try = _energy(mu, muc, r_try, f, eye)
+        y_try, x_try = _stretch(r_try, f, eye)
+        e_try = _energy(mu, muc, x_try)
         ok = e_try < e
         t = np.where(ok, np.minimum(2.0 * t, _MAX_STEP), 0.5 * t)
         if not ok.any():
             stop = t < _MIN_STEP
             continue
         if not ok.all():
-            r_try = np.where(ok[:, None, None], r_try, r)
+            pick = ok[:, None, None]
+            r_try, y_try, x_try = (np.where(pick, a, b) for a, b in ((r_try, r), (y_try, y), (x_try, x)))
             e_try = np.where(ok, e_try, e)
-        r, e = r_try, e_try
+        r, y, x, e = r_try, y_try, x_try, e_try
         steps += ok
         if energy_trace is not None:
             energy_trace.append(float(e[0]))
@@ -257,9 +300,10 @@ def _descend(
             # re-project to kill accumulated orthogonality drift
             u, _, vt = np.linalg.svd(r[due])
             r[due] = u @ vt
-            e[due] = _energy(mu, muc, r[due], f, eye)
+            y[due], x[due] = _stretch(r[due], f, eye)
+            e[due] = _energy(mu, muc, x[due])
         # a rejected start keeps its rotation, so its gradient is unchanged
-        g = _gradient(mu, muc, r, f, eye)
+        g = _gradient(mu, muc, y, x)
         gn = _norm(g)
         stop = (t < _MIN_STEP) | (gn <= cfg.tol_grad) | (steps >= cfg.max_iters)
 
@@ -279,9 +323,9 @@ def _newton(
     the rest of the stack. Returns the rotations and gradient norms.
     """
     mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
-    ii, jj = np.triu_indices(F.dim, 1)
+    ii, jj = _pairs(F.dim)
     r = np.array(starts, dtype=float)
-    g = _gradient(mu, muc, r, f, eye)
+    g = _gradient(mu, muc, *_stretch(r, f, eye))
     gn = _norm(g)
     out_r, out_gn = r.copy(), gn.copy()
     pos, steps, factor = np.arange(len(r)), np.zeros(len(r), dtype=int), np.ones(len(r))
@@ -292,18 +336,18 @@ def _newton(
             out_r[pos[stop]], out_gn[pos[stop]] = r[stop], gn[stop]
             keep = ~stop
             pos, r, g, gn, steps, factor, step, fresh = (
-                x[keep] for x in (pos, r, g, gn, steps, factor, step, fresh)
+                a[keep] for a in (pos, r, g, gn, steps, factor, step, fresh)
             )
         if not len(pos):
             return out_r, out_gn
         if fresh.any():
             # the minimum-norm solution of J dx = -G, as a skew step
-            jac = _jacobian(mu, muc, r[fresh], f, eye)
+            jac = _jacobian(mu, muc, *_stretch(r[fresh], f, eye))
             dx = (np.linalg.pinv(jac) @ -g[fresh][:, jj, ii, None])[..., 0]
             new = np.flatnonzero(fresh)[:, None]
             step[new, jj, ii], step[new, ii, jj], factor[fresh] = dx, -dx, 1.0
         r_try = r @ _cayley(factor[:, None, None] * step, eye)
-        g_try = _gradient(mu, muc, r_try, f, eye)
+        g_try = _gradient(mu, muc, *_stretch(r_try, f, eye))
         gn_try = _norm(g_try)
         fresh = gn_try < gn
         r[fresh], g[fresh], gn[fresh] = r_try[fresh], g_try[fresh], gn_try[fresh]
@@ -335,11 +379,12 @@ def _sfn(
     stall, 2 at the cap.
     """
     mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
-    ii, jj = np.triu_indices(F.dim, 1)
+    ii, jj = _pairs(F.dim)
     floor = 1e-8 * max(mu, muc) * (1.0 + np.sum(f * f))
     r = np.array(starts, dtype=float)
-    e = _energy(mu, muc, r, f, eye)
-    g = _gradient(mu, muc, r, f, eye)
+    y, x = _stretch(r, f, eye)
+    e = _energy(mu, muc, x)
+    g = _gradient(mu, muc, y, x)
     gn = _norm(g)
     out_r, out_e, out_gn = r.copy(), e.copy(), gn.copy()
     out_end, end = np.zeros(len(r), dtype=int), np.zeros(len(r), dtype=int)
@@ -350,24 +395,25 @@ def _sfn(
             out = pos[stop]
             out_r[out], out_e[out], out_gn[out], out_end[out] = r[stop], e[stop], gn[stop], end[stop]
             keep = ~stop
-            pos, r, e, g, gn, steps = (x[keep] for x in (pos, r, e, g, gn, steps))
+            pos, r, y, x, e, g, gn, steps = (a[keep] for a in (pos, r, y, x, e, g, gn, steps))
         if not len(pos):
             return out_r, out_e, out_gn, out_end
-        lam, v = np.linalg.eigh(_hessian(mu, muc, r, f, eye))
+        lam, v = np.linalg.eigh(_hessian(mu, muc, y, x))
         # products and sums, not matmul, whose rounding can depend on the stack
         vg = (v * g[:, jj, ii, None]).sum(axis=1) / np.maximum(np.abs(lam), floor)
         dx = -(v * vg[:, None, :]).sum(axis=-1)
         step = np.zeros_like(r)
         step[:, jj, ii], step[:, ii, jj] = dx, -dx
         r_try = r @ _cayley(step, eye)
-        e_try = _energy(mu, muc, r_try, f, eye)
+        y_try, x_try = _stretch(r_try, f, eye)
+        e_try = _energy(mu, muc, x_try)
         ok = e_try < e
-        r[ok], e[ok] = r_try[ok], e_try[ok]
+        r[ok], y[ok], x[ok], e[ok] = r_try[ok], y_try[ok], x_try[ok], e_try[ok]
         steps += ok
         if energy_trace is not None and ok[0]:
             energy_trace.append(float(e[0]))
         # a stalled start keeps its rotation, so its gradient is unchanged
-        g = _gradient(mu, muc, r, f, eye)
+        g = _gradient(mu, muc, y, x)
         gn = _norm(g)
         end = np.where(gn <= tol, 0, np.where(ok, 2, 1))
         stop = (gn <= tol) | ~ok | (steps >= _SFN_STEPS)
@@ -437,21 +483,22 @@ def global_minimize(
     step and stopping rule: first-order descent while far from a critical
     point, then saddle-free Newton, which converges in a few steps where
     descent crawls. So a start ends where it would alone and the result
-    does not depend on how the stack is split or ordered. The lowest energy
-    wins, ties broken by start index, and Newton on the gradient field
-    finishes it towards ||G|| <= tol_grad.
+    does not depend on how the stack is split or ordered. The Haar
+    restarts are built once per (n, seed, samples) and reused. The lowest
+    energy wins, ties broken by start index, and Newton on the gradient
+    field finishes it towards ||G|| <= min(tol_grad, 1e-13 (1 + ||F||^2)).
     """
     c = _check_scale(W, F)
-    starts: list[np.ndarray] = []
+    starts = _haar_starts(F.dim, cfg.seed, cfg.samples)
     if warm_starts:
-        starts.append(F.polar.rotation)
+        warm = [F.polar.rotation]
         if not W.is_classical:  # a classical set is the polar factor alone
-            starts.extend(solve(W, F).minimizers[:8])
-    starts += [haar_sample(F.dim, np.random.default_rng((cfg.seed, i))) for i in range(cfg.samples)]
+            warm.extend(solve(W, F).minimizers[:8])
+        starts = np.concatenate((warm, starts))
 
-    r, e, _, end = _search(W, F, np.array(starts), cfg, c)
+    r, e, _, end = _search(W, F, starts, cfg, c)
     best = int(np.argmin(e))  # the first of equal energies: lowest start index
-    r_best, gn_best = _newton(W, F, r[best][None], cfg.tol_grad)
+    r_best, gn_best = _newton(W, F, r[best][None], min(cfg.tol_grad, _newton_tol(F)))
     tally = np.bincount(end, minlength=3)
     return OracleResult(
         best_rotation=r_best[0],
@@ -473,11 +520,12 @@ def critical_scan(
     exact and perturbed by the Cayley step C(0.025 (G - G^T)) of a
     Gaussian G): energy descent, which lands on minima and stays put when
     started exactly at a critical point, and damped Newton on the gradient
-    field, which also converges to saddles; each runs all the starts as
-    one stack. An endpoint is kept when the ||G||
-    its search returns is at most 1e-8 s, s = 1 for classical weights and
-    mu lam otherwise, where ||G|| / (mu lam) = ||skew((Rhat D / lam - 1)^2)||
-    is the paper's defect. Kept endpoints, each start's descent before its
+    field to ||G|| <= 1e-13 (1 + ||F||^2), which also converges to saddles;
+    each runs all the starts as one stack, the Haar samples shared with
+    ``global_minimize``. An endpoint is kept when the ||G|| its search
+    returns is at most 1e-8 s, s = 1 for classical weights and mu lam
+    otherwise, where ||G|| / (mu lam) = ||skew((Rhat D / lam - 1)^2)|| is
+    the paper's defect. Kept endpoints, each start's descent before its
     Newton, are clustered (same point = energy within 1e-6 and Frobenius
     distance within 1e-4; the first stays) and sorted by energy.
     """
@@ -487,12 +535,10 @@ def critical_scan(
     corners = absolute_rotation(signs[:, None, :] * eye, F)
     g = np.random.default_rng((cfg.seed, 0xC0)).standard_normal(corners.shape)
     nudged = corners @ _cayley(0.025 * (g - g.swapaxes(-1, -2)), eye)
-    haar = [haar_sample(n, np.random.default_rng((cfg.seed, i))) for i in range(cfg.samples)]
-    starts = np.concatenate((corners, nudged, haar))
+    starts = np.concatenate((corners, nudged, _haar_starts(n, cfg.seed, cfg.samples)))
 
-    newton_tol = 1e-13 * (1.0 + np.sum(F.matrix * F.matrix))
     r_desc, _, gn_desc = _descend(W, F, starts, cfg)
-    r_newt, gn_newt = _newton(W, F, starts, newton_tol)
+    r_newt, gn_newt = _newton(W, F, starts, _newton_tol(F))
     r = np.stack((r_desc, r_newt), axis=1).reshape(-1, n, n)
     gn = np.stack((gn_desc, gn_newt), axis=1).ravel()
     tol = 1e-8 * (1.0 if W.is_classical else W.mu * W.scaling)

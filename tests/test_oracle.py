@@ -36,8 +36,9 @@ def reference_descent(W, F, r0, cfg):
     """
     mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
     r = np.array(r0, dtype=float)[None]
-    e = oracle._energy(mu, muc, r, f, eye)
-    g = oracle._gradient(mu, muc, r, f, eye)
+    y, x = oracle._stretch(r, f, eye)
+    e = oracle._energy(mu, muc, x)
+    g = oracle._gradient(mu, muc, y, x)
     gn = oracle._norm(g)
     t = oracle._STEP_INIT
     for it in range(cfg.max_iters):
@@ -46,7 +47,7 @@ def reference_descent(W, F, r0, cfg):
         moved = False
         while t >= oracle._MIN_STEP:
             r_try = r @ oracle._cayley(-t * g, eye)
-            e_try = oracle._energy(mu, muc, r_try, f, eye)
+            e_try = oracle._energy(mu, muc, oracle._stretch(r_try, f, eye)[1])
             if e_try[0] < e[0]:
                 r, e, moved = r_try, e_try, True
                 break
@@ -57,8 +58,8 @@ def reference_descent(W, F, r0, cfg):
         if (it + 1) % 64 == 0:
             u, _, vt = np.linalg.svd(r)
             r = u @ vt
-            e = oracle._energy(mu, muc, r, f, eye)
-        g = oracle._gradient(mu, muc, r, f, eye)
+            e = oracle._energy(mu, muc, oracle._stretch(r, f, eye)[1])
+        g = oracle._gradient(mu, muc, *oracle._stretch(r, f, eye))
         gn = oracle._norm(g)
     return r[0], e[0], gn[0]
 
@@ -107,6 +108,19 @@ def test_haar_sample_rejects_dimension_zero():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_haar_starts_are_the_per_start_samples_in_one_read_only_stack(n):
+    for seed in (0, 1, 5, 2017):
+        for samples in (1, 16, 200):
+            starts = oracle._haar_starts(n, seed, samples)
+            ref = [haar_sample(n, np.random.default_rng((seed, i))) for i in range(samples)]
+            assert starts.shape == (samples, n, n)
+            assert starts.tobytes() == np.array(ref).tobytes()
+            assert not starts.flags.writeable
+            with pytest.raises(ValueError):
+                starts[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_stacked_energy_identity_matches_the_definition(n):
     # ((mu+muc)||X||^2 + (mu-muc) tr X^2) / 2 against mu||sym X||^2 + muc||skew X||^2
     rng, eye = np.random.default_rng(90 + n), np.eye(n)
@@ -116,7 +130,7 @@ def test_stacked_energy_identity_matches_the_definition(n):
             muc = mu * float(rng.uniform(lo, hi))
             W, F, r = CosseratWeights(mu, muc), random_gl_plus(n, rng), haar_sample(n, rng)
             x = r.T @ F.matrix - eye
-            e = oracle._energy(mu, muc, r[None], F.matrix, eye)[0]
+            e = oracle._energy(mu, muc, x[None])[0]
             assert abs(e - energy(W, r, F)) <= 1e-13 * (1.0 + (mu + muc) * np.sum(x * x))
 
 
@@ -194,7 +208,8 @@ def test_riemannian_descent_is_the_one_start_case(W, F):
         ri, ei, gi = riemannian_descent(W, F, r0, CFG, energy_trace=trace)
         np.testing.assert_array_equal(ri, r[i])
         assert ei == e[i] and gi == gn[i]
-        assert trace[0] == oracle._energy(W.mu, W.muc, r0[None], F.matrix, np.eye(F.dim))[0]
+        x0 = oracle._stretch(r0[None], F.matrix, np.eye(F.dim))[1]
+        assert trace[0] == oracle._energy(W.mu, W.muc, x0)[0]
         if (len(trace) - 1) % 64:
             assert trace[-1] == ei
         # accepted steps of both phases strictly decrease the energy; only
@@ -238,14 +253,16 @@ def test_hessian_quadratic_form_matches_second_differences(n, mu, muc):
     F = random_gl_plus(n, rng, lo=0.3, hi=3.0)
     f, eye = F.matrix, np.eye(n)
     r = haar_starts(n, 3)
-    hess = oracle._hessian(mu, muc, r, f, eye)
+    hess = oracle._hessian(mu, muc, *oracle._stretch(r, f, eye))
     np.testing.assert_array_equal(hess, hess.swapaxes(-1, -2))
     ii, jj = np.triu_indices(n, 1)
     h = 1e-4
     for a in random_skew(n, 4, 1.0, rng):
         quad = 2.0 * np.einsum("i,sij,j->s", a[jj, ii], hess, a[jj, ii])
-        ep, em = (oracle._energy(mu, muc, r @ matcore.skew_exp(s * a), f, eye) for s in (h, -h))
-        e0 = oracle._energy(mu, muc, r, f, eye)
+        ep, em, e0 = (
+            oracle._energy(mu, muc, oracle._stretch(q, f, eye)[1])
+            for q in (r @ matcore.skew_exp(h * a), r @ matcore.skew_exp(-h * a), r)
+        )
         second = (ep - 2.0 * e0 + em) / (h * h)
         np.testing.assert_allclose(second, quad, rtol=0, atol=1e-5 * (1.0 + np.abs(quad).max()))
 
@@ -290,6 +307,27 @@ def test_search_gets_out_of_a_cayley_bounce():
 
 @pytest.mark.parametrize("W, F", problems())
 @pytest.mark.parametrize("warm_starts", [False, True])
+def test_newton_finishes_the_winner_at_the_rounding_floor(W, F, warm_starts):
+    res = global_minimize(W, F, CFG, warm_starts=warm_starts)
+    assert res.grad_norm_at_best <= 1e-13 * (1.0 + np.sum(F.matrix * F.matrix))
+
+
+@pytest.mark.parametrize("W, F", problems())
+def test_global_minimize_repeats_bit_for_bit(W, F):
+    # the second call takes its starts from the cache, the third builds them anew
+    runs = [global_minimize(W, F, CFG, warm_starts=False) for _ in range(2)]
+    oracle._haar_starts.cache_clear()
+    runs.append(global_minimize(W, F, CFG, warm_starts=False))
+    first = runs[0]
+    for res in runs[1:]:
+        assert res.best_rotation.tobytes() == first.best_rotation.tobytes()
+        assert (res.best_energy, res.grad_norm_at_best) == (first.best_energy, first.grad_norm_at_best)
+        ends = (res.restarts_converged, res.restarts_stalled, res.restarts_capped)
+        assert ends == (first.restarts_converged, first.restarts_stalled, first.restarts_capped)
+
+
+@pytest.mark.parametrize("W, F", problems())
+@pytest.mark.parametrize("warm_starts", [False, True])
 def test_restart_endings_add_up_to_the_starts(W, F, warm_starts):
     res = global_minimize(W, F, CFG, warm_starts=warm_starts)
     warm = 0 if not warm_starts else 1 + (0 if W.is_classical else min(8, 2 ** solve(W, F).k))
@@ -317,7 +355,7 @@ def symmetric_square_defect(W, r, F):
 def reference_certificate(W, r, F):
     """The defect for mu > muc, the gradient norm for classical weights."""
     if W.is_classical:
-        return oracle._norm(oracle._gradient(W.mu, W.muc, r, F.matrix, np.eye(F.dim)))
+        return oracle._norm(oracle._gradient(W.mu, W.muc, *oracle._stretch(r, F.matrix, np.eye(F.dim))))
     return symmetric_square_defect(W, r, F)
 
 
@@ -331,7 +369,7 @@ def test_symmetric_square_defect_is_the_scaled_gradient_norm(n, positive_muc):
         W = CosseratWeights(mu, rng.uniform(0.0, mu) if positive_muc else 0.0)
         F = random_gl_plus(n, rng, lo=0.3, hi=3.0)
         r = haar_sample(n, rng)
-        gn = oracle._norm(oracle._gradient(W.mu, W.muc, r, F.matrix, np.eye(n)))
+        gn = oracle._norm(oracle._gradient(W.mu, W.muc, *oracle._stretch(r, F.matrix, np.eye(n))))
         assert gn == pytest.approx(W.mu * W.scaling * symmetric_square_defect(W, r, F), rel=1e-12)
 
 
@@ -367,13 +405,16 @@ def test_jacobian_matches_central_differences(n, mu, muc):
     rng = np.random.default_rng(n)
     f, eye = random_gl_plus(n, rng, lo=0.3, hi=3.0).matrix, np.eye(n)
     r = haar_starts(n, 3)
-    jac = oracle._jacobian(mu, muc, r, f, eye)
+    jac = oracle._jacobian(mu, muc, *oracle._stretch(r, f, eye))
     ii, jj = np.triu_indices(n, 1)
     h = 1e-6
     for k in range(len(ii)):
         b = np.zeros((n, n))
         b[jj[k], ii[k]], b[ii[k], jj[k]] = 1.0, -1.0
-        gp, gm = (oracle._gradient(mu, muc, r @ matcore.skew_exp(s * b), f, eye) for s in (h, -h))
+        gp, gm = (
+            oracle._gradient(mu, muc, *oracle._stretch(r @ matcore.skew_exp(s * b), f, eye))
+            for s in (h, -h)
+        )
         np.testing.assert_allclose(jac[:, :, k], (gp - gm)[:, jj, ii] / (2 * h), rtol=0, atol=1e-7)
 
 

@@ -1,39 +1,40 @@
 """Independent numeric ground truth for the closed-form minimizers.
 
-Multi-start search over the rotation group from Haar-uniform restarts:
-Riemannian gradient descent while a start is far from any critical point,
-then saddle-free Newton steps (Dauphin et al., arXiv:1406.2572) on the
-energy's Hessian, which converge quadratically near a minimum and step
-down off a saddle; Newton on the gradient field with its exact Jacobian
-finishes the winner. All step by the Cayley retraction R <- R C(A), C(A) =
-(1 - A/2)^-1 (1 + A/2) for skew A: one real linear solve per step, where
-the exact exponential needs an eigendecomposition for n >= 4. C agrees
-with expm to second order (Absil, Mahony and Sepulchre, *Optimization
-Algorithms on Matrix Manifolds*, 2008, sec. 4.1), so the Newton steps
-keep their exact Jacobian and Hessian. ``critical_scan`` perturbs its
-corner starts by a small Cayley step too, so the oracle moves on the
-rotation group only by C(A), in every dimension. The rotation group is
-compact, so enough restarts make this a credible global oracle at the
-small dimensions the closed forms are verified at. Every restart draws
-its own random stream from (seed, restart index), and the restarts of
-one (n, seed, samples) are built once, as one stack, and shared. Each
-phase runs its starts as one stack, each with its own step and stopping
-rule, so results do not depend on how the stack is split and are
-bit-identical for a fixed seed.
+Multi-start search over the rotation group from Haar-uniform restarts, by
+one search, ``_search``, behind ``global_minimize``, ``riemannian_descent``
+and ``critical_scan``: Riemannian gradient descent while a start is far
+from any critical point, then, from the handover on, saddle-free Newton
+steps (Dauphin et al., arXiv:1406.2572) on the energy's Hessian, which
+converge quadratically near a minimum and step down off a saddle; Newton
+on the gradient field with its exact Jacobian finishes the winner. All
+step by the Cayley retraction R <- R C(A), C(A) = (1 - A/2)^-1 (1 + A/2)
+for skew A: one real linear solve per step, where the exact exponential
+needs an eigendecomposition for n >= 4. C agrees with expm to second order
+(Absil, Mahony and Sepulchre, *Optimization Algorithms on Matrix
+Manifolds*, 2008, sec. 4.1), so the Newton steps keep their exact
+Jacobian and Hessian. ``critical_scan`` perturbs its corner starts by a
+small Cayley step too, so the oracle moves on the rotation group only by
+C(A), in every dimension. The rotation group is compact, so enough
+restarts make this a credible global oracle at the small dimensions the
+closed forms are verified at. Every restart draws its own random stream
+from (seed, restart index), and the restarts of one (n, seed, samples) are
+built once, as one stack, and shared. Each phase runs its starts as one
+stack, each with its own step and stopping rule, so results do not depend
+on how the stack is split and are bit-identical for a fixed seed.
 
 Stationarity has one measure, the gradient norm ||G|| every search
 returns: for mu > muc it is mu lam ||skew((Rhat D / lam - 1)^2)||, the
 paper's symmetric-square defect scaled, so it certifies critical points.
-||G|| <= c = 2 max(mu, muc) ||F|| (||F|| + sqrt(n)), and ``global_minimize``,
-``critical_scan`` and ``riemannian_descent`` raise ``ValueError`` where c^2
-overflows (||F|| above about 5e76 at unit weights), not run on inf gradients.
+||G|| <= c = 2 max(mu, muc) ||F|| (||F|| + sqrt(n)), and ``_search`` raises
+``ValueError`` before any step where c^2 overflows (||F|| above about 5e76 at
+unit weights), not run on inf gradients.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,10 +44,11 @@ from .errors import DimensionMismatch
 # first step length of every descent; each start then adapts its own
 _STEP_INIT = 0.1
 _MIN_STEP = 1e-18
-# generous cap: backtracking rejects overshoots anyway, and nearly flat
-# modes (repeated singular values) need steps far above unity to converge.
-# A Cayley step turns a plane of angle t theta by 2 atan(t theta / 2), so at
-# the cap a step saturates just short of pi rather than wrapping around
+# generous cap on t and on the step norm t ||G||: backtracking rejects
+# overshoots anyway, and nearly flat modes (repeated singular values) need
+# steps far above unity to converge. A Cayley step turns a plane of angle
+# theta by 2 atan(theta / 2), so at the cap a step saturates just short of pi
+# rather than wrapping around, and its orthogonality error stays near 1e-10
 _MAX_STEP = 1e6
 # descent hands a start to saddle-free Newton once ||G|| <= _HANDOVER c, c the
 # module docstring's bound: first order does the global part of the search,
@@ -227,10 +229,11 @@ def _cayley(a: np.ndarray, eye: np.ndarray) -> np.ndarray:
 
     A rotation for every skew A, since 1 - A/2 is then invertible; each
     slice is solved on its own, so a slice's result does not depend on the
-    stack. A is not checked: both callers build it skew. The orthogonality
+    stack. A is not checked: every caller builds it skew. The orthogonality
     error is a few ulps for ||A|| <= 10. 1 - A/2 has condition number about
-    ||A|| / 2, so at ||A|| = 1e6 the error grows to about 1e-10 in odd n;
-    the descent's SVD re-projection every 64 steps removes that drift.
+    ||A|| / 2, so at ||A|| = 1e6, the descent's cap at any input scale, the
+    error grows to about 1e-10 in odd n, where a skew A is singular; the
+    descent's SVD re-projection every 64 steps removes that drift.
     """
     half = 0.5 * a
     return np.linalg.solve(eye - half, eye + half)
@@ -240,19 +243,20 @@ def _descend(
     W: CosseratWeights,
     F: DeformationGradient,
     starts: np.ndarray,
-    cfg: OracleConfig,
+    tol: float,
+    max_iters: int,
     energy_trace: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backtracking descent of a stack of starts (S, n, n), each on its own.
+    """Backtracking descent of a stack of starts (S, n, n), each on its own:
+    the first phase of ``_search``, run to its handover.
 
-    Each start keeps its own step t: the trial R C(-t G), C the Cayley
-    retraction ``_cayley``, is accepted if the energy strictly decreases,
-    else t is halved; after acceptance t doubles up to ``_MAX_STEP``, where
-    a step saturates just short of a half turn rather than wrapping, and
-    every 64 accepted steps R is re-projected onto the rotations by SVD. A
-    start stops at ||G|| <= tol_grad, at t < ``_MIN_STEP`` or after
-    max_iters accepted steps. A round evaluates only the running starts,
-    slice by slice, so no start depends on the rest of the stack.
+    Each start keeps its own step t: the trial R C(-min(t, ``_MAX_STEP`` /
+    ||G||) G), C the Cayley retraction ``_cayley``, is accepted if the
+    energy strictly decreases, else t is halved; after acceptance t doubles
+    up to ``_MAX_STEP``, and every 64 accepted steps R is re-projected onto
+    the rotations by SVD. A start stops at ||G|| <= tol, at t < ``_MIN_STEP``
+    or after max_iters accepted steps. A round evaluates only the running
+    starts, slice by slice, so no start depends on the rest of the stack.
     ``energy_trace`` needs one start. Returns the rotations, energies and
     gradient norms.
     """
@@ -268,7 +272,7 @@ def _descend(
     pos = np.arange(len(r))
     if energy_trace is not None:
         energy_trace.append(float(e[0]))
-    stop = (gn <= cfg.tol_grad) | (t < _MIN_STEP)
+    stop = (gn <= tol) | (t < _MIN_STEP)
     while True:
         if stop.any():
             # write out the starts that ended and drop them from the stack
@@ -279,7 +283,7 @@ def _descend(
             )
         if not len(pos):
             return out_r, out_e, out_gn
-        r_try = r @ _cayley(-t[:, None, None] * g, eye)
+        r_try = r @ _cayley(-np.minimum(t, _MAX_STEP / gn)[:, None, None] * g, eye)
         y_try, x_try = _stretch(r_try, f, eye)
         e_try = _energy(mu, muc, x_try)
         ok = e_try < e
@@ -305,7 +309,7 @@ def _descend(
         # a rejected start keeps its rotation, so its gradient is unchanged
         g = _gradient(mu, muc, y, x)
         gn = _norm(g)
-        stop = (t < _MIN_STEP) | (gn <= cfg.tol_grad) | (steps >= cfg.max_iters)
+        stop = (t < _MIN_STEP) | (gn <= tol) | (steps >= max_iters)
 
 
 def _newton(
@@ -424,21 +428,23 @@ def _search(
     F: DeformationGradient,
     starts: np.ndarray,
     cfg: OracleConfig,
-    c: float,
     energy_trace: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Descent, then saddle-free Newton, for a stack of starts (S, n, n).
+    """The oracle's one search: descent, then saddle-free Newton, for a
+    stack of starts (S, n, n).
 
-    ``_descend`` runs each start until ||G|| <= max(tol_grad, ``_HANDOVER``
-    c), c = ``_check_scale``'s bound, or until it stalls or reaches
-    max_iters; ``_sfn`` then takes every start on to ||G|| <= tol_grad.
-    Each start runs on its own, so results do not depend on the stack.
-    ``energy_trace`` needs one start and records the energy after every
-    accepted step of both phases. Returns the rotations, energies, gradient
-    norms and how each start ended, as ``_sfn`` does.
+    ``_check_scale`` refuses an overflowing input before any step. Its bound
+    c sets the handover: ``_descend`` runs each start until ||G|| <=
+    max(tol_grad, ``_HANDOVER`` c), or until it stalls or reaches max_iters;
+    ``_sfn`` then takes every start on to ||G|| <= tol_grad. ``energy_trace``
+    needs one start and records the energy after every accepted step of
+    both phases: it strictly decreases, except across the descent's SVD
+    re-projection every 64 steps, which can move it by rounding. Returns the
+    rotations, energies, gradient norms and how each start ended, as
+    ``_sfn`` does.
     """
-    handover = replace(cfg, tol_grad=max(cfg.tol_grad, _HANDOVER * c))
-    r, _, _ = _descend(W, F, starts, handover, energy_trace)
+    tol = max(cfg.tol_grad, _HANDOVER * _check_scale(W, F))
+    r, _, _ = _descend(W, F, starts, tol, cfg.max_iters, energy_trace)
     return _sfn(W, F, r, cfg.tol_grad, energy_trace)
 
 
@@ -447,23 +453,14 @@ def riemannian_descent(
 ) -> tuple[np.ndarray, float, float]:
     """Descent on the rotation group from R0, finished by saddle-free Newton.
 
-    Backtracking gradient descent steps R <- R C(-t G), C(A) = (1 - A/2)^-1
-    (1 + A/2) the Cayley retraction; the step is halved until the energy
-    strictly decreases and regrown after acceptance. Once ||G|| <= 1e-2 c
-    (c in the module docstring), the step underflows or max_iters is hit,
-    saddle-free Newton steps take over, each accepted only if the energy
-    falls, until ||G|| <= tol_grad or a step no longer lowers the energy.
-    This is the one-start case of the stacked search of
-    ``global_minimize``. Pass ``energy_trace`` to record the energy after
-    each accepted step of both phases: it strictly decreases, except across
-    the descent's SVD re-projection every 64 steps, which can move it by
-    rounding.
+    The one-start case of ``_search``; pass ``energy_trace`` to record the
+    energy after each accepted step of both phases. Returns the rotation,
+    its energy and its gradient norm.
     """
-    c = _check_scale(W, F)
     r = np.asarray(R0, dtype=float)
     if r.shape != (F.dim, F.dim):
         raise DimensionMismatch(f"start shape {r.shape} does not match dim {F.dim}")
-    r, e, gn, _ = _search(W, F, r[None], cfg, c, energy_trace)
+    r, e, gn, _ = _search(W, F, r[None], cfg, energy_trace)
     return r[0], float(e[0]), float(gn[0])
 
 
@@ -488,7 +485,6 @@ def global_minimize(
     energy wins, ties broken by start index, and Newton on the gradient
     field finishes it towards ||G|| <= min(tol_grad, 1e-13 (1 + ||F||^2)).
     """
-    c = _check_scale(W, F)
     starts = _haar_starts(F.dim, cfg.seed, cfg.samples)
     if warm_starts:
         warm = [F.polar.rotation]
@@ -496,7 +492,7 @@ def global_minimize(
             warm.extend(solve(W, F).minimizers[:8])
         starts = np.concatenate((warm, starts))
 
-    r, e, _, end = _search(W, F, starts, cfg, c)
+    r, e, _, end = _search(W, F, starts, cfg)
     best = int(np.argmin(e))  # the first of equal energies: lowest start index
     r_best, gn_best = _newton(W, F, r[best][None], min(cfg.tol_grad, _newton_tol(F)))
     tally = np.bincount(end, minlength=3)
@@ -518,18 +514,18 @@ def critical_scan(
     Two searches run from every start point (Haar samples plus the
     principal-frame sign corners polar(F) Q diag(+-1) Q^T with det +1,
     exact and perturbed by the Cayley step C(0.025 (G - G^T)) of a
-    Gaussian G): energy descent, which lands on minima and stays put when
-    started exactly at a critical point, and damped Newton on the gradient
-    field to ||G|| <= 1e-13 (1 + ||F||^2), which also converges to saddles;
-    each runs all the starts as one stack, the Haar samples shared with
-    ``global_minimize``. An endpoint is kept when the ||G|| its search
-    returns is at most 1e-8 s, s = 1 for classical weights and mu lam
-    otherwise, where ||G|| / (mu lam) = ||skew((Rhat D / lam - 1)^2)|| is
-    the paper's defect. Kept endpoints, each start's descent before its
-    Newton, are clustered (same point = energy within 1e-6 and Frobenius
-    distance within 1e-4; the first stays) and sorted by energy.
+    Gaussian G): ``_search``, descent to the handover and then saddle-free
+    Newton, which lands on minima and stays put when started exactly at a
+    critical point, and damped Newton on the gradient field to ||G|| <=
+    1e-13 (1 + ||F||^2), which also converges to saddles; each runs all the
+    starts as one stack, the Haar samples shared with ``global_minimize``.
+    An endpoint is kept when the ||G|| its search returns is at most 1e-8
+    s, s = 1 for classical weights and mu lam otherwise, where ||G|| / (mu
+    lam) = ||skew((Rhat D / lam - 1)^2)|| is the paper's defect. Kept
+    endpoints, each start's ``_search`` before its Newton, are clustered
+    (same point = energies e within 1e-6 (1 + |e|) and Frobenius distance
+    within 1e-4; the first stays) and sorted by energy.
     """
-    _check_scale(W, F)
     n, eye = F.dim, np.eye(F.dim)
     signs = np.array([s for s in itertools.product((1.0, -1.0), repeat=n) if np.prod(s) > 0])
     corners = absolute_rotation(signs[:, None, :] * eye, F)
@@ -537,16 +533,16 @@ def critical_scan(
     nudged = corners @ _cayley(0.025 * (g - g.swapaxes(-1, -2)), eye)
     starts = np.concatenate((corners, nudged, _haar_starts(n, cfg.seed, cfg.samples)))
 
-    r_desc, _, gn_desc = _descend(W, F, starts, cfg)
+    r_search, _, gn_search, _ = _search(W, F, starts, cfg)
     r_newt, gn_newt = _newton(W, F, starts, _newton_tol(F))
-    r = np.stack((r_desc, r_newt), axis=1).reshape(-1, n, n)
-    gn = np.stack((gn_desc, gn_newt), axis=1).ravel()
+    r = np.stack((r_search, r_newt), axis=1).reshape(-1, n, n)
+    gn = np.stack((gn_search, gn_newt), axis=1).ravel()
     tol = 1e-8 * (1.0 if W.is_classical else W.mu * W.scaling)
 
     found: list[tuple[np.ndarray, float]] = []
     for ri in r[gn <= tol]:
         e = energy(W, ri, F)
-        if not any(abs(e - ek) <= 1e-6 and _norm(ri - rk) <= 1e-4 for rk, ek in found):
+        if not any(abs(e - ek) <= 1e-6 * (1.0 + abs(e)) and _norm(ri - rk) <= 1e-4 for rk, ek in found):
             found.append((ri, e))
     found.sort(key=lambda t: t[1])
     return found

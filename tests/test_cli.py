@@ -190,6 +190,14 @@ class TestSolve:
         assert rep["oracle"]["gap"] == rep["oracle"]["best_energy"] - rep["reduced_energy"]
         assert rep["oracle"]["gap"] >= -1e-9
 
+    def test_verify_in_odd_dimension_at_large_scale(self, capsys):
+        # the oracle's descent steps stay rotations in odd n at any scale
+        matrix = "[[1e10, 0, 0], [0, 7.5e9, 0], [0, 0, 5e9]]"
+        code, out, _ = run(["solve", "--matrix", matrix, "--verify", "--samples", "16"], capsys)
+        assert code == cli.EXIT_OK
+        rep = json.loads(out)
+        assert abs(rep["oracle"]["gap"]) <= 1e-9 * (1.0 + rep["reduced_energy"])
+
 
 def test_sweep_planar(tmp_path, capsys):
     # 500 rows per weight pair, so a last-bit divergence at a 0.1% rate shows

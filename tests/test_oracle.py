@@ -46,7 +46,7 @@ def reference_descent(W, F, r0, cfg):
             break
         moved = False
         while t >= oracle._MIN_STEP:
-            r_try = r @ oracle._cayley(-t * g, eye)
+            r_try = r @ oracle._cayley(-min(t, oracle._MAX_STEP / gn[0]) * g, eye)
             e_try = oracle._energy(mu, muc, oracle._stretch(r_try, f, eye)[1])
             if e_try[0] < e[0]:
                 r, e, moved = r_try, e_try, True
@@ -176,14 +176,14 @@ def test_cayley_step_turns_by_twice_the_arctangent_of_half_the_angle(theta):
 @pytest.mark.parametrize("W, F", problems())
 def test_stack_is_bit_identical_to_single_starts(W, F):
     starts = haar_starts(F.dim, CFG.samples)
-    r, e, gn = oracle._descend(W, F, starts, CFG)
+    r, e, gn = oracle._descend(W, F, starts, CFG.tol_grad, CFG.max_iters)
     for i, r0 in enumerate(starts):
-        ri, ei, gi = oracle._descend(W, F, r0[None], CFG)
+        ri, ei, gi = oracle._descend(W, F, r0[None], CFG.tol_grad, CFG.max_iters)
         np.testing.assert_array_equal(ri[0], r[i])
         assert ei[0] == e[i] and gi[0] == gn[i]
     # splitting the stack changes nothing either
-    ra, ea, ga = oracle._descend(W, F, starts[:5], CFG)
-    rb, eb, gb = oracle._descend(W, F, starts[5:], CFG)
+    ra, ea, ga = oracle._descend(W, F, starts[:5], CFG.tol_grad, CFG.max_iters)
+    rb, eb, gb = oracle._descend(W, F, starts[5:], CFG.tol_grad, CFG.max_iters)
     np.testing.assert_array_equal(np.concatenate([ra, rb]), r)
     np.testing.assert_array_equal(np.concatenate([ea, eb]), e)
     np.testing.assert_array_equal(np.concatenate([ga, gb]), gn)
@@ -192,7 +192,7 @@ def test_stack_is_bit_identical_to_single_starts(W, F):
 @pytest.mark.parametrize("W, F", problems())
 def test_stack_follows_the_one_start_rules(W, F):
     starts = haar_starts(F.dim, 4)
-    r, e, gn = oracle._descend(W, F, starts, CFG)
+    r, e, gn = oracle._descend(W, F, starts, CFG.tol_grad, CFG.max_iters)
     for i, r0 in enumerate(starts):
         rr, er, gr = reference_descent(W, F, r0, CFG)
         np.testing.assert_array_equal(rr, r[i])
@@ -202,7 +202,7 @@ def test_stack_follows_the_one_start_rules(W, F):
 @pytest.mark.parametrize("W, F", problems())
 def test_riemannian_descent_is_the_one_start_case(W, F):
     starts = haar_starts(F.dim, 4)
-    r, e, gn, _ = oracle._search(W, F, starts, CFG, oracle._check_scale(W, F))
+    r, e, gn, _ = oracle._search(W, F, starts, CFG)
     for i, r0 in enumerate(starts):
         trace = []
         ri, ei, gi = riemannian_descent(W, F, r0, CFG, energy_trace=trace)
@@ -225,8 +225,8 @@ def test_riemannian_descent_is_the_one_start_case(W, F):
 def handed_over(W, F, count):
     """Haar starts and their descents to the handover, where ``_sfn`` takes over."""
     starts = haar_starts(F.dim, count)
-    cfg = OracleConfig(seed=CFG.seed, tol_grad=oracle._HANDOVER * oracle._check_scale(W, F))
-    return np.concatenate((starts, oracle._descend(W, F, starts, cfg)[0]))
+    tol = oracle._HANDOVER * oracle._check_scale(W, F)
+    return np.concatenate((starts, oracle._descend(W, F, starts, tol, OracleConfig.max_iters)[0]))
 
 
 @pytest.mark.parametrize("W, F", problems())
@@ -273,11 +273,10 @@ def test_search_started_at_a_closed_form_minimizer_stays_there(n, mu, muc):
     rng = np.random.default_rng(50 + n)
     W, F = CosseratWeights(mu, muc), random_gl_plus(n, rng, lo=0.3, hi=3.0)
     starts = np.array(solve(W, F).minimizers)
-    c = oracle._check_scale(W, F)
     # tol_grad = 1e-300 is below any rounding floor, so saddle-free Newton
     # steps from the minimizer until a step no longer lowers the energy
     for cfg in (CFG, OracleConfig(seed=0, tol_grad=1e-300)):
-        r, e, gn, end = oracle._search(W, F, starts, cfg, c)
+        r, e, gn, end = oracle._search(W, F, starts, cfg)
         assert np.linalg.norm(r - starts, axis=(-2, -1)).max() <= 1e-10
         np.testing.assert_allclose(e, reduced_energy(W, F), rtol=1e-13, atol=1e-13)
         assert gn.max() <= 1e-9 and np.isin(end, (0, 1)).all()
@@ -297,7 +296,7 @@ def test_search_gets_out_of_a_cayley_bounce():
     cfg = OracleConfig(seed=2017, samples=16, tol_grad=1e-9)
     r0 = haar_sample(3, np.random.default_rng((2017, 9)))
     wred = reduced_energy(W, F)
-    _, e_desc, gn_desc = oracle._descend(W, F, r0[None], cfg)
+    _, e_desc, gn_desc = oracle._descend(W, F, r0[None], cfg.tol_grad, cfg.max_iters)
     assert e_desc[0] > wred + 0.3 and gn_desc[0] > 0.5
     trace = []
     r, e, gn = riemannian_descent(W, F, r0, cfg, energy_trace=trace)
@@ -388,6 +387,29 @@ def test_critical_scan_finds_census_values(m):
 
 
 @pytest.mark.parametrize("m", scan_cases())
+def test_critical_scan_finds_the_whole_census(m):
+    W, F = CosseratWeights(1.0, 0.0), DeformationGradient(m)
+    found = [e for _, e in critical_scan(W, F, OracleConfig(seed=3, samples=60))]
+    nus = F.singular_values
+    census = [critical_value(p, nus) for p in enumerate_critical_partitions(nus)]
+    for v in census:
+        assert min(abs(e - v) for e in found) <= 1e-8 * (1.0 + abs(v))
+    for e in found:
+        assert min(abs(e - v) for v in census) <= 1e-8 * (1.0 + abs(e))
+
+
+def test_critical_scan_tells_points_apart_at_large_energies():
+    # the energies are about 1e11 and carry about 1e-4 of rounding, so an
+    # absolute energy tolerance would report one rotation several times
+    W, F = CosseratWeights(1.0, 0.0), DeformationGradient(np.diag([1.0, 0.5]) * 1e6)
+    found = [r for r, _ in critical_scan(W, F, OracleConfig(seed=3, samples=8))]
+    assert len(found) > 1
+    for i, a in enumerate(found):
+        for b in found[:i]:
+            assert np.linalg.norm(a - b) > 1e-4
+
+
+@pytest.mark.parametrize("m", scan_cases())
 @pytest.mark.parametrize("mu, muc", [(1.7, 0.4), (1.0, 2.0)])
 def test_critical_scan_in_the_other_weight_regimes(m, mu, muc):
     W, F = CosseratWeights(mu, muc), DeformationGradient(m)
@@ -451,6 +473,21 @@ def test_the_searches_refuse_a_scale_where_the_gradient_norm_overflows(search):
     # one decade lower runs, and without a warning, which the test configuration makes an error
     for muc in (0.0, 2.0):
         call(muc, 1e76)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("mu, muc", [(1.0, 0.0), (1.7, 0.4), (1.0, 2.0)])
+@pytest.mark.parametrize("scale", [1e4, 1e6, 1e9, 1e12])
+def test_searches_stay_on_the_rotations_at_large_scale_in_odd_n(n, mu, muc, scale):
+    # ||G|| grows like ||F||^2, and 1 - A/2 is singular for a skew A of odd
+    # order once ||A|| >> 1e16: the descent caps its step's norm, not only t
+    W = CosseratWeights(mu, muc)
+    F = DeformationGradient(np.diag(np.linspace(1.0, 0.5, n)) * scale)
+    res = global_minimize(W, F, OracleConfig(seed=2017, samples=8), warm_starts=False)
+    wred = reduced_energy(W, F)
+    assert np.linalg.norm(res.best_rotation.T @ res.best_rotation - np.eye(n)) <= 1e-10
+    assert abs(res.best_energy - wred) <= 1e-9 * (1.0 + wred)
+    assert critical_scan(W, F, OracleConfig(seed=3, samples=8))
 
 
 def test_newton_finishes_a_descent_stuck_in_a_narrow_valley():

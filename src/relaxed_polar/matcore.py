@@ -6,8 +6,8 @@ call concurrently. Intended scale is n <= ~50; nothing is tuned beyond
 that. ``svd_ordered`` is the one SVD that ``DeformationGradient`` takes
 all its decompositions from. ``skew_exp`` is the exact exponential of a
 skew matrix, public and the reference the oracle's Cayley step is tested
-against; it takes stacks and needs no Pade approximant: closed forms for
-n = 2 and 3, a Hermitian eigendecomposition otherwise.
+against; it takes stacks and needs no Pade approximant: one Hermitian
+eigendecomposition in every dimension.
 """
 
 from __future__ import annotations
@@ -42,12 +42,11 @@ def skew_exp(a) -> np.ndarray:
 
     Takes one (n, n) matrix or a stack (..., n, n) and exponentiates each
     slice on its own, so a slice's result does not depend on the stack
-    around it. Closed forms are used for n = 2 (planar rotation) and
-    n = 3 (Rodrigues form, equal to its series below an angle of 1e-8);
-    otherwise the Hermitian eigendecomposition 1j A = V diag(lam) V^H gives
-    exp(A) = 1 + Re(V diag(expm1(-1j lam)) V^H). There is no Pade fallback.
-    Raises ``NotSkew`` when the symmetric part exceeds the structural
-    tolerance, measured as one Frobenius norm over the stack.
+    around it. In every dimension the Hermitian eigendecomposition
+    1j A = V diag(lam) V^H gives exp(A) = 1 + Re(V diag(expm1(-1j lam)) V^H),
+    with no Pade fallback. Raises ``NotSkew`` when the symmetric part
+    exceeds the structural tolerance, measured as one Frobenius norm over
+    the stack.
     """
     m = np.asarray(a, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
@@ -62,17 +61,6 @@ def skew_exp(a) -> np.ndarray:
     if np.sqrt(np.vdot(d, d)) > STRUCTURAL_TOL * max(1.0, np.sqrt(nsq)) + STRUCTURAL_TOL:
         raise NotSkew("input is not skew-symmetric within tolerance")
     m = (m - mt) / 2.0
-    if n == 2:
-        c, s = np.cos(m[..., 1, 0]), np.sin(m[..., 1, 0])
-        return np.stack((c, -s, s, c), axis=-1).reshape(m.shape)
-    if n == 3:
-        # exp(A) = 1 + sin(t)/t A + (1 - cos t)/t^2 A^2 in half-angle form: below
-        # t = 1e-8 both round to the series' 1 and 1/2; the clamp keeps t = 0 finite
-        t = np.maximum(np.sqrt(0.5 * (m * m).sum(axis=(-2, -1))), 1e-300)
-        h = np.sin(0.5 * t) / (0.5 * t)
-        a1 = (np.sin(t) / t)[..., None, None]
-        a2 = (0.5 * h * h)[..., None, None]
-        return np.eye(3) + a1 * m + a2 * (m @ m)
     lam, v = np.linalg.eigh(1j * m)
     # exp(A) - 1 from expm1 keeps the error relative to |A| for small steps
     return np.eye(n) + ((v * np.expm1(-1j * lam)[..., None, :]) @ v.swapaxes(-1, -2).conj()).real

@@ -25,9 +25,13 @@ on how the stack is split and are bit-identical for a fixed seed.
 Stationarity has one measure, the gradient norm ||G|| every search
 returns: for mu > muc it is mu lam ||skew((Rhat D / lam - 1)^2)||, the
 paper's symmetric-square defect scaled, so it certifies critical points.
-||G|| <= c = 2 max(mu, muc) ||F|| (||F|| + sqrt(n)), and ``_search`` raises
-``ValueError`` before any step where c^2 overflows (||F|| above about 5e76 at
-unit weights), not run on inf gradients.
+It has one scale, c = 2 max(mu, muc) ||F|| (||F|| + sqrt(n)) >= ||G||: by
+the reduction W_{mu,muc}(R; F) = (mu - muc) lam^2 W_{1,0}(R; F / lam) + C(F)
+the gradient, the Hessian and their rounding all grow like max(mu, muc)
+||F||^2, so every tolerance on ||G|| is a fixed fraction of c. Each entry
+point computes c once by ``_check_scale``, which raises ``ValueError``
+before any step where c^2 overflows (||F|| above about 5e76 at unit
+weights), not run on inf gradients.
 """
 
 from __future__ import annotations
@@ -50,10 +54,17 @@ _MIN_STEP = 1e-18
 # theta by 2 atan(theta / 2), so at the cap a step saturates just short of pi
 # rather than wrapping around, and its orthogonality error stays near 1e-10
 _MAX_STEP = 1e6
-# descent hands a start to saddle-free Newton once ||G|| <= _HANDOVER c, c the
-# module docstring's bound: first order does the global part of the search,
-# far from any critical point, and Newton the local convergence it is slow at
+# Fractions of the module docstring's scale c. Descent hands a start to
+# saddle-free Newton at ||G|| <= _HANDOVER c: first order does the global part
+# of the search, far from any critical point, and Newton the local
+# convergence it is slow at
 _HANDOVER = 1e-2
+# the rounding floor: searches end at max(tol_grad, _FLOOR c), Newton aims at it
+_FLOOR = 1e-13
+# the least |Hessian eigenvalue| a saddle-free step divides by
+_EIG_FLOOR = 5e-9
+# critical_scan keeps an endpoint at ||G|| <= _KEEP c
+_KEEP = 1e-11
 # saddle-free Newton converges in a few steps or stalls; the cap ends the rest
 _SFN_STEPS = 60
 
@@ -87,18 +98,16 @@ class OracleResult:
     ``best_rotation`` is the lowest-energy search endpoint after Newton,
     ``best_energy`` its energy by :func:`~relaxed_polar.energy.energy` and
     ``grad_norm_at_best`` its gradient norm ||G||, which Newton takes
-    towards min(tol_grad, 1e-13 (1 + ||F||^2)), the rounding floor. The
-    other three count how the starts' searches ended, before Newton:
-    ``restarts_converged`` at ||G|| <= tol_grad, ``restarts_stalled`` at a
-    saddle-free Newton step that did not lower the energy and
-    ``restarts_capped`` at that phase's step cap; they add up to the number
-    of starts. Saddle-free Newton takes most starts past tol_grad = 1e-9 in
-    a few quadratic steps, so the count measures convergence, where a count
-    of descents alone read rounding noise. A start stalls where a full step
+    towards the rounding floor 1e-13 c, c the module docstring's scale.
+    The other three count how the starts' searches ended, before Newton:
+    ``restarts_converged`` at ||G|| <= max(tol_grad, 1e-13 c),
+    ``restarts_stalled`` at a saddle-free Newton step that did not lower
+    the energy and ``restarts_capped`` at that phase's step cap; they add
+    up to the number of starts. A start stalls where a full step
     overshoots, far from any critical point, or where the energy no longer
-    resolves a step's decrease, at ||G|| of about 1e-9 to 1e-7 at unit
-    scale; so a last-bit change of the input can still move a start or two
-    of 16 between converged and stalled.
+    resolves a step's decrease, at ||G|| of about 1e-11 c to 5e-9 c; so a
+    last-bit change of the input can still move a start or two of 16
+    between converged and stalled.
     """
 
     best_rotation: np.ndarray
@@ -150,7 +159,7 @@ def _pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_scale(W: CosseratWeights, F: DeformationGradient) -> float:
-    """The module docstring's bound c >= ||G||; ``ValueError`` where c^2 overflows."""
+    """The module docstring's scale c >= ||G||; ``ValueError`` where c^2 overflows."""
     with np.errstate(over="ignore"):  # an overflowing ||F|| reads inf and is refused
         fn = float(np.linalg.norm(F.matrix))
     c = 2.0 * max(W.mu, W.muc) * fn * (fn + F.dim**0.5)
@@ -163,12 +172,6 @@ def _stretch(r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray,
     """Y = R^T F and X = Y - 1 at R (or a stack): the kernels below take these."""
     y = r.swapaxes(-1, -2) @ f
     return y, y - eye
-
-
-def _newton_tol(F: DeformationGradient) -> float:
-    """The rounding floor 1e-13 (1 + ||F||^2) of ||G||, whose terms grow
-    like ||F||^2: where the oracle's Newton runs aim to end."""
-    return 1e-13 * (1.0 + float(np.sum(F.matrix * F.matrix)))
 
 
 def _energy(mu: float, muc: float, x: np.ndarray) -> np.ndarray:
@@ -365,14 +368,16 @@ def _sfn(
     F: DeformationGradient,
     starts: np.ndarray,
     tol: float,
+    c: float,
     energy_trace: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Saddle-free Newton on the energy for a stack of starts (S, n, n).
 
-    Each step is dx = -V diag(1 / max(|lam|, 1e-8 s)) V^T g, (lam, V) the
-    eigenpairs of ``_hessian``, g the lower triangle of G and s =
-    max(mu, muc) (1 + ||F||^2) (Dauphin et al., arXiv:1406.2572): Newton
-    near a minimum, a descent direction everywhere, and a way down off a
+    Each step is dx = -V diag(1 / max(|lam|, ``_EIG_FLOOR`` c)) V^T g,
+    (lam, V) the eigenpairs of ``_hessian``, g the lower triangle of G and c
+    the module docstring's scale, which the Hessian shares with the
+    gradient (Dauphin et al., arXiv:1406.2572): Newton near a minimum, a
+    descent direction everywhere, and a way down off a
     saddle, where plain Newton is drawn to it. The trial R C(dx), C the
     Cayley retraction ``_cayley``, is accepted only if the energy strictly
     falls. A start ends at ||G|| <= tol, at the first step that does not
@@ -384,7 +389,7 @@ def _sfn(
     """
     mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
     ii, jj = _pairs(F.dim)
-    floor = 1e-8 * max(mu, muc) * (1.0 + np.sum(f * f))
+    floor = _EIG_FLOOR * c
     r = np.array(starts, dtype=float)
     y, x = _stretch(r, f, eye)
     e = _energy(mu, muc, x)
@@ -428,24 +433,27 @@ def _search(
     F: DeformationGradient,
     starts: np.ndarray,
     cfg: OracleConfig,
+    c: float,
     energy_trace: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The oracle's one search: descent, then saddle-free Newton, for a
     stack of starts (S, n, n).
 
-    ``_check_scale`` refuses an overflowing input before any step. Its bound
-    c sets the handover: ``_descend`` runs each start until ||G|| <=
-    max(tol_grad, ``_HANDOVER`` c), or until it stalls or reaches max_iters;
-    ``_sfn`` then takes every start on to ||G|| <= tol_grad. ``energy_trace``
-    needs one start and records the energy after every accepted step of
-    both phases: it strictly decreases, except across the descent's SVD
-    re-projection every 64 steps, which can move it by rounding. Returns the
-    rotations, energies, gradient norms and how each start ended, as
-    ``_sfn`` does.
+    The scale c from ``_check_scale`` sets every threshold: ``_descend``
+    runs each start until ||G|| <= ``_HANDOVER`` c, or until it stalls or
+    reaches max_iters; ``_sfn``, with its eigenvalue floor ``_EIG_FLOOR`` c,
+    then takes every start on to ||G|| <= max(tol_grad, ``_FLOOR`` c), the
+    rounding floor where tol_grad lies below it, so a start converges at
+    any input scale. ``energy_trace`` needs one start and records the
+    energy after every accepted step of both phases: it strictly
+    decreases, except across the descent's SVD re-projection every 64
+    steps, which can move it by rounding. Returns the rotations, energies,
+    gradient norms and how each start ended, as ``_sfn`` does, converged
+    meaning at that tolerance.
     """
-    tol = max(cfg.tol_grad, _HANDOVER * _check_scale(W, F))
-    r, _, _ = _descend(W, F, starts, tol, cfg.max_iters, energy_trace)
-    return _sfn(W, F, r, cfg.tol_grad, energy_trace)
+    tol = max(cfg.tol_grad, _FLOOR * c)
+    r, _, _ = _descend(W, F, starts, max(tol, _HANDOVER * c), cfg.max_iters, energy_trace)
+    return _sfn(W, F, r, tol, c, energy_trace)
 
 
 def riemannian_descent(
@@ -460,7 +468,7 @@ def riemannian_descent(
     r = np.asarray(R0, dtype=float)
     if r.shape != (F.dim, F.dim):
         raise DimensionMismatch(f"start shape {r.shape} does not match dim {F.dim}")
-    r, e, gn, _ = _search(W, F, r[None], cfg, energy_trace)
+    r, e, gn, _ = _search(W, F, r[None], cfg, _check_scale(W, F), energy_trace)
     return r[0], float(e[0]), float(gn[0])
 
 
@@ -482,9 +490,11 @@ def global_minimize(
     descent crawls. So a start ends where it would alone and the result
     does not depend on how the stack is split or ordered. The Haar
     restarts are built once per (n, seed, samples) and reused. The lowest
-    energy wins, ties broken by start index, and Newton on the gradient
-    field finishes it towards ||G|| <= min(tol_grad, 1e-13 (1 + ||F||^2)).
+    energy wins, ties broken by start index; one SVD, U V^T, projects it
+    onto the rotations, and Newton on the gradient field finishes it
+    towards the rounding floor ||G|| <= ``_FLOOR`` c.
     """
+    c = _check_scale(W, F)
     starts = _haar_starts(F.dim, cfg.seed, cfg.samples)
     if warm_starts:
         warm = [F.polar.rotation]
@@ -492,9 +502,11 @@ def global_minimize(
             warm.extend(solve(W, F).minimizers[:8])
         starts = np.concatenate((warm, starts))
 
-    r, e, _, end = _search(W, F, starts, cfg)
+    r, e, _, end = _search(W, F, starts, cfg, c)
     best = int(np.argmin(e))  # the first of equal energies: lowest start index
-    r_best, gn_best = _newton(W, F, r[best][None], min(cfg.tol_grad, _newton_tol(F)))
+    # the descent's Cayley steps leave up to about 1e-10 of drift at large scale
+    u, _, vt = np.linalg.svd(r[best])
+    r_best, gn_best = _newton(W, F, (u @ vt)[None], _FLOOR * c)
     tally = np.bincount(end, minlength=3)
     return OracleResult(
         best_rotation=r_best[0],
@@ -516,16 +528,16 @@ def critical_scan(
     exact and perturbed by the Cayley step C(0.025 (G - G^T)) of a
     Gaussian G): ``_search``, descent to the handover and then saddle-free
     Newton, which lands on minima and stays put when started exactly at a
-    critical point, and damped Newton on the gradient field to ||G|| <=
-    1e-13 (1 + ||F||^2), which also converges to saddles; each runs all the
-    starts as one stack, the Haar samples shared with ``global_minimize``.
-    An endpoint is kept when the ||G|| its search returns is at most 1e-8
-    s, s = 1 for classical weights and mu lam otherwise, where ||G|| / (mu
-    lam) = ||skew((Rhat D / lam - 1)^2)|| is the paper's defect. Kept
-    endpoints, each start's ``_search`` before its Newton, are clustered
+    critical point, and damped Newton on the gradient field to the rounding
+    floor ``_FLOOR`` c, c the module docstring's scale, which also converges
+    to saddles; each runs all the starts as one stack, the Haar samples
+    shared with ``global_minimize``. An endpoint is kept when the ||G|| its
+    search returns is at most ``_KEEP`` c, so the test means the same at
+    every input scale. Kept endpoints, each start's ``_search`` before its Newton, are clustered
     (same point = energies e within 1e-6 (1 + |e|) and Frobenius distance
     within 1e-4; the first stays) and sorted by energy.
     """
+    c = _check_scale(W, F)
     n, eye = F.dim, np.eye(F.dim)
     signs = np.array([s for s in itertools.product((1.0, -1.0), repeat=n) if np.prod(s) > 0])
     corners = absolute_rotation(signs[:, None, :] * eye, F)
@@ -533,14 +545,13 @@ def critical_scan(
     nudged = corners @ _cayley(0.025 * (g - g.swapaxes(-1, -2)), eye)
     starts = np.concatenate((corners, nudged, _haar_starts(n, cfg.seed, cfg.samples)))
 
-    r_search, _, gn_search, _ = _search(W, F, starts, cfg)
-    r_newt, gn_newt = _newton(W, F, starts, _newton_tol(F))
+    r_search, _, gn_search, _ = _search(W, F, starts, cfg, c)
+    r_newt, gn_newt = _newton(W, F, starts, _FLOOR * c)
     r = np.stack((r_search, r_newt), axis=1).reshape(-1, n, n)
     gn = np.stack((gn_search, gn_newt), axis=1).ravel()
-    tol = 1e-8 * (1.0 if W.is_classical else W.mu * W.scaling)
 
     found: list[tuple[np.ndarray, float]] = []
-    for ri in r[gn <= tol]:
+    for ri in r[gn <= _KEEP * c]:
         e = energy(W, ri, F)
         if not any(abs(e - ek) <= 1e-6 * (1.0 + abs(e)) and _norm(ri - rk) <= 1e-4 for rk, ek in found):
             found.append((ri, e))

@@ -202,7 +202,7 @@ def test_stack_follows_the_one_start_rules(W, F):
 @pytest.mark.parametrize("W, F", problems())
 def test_riemannian_descent_is_the_one_start_case(W, F):
     starts = haar_starts(F.dim, 4)
-    r, e, gn, _ = oracle._search(W, F, starts, CFG)
+    r, e, gn, _ = oracle._search(W, F, starts, CFG, oracle._check_scale(W, F))
     for i, r0 in enumerate(starts):
         trace = []
         ri, ei, gi = riemannian_descent(W, F, r0, CFG, energy_trace=trace)
@@ -231,13 +231,13 @@ def handed_over(W, F, count):
 
 @pytest.mark.parametrize("W, F", problems())
 def test_sfn_stack_is_bit_identical_to_single_starts(W, F):
-    starts = handed_over(W, F, 8)
-    r, e, gn, end = oracle._sfn(W, F, starts, CFG.tol_grad)
+    starts, c = handed_over(W, F, 8), oracle._check_scale(W, F)
+    r, e, gn, end = oracle._sfn(W, F, starts, CFG.tol_grad, c)
     for i, r0 in enumerate(starts):
-        ri, ei, gi, endi = oracle._sfn(W, F, r0[None], CFG.tol_grad)
+        ri, ei, gi, endi = oracle._sfn(W, F, r0[None], CFG.tol_grad, c)
         np.testing.assert_array_equal(ri[0], r[i])
         assert ei[0] == e[i] and gi[0] == gn[i] and endi[0] == end[i]
-    split = [oracle._sfn(W, F, starts[:5], CFG.tol_grad), oracle._sfn(W, F, starts[5:], CFG.tol_grad)]
+    split = [oracle._sfn(W, F, starts[:5], CFG.tol_grad, c), oracle._sfn(W, F, starts[5:], CFG.tol_grad, c)]
     for whole, a, b in zip((r, e, gn, end), *split):
         np.testing.assert_array_equal(np.concatenate([a, b]), whole)
     # an ending at tolerance is the only one with ||G|| <= tol
@@ -273,10 +273,10 @@ def test_search_started_at_a_closed_form_minimizer_stays_there(n, mu, muc):
     rng = np.random.default_rng(50 + n)
     W, F = CosseratWeights(mu, muc), random_gl_plus(n, rng, lo=0.3, hi=3.0)
     starts = np.array(solve(W, F).minimizers)
-    # tol_grad = 1e-300 is below any rounding floor, so saddle-free Newton
-    # steps from the minimizer until a step no longer lowers the energy
+    # tol_grad = 1e-300 is below any rounding floor, so the search ends at
+    # the floor 1e-13 c or where a step no longer lowers the energy
     for cfg in (CFG, OracleConfig(seed=0, tol_grad=1e-300)):
-        r, e, gn, end = oracle._search(W, F, starts, cfg)
+        r, e, gn, end = oracle._search(W, F, starts, cfg, oracle._check_scale(W, F))
         assert np.linalg.norm(r - starts, axis=(-2, -1)).max() <= 1e-10
         np.testing.assert_allclose(e, reduced_energy(W, F), rtol=1e-13, atol=1e-13)
         assert gn.max() <= 1e-9 and np.isin(end, (0, 1)).all()
@@ -488,6 +488,41 @@ def test_searches_stay_on_the_rotations_at_large_scale_in_odd_n(n, mu, muc, scal
     assert np.linalg.norm(res.best_rotation.T @ res.best_rotation - np.eye(n)) <= 1e-10
     assert abs(res.best_energy - wred) <= 1e-9 * (1.0 + wred)
     assert critical_scan(W, F, OracleConfig(seed=3, samples=8))
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e9])
+def test_global_minimize_returns_a_rotation_never_below_the_closed_form(n, scale):
+    # the descent's Cayley steps leave about 1e-10 of orthogonality error in
+    # odd n at large scale, enough to reach an energy below the minimum
+    F = DeformationGradient(np.diag(np.linspace(3.0, 1.0, n)) * scale)
+    for muc in (0.0, 0.4, 3.4):
+        W = CosseratWeights(1.7, muc)
+        res = global_minimize(W, F, OracleConfig(seed=161803, samples=16), warm_starts=False)
+        wred = reduced_energy(W, F)
+        assert is_rotation(res.best_rotation, tol=1e-14)
+        assert res.best_energy >= wred - 1e-14 * (1.0 + wred)
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e6, 1e9])
+def test_critical_scan_finds_both_minimizers_at_large_scale(scale):
+    # the keep test is a fixed fraction of the gradient's scale, so the
+    # endpoints at the rounding floor of ||G||, which grows like ||F||^2, count
+    W, F = CosseratWeights(1.0, 0.0), DeformationGradient(np.diag([1.0, 0.5]) * scale)
+    found = critical_scan(W, F, OracleConfig(seed=3, samples=8))
+    for m in solve(W, F).minimizers:
+        assert min(np.linalg.norm(r - m) for r, _ in found) <= 1e-10
+    assert found[0][1] == pytest.approx(reduced_energy(W, F), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("muc", [0.0, 0.4, 3.4])
+def test_most_starts_converge_at_large_scale(muc):
+    # tol_grad = 1e-9 lies far below the rounding floor of ||G|| here, about
+    # 1e-13 c with c from 5e13 to 1e14, so only that floor lets a start converge
+    W, F = CosseratWeights(1.7, muc), DeformationGradient(np.diag([3.0, 2.0, 1.0]) * 1e6)
+    res = global_minimize(W, F, OracleConfig(seed=161803, samples=16, tol_grad=1e-9))
+    starts = res.restarts_converged + res.restarts_stalled + res.restarts_capped
+    assert res.restarts_converged >= starts / 2
 
 
 def test_newton_finishes_a_descent_stuck_in_a_narrow_valley():

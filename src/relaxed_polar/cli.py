@@ -32,7 +32,9 @@ JSON has no infinity: a report field that overflows float64 at extreme
 input scales ends the run with exit 3 and an error naming the field. CSV
 rows keep such a value and read ``inf``, without a warning.
 iso-grid, sweep-planar and the ndim census compute their columns as
-arrays; every row is bit-identical to a per-row library call. Range
+arrays; every row is bit-identical to a per-row library call. Each
+distinct iso-grid value and census (block, sign) entry is formatted once,
+and the output is byte-identical to formatting every row on its own. Range
 options (MIN MAX COUNT) need finite MIN < MAX and a whole COUNT >= 2.
 scatter-mc's ``beta_predicted`` is ``solve``'s pair angle on the row's
 own F, signed like ``beta_mc`` (0.0 when F does not branch).
@@ -44,7 +46,9 @@ about ||F|| > 5e76 at unit weights), 4 unwritable output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import math
 import re
 import sys
 
@@ -147,11 +151,10 @@ def _weights(args) -> CosseratWeights:
     return CosseratWeights(args.mu, args.muc)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]):
+def _write_csv(path: str, header: list[str], lines):
+    """Write the header and the rows, each a line of comma-joined text, in one call."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write("\n".join([",".join(header), *lines]) + "\n")
 
 
 def _solve_report(W: CosseratWeights, F: DeformationGradient) -> dict:
@@ -238,7 +241,7 @@ def cmd_sweep_planar(args) -> int:
         beta[bifurcated] = pair_block(nus[bifurcated].sum(axis=-1), W.singular_radius)[2]
     columns = (tr_u, beta, np.where(bifurcated, -beta, 0.0), wred)
     rows = (
-        [*map(repr, values), "true" if f else "false"]
+        ",".join([*map(repr, values), "true" if f else "false"])
         for *values, f in zip(*(c.tolist() for c in columns), bifurcated.tolist())
     )
     _write_csv(args.out, ["tr_U", "beta_plus", "beta_minus", "wred", "bifurcated"], rows)
@@ -276,7 +279,7 @@ def cmd_scatter_mc(args) -> int:
         mset = solve(W, F)
         beta_pred = float(np.copysign(mset.angles[0], beta_mc)) if mset.k else 0.0
         rows.append(
-            [fmt(s), fmt(beta_mc), fmt(beta_pred), fmt(W.mu), fmt(W.muc), str(args.seed)]
+            ",".join([fmt(s), fmt(beta_mc), fmt(beta_pred), fmt(W.mu), fmt(W.muc), str(args.seed)])
         )
     _write_csv(
         args.out,
@@ -292,14 +295,14 @@ def cmd_iso_grid(args) -> int:
         raise ValueError("--grid needs MIN > 0")
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
     with np.errstate(over="ignore"):  # an overflowing wred reads inf
-        wred = reduced_energy_stack(CosseratWeights(1.0, 0.0), grid)[1].tolist()
-    labels = [fmt(v) for v in axis]
-    rows = (
-        [a, b, c, repr(w)]
-        for a, plane in zip(labels, wred)
-        for b, line in zip(labels, plane)
-        for c, w in zip(labels, line)
-    )
+        wred = reduced_energy_stack(CosseratWeights(1.0, 0.0), grid)[1]
+    # each distinct value is formatted once; wred >= +0 is never NaN, so
+    # np.unique merging -0.0 with 0.0 changes no row
+    values, index = np.unique(wred, return_inverse=True)
+    texts = list(map(repr, values.tolist()))
+    labels = [fmt(v) + "," for v in axis]
+    prefixes = [ab + c for ab in [a + b for a in labels for b in labels] for c in labels]
+    rows = [p + texts[i] for p, i in zip(prefixes, index.ravel().tolist())]
     _write_csv(args.out, ["nu1", "nu2", "nu3", "wred"], rows)
     return EXIT_OK
 
@@ -315,14 +318,31 @@ def cmd_ndim(args) -> int:
         "num_minimizers": 2**mset.k,
         "degenerate": mset.degenerate,
     }
-    if args.census:
-        parts = ndim.enumerate_critical_partitions(nus)
-        report["census"] = [
-            {"partition": _partition_1based(p.blocks, p.signs), "value": v}
-            for p, v in zip(parts, ndim.critical_values(parts, nus))
-        ]
-    print(_dumps(report))
+    parts = ndim.enumerate_critical_partitions(nus) if args.census else None
+    out = _dumps(report)  # an overflowing wred is named before the census
+    if parts is not None:
+        out = out[:-1] + ', "census": [' + ", ".join(_census_entries(parts, nus)) + "]}"
+    print(out)
     return EXIT_OK
+
+
+def _census_entries(parts, nus: list[float]) -> list[str]:
+    """The census entries of the enumerator's partitions as ``json.dumps``
+    writes them; each of the 2n + n(n - 1) possible (block, sign) entries
+    is encoded once."""
+    values = ndim._block_sums(parts, nus)  # the enumerator's partitions are admissible
+    if not all(map(math.isfinite, values)):
+        raise ValueError("census overflows float64: the input scale is too large")
+    n = len(nus)
+    blocks = [(i,) for i in range(n)] + list(itertools.combinations(range(n), 2))
+    encoded = {
+        (b, s): json.dumps(_partition_1based([b], [s])[0]) for b in blocks for s in (-1, 1)
+    }.__getitem__
+    return [
+        '{"partition": [' + ", ".join(map(encoded, zip(p.blocks, p.signs))) + '], "value": '
+        + float.__repr__(v) + "}"
+        for p, v in zip(parts, values)
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -74,6 +74,15 @@ class CriticalPartition:
                 raise ValueError("blocks must be disjoint, got an index in two blocks")
             raise ValueError("blocks must partition a contiguous index range from 0")
 
+    @classmethod
+    def _canonical(cls, blocks, signs) -> CriticalPartition:
+        """A partition whose blocks are already sorted tuples of ints in
+        ascending order, each with its sign: built without validation."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "blocks", blocks)
+        object.__setattr__(p, "signs", signs)
+        return p
+
     @property
     def dim(self) -> int:
         return 1 + max(max(b) for b in self.blocks)
@@ -138,7 +147,9 @@ def enumerate_critical_partitions(
     rotation; the relaxed mode also lists the det -1 patterns. Guarded to
     n <= 10 because the matching count grows like the involution numbers.
     Only admissible matchings are built, and they and their sign choices
-    come in ascending order: the list is sorted.
+    come in ascending order: the list is sorted. Each partition is built
+    canonical and is not re-validated; :func:`critical_values` still
+    validates the partitions that callers build.
     """
     d = _as_descending(nus).tolist()
     n = len(d)
@@ -150,7 +161,7 @@ def enumerate_critical_partitions(
         for signs in itertools.product(*choices):
             if require_rotation and _det(signs) != 1:
                 continue
-            out.append(CriticalPartition(blocks=blocks, signs=signs))
+            out.append(CriticalPartition._canonical(blocks, signs))
     return out
 
 
@@ -163,9 +174,15 @@ def critical_values(parts, nus) -> list[float]:
     :func:`~relaxed_polar.energy.reduced_energy_values` at (1, 0).
     """
     d = _as_descending(nus).tolist()
-    out = []
     for p in parts:
         _check_admissible(p, d)
+    return _block_sums(parts, d)
+
+
+def _block_sums(parts, d: list[float]) -> list[float]:
+    """The critical values of admissible partitions of the descending list d."""
+    out = []
+    for p in parts:
         total = 0.0
         for b, s in zip(p.blocks, p.signs):  # (nu_i - s)^2 or (nu_i - s nu_j)^2 / 2
             x = d[b[0]] - s * (d[b[1]] if len(b) == 2 else 1.0)

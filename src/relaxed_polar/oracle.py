@@ -235,8 +235,13 @@ def _cayley(a: np.ndarray, eye: np.ndarray) -> np.ndarray:
     stack. A is not checked: every caller builds it skew. The orthogonality
     error is a few ulps for ||A|| <= 10. 1 - A/2 has condition number about
     ||A|| / 2, so at ||A|| = 1e6, the descent's cap at any input scale, the
-    error grows to about 1e-10 in odd n, where a skew A is singular; the
-    descent's SVD re-projection every 64 steps removes that drift.
+    error grows to about 1e-10 in odd n, where a skew A is singular. The
+    descent's SVD re-projection every 64 steps does not remove it: over
+    diag(linspace(3, 1, n)) s, n = 3, 5, s = 1e3..1e9 and three weight
+    pairs, the points ``critical_scan`` and ``riemannian_descent`` return
+    are off SO(n) by up to 9.3e-11 and 9.6e-11 (Frobenius), the same with
+    the re-projection switched off, so the error is left by the last large
+    steps, not accumulated. ``global_minimize`` projects its winner onto SO(n).
     """
     half = 0.5 * a
     return np.linalg.solve(eye - half, eye + half)

@@ -23,6 +23,7 @@ from relaxed_polar import (
     rpolar_3d,
 )
 from relaxed_polar import solve as solve_set
+from relaxed_polar.ndim import critical_values
 from relaxed_polar.spatial import mean_planar_stretch, wred_3d_values
 
 from conftest import rotation_2d
@@ -269,6 +270,40 @@ def test_iso_grid(tmp_path, capsys):
         assert rows == expected
 
 
+def write_iso_grid_per_row(path, lo, hi, count):
+    """iso-grid's CSV as the command wrote it before it formatted each
+    distinct value once: one repr and one write per row."""
+    axis = np.linspace(lo, hi, count)
+    grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
+    with np.errstate(over="ignore"):
+        wred = energy_module.reduced_energy_stack(CosseratWeights(1.0, 0.0), grid)[1].tolist()
+    labels = [cli.fmt(v) for v in axis]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("nu1,nu2,nu3,wred\n")
+        for a, plane in zip(labels, wred):
+            for b, line in zip(labels, plane):
+                for c, w in zip(labels, line):
+                    fh.write(",".join([a, b, c, repr(w)]) + "\n")
+
+
+def test_iso_grid_is_byte_identical_to_the_per_row_writer(tmp_path, capsys):
+    rng = np.random.default_rng(2302)
+    lo = float(rng.uniform(0.05, 0.2))
+    grids = [
+        (lo, lo + float(rng.uniform(2.5, 3.5)), 17),
+        (0.5, 1.5, 5),  # holds (1, 1, 1), whose wred is exactly 0.0
+        (1e200, 1e201, 3),  # every wred overflows and reads inf
+    ]
+    for lo, hi, count in grids:
+        out, ref = tmp_path / "iso.csv", tmp_path / "ref.csv"
+        code, _, err = run(
+            ["iso-grid", "--grid", repr(lo), repr(hi), str(count), "--out", str(out)], capsys
+        )
+        assert (code, err) == (cli.EXIT_OK, "")
+        write_iso_grid_per_row(ref, lo, hi, count)
+        assert out.read_bytes() == ref.read_bytes()
+
+
 def test_ndim_with_census(capsys):
     code, out, _ = run(["ndim", "0.5", "3", "1", "1", "--census"], capsys)
     assert code == cli.EXIT_OK
@@ -297,6 +332,54 @@ def test_ndim_with_census(capsys):
             {"indices": [i + 1 for i in b], "sign": s} for b, s in zip(p.blocks, p.signs)
         ]
         assert entry["value"] == critical_value(p, nus)
+
+
+def reference_ndim_census_stdout(nus) -> str:
+    """``ndim --census`` stdout as the command built it before its census was
+    encoded block by block: one ``json.dumps`` of the whole report."""
+    nus = sorted(nus, reverse=True)
+    mset = energy_module.solve_values(CosseratWeights(1.0, 0.0), nus)
+    report = {
+        "nus_sorted": nus,
+        "k": mset.k,
+        "partition": cli._canonical_partition(mset.k, len(nus)),
+        "wred": mset.reduced_energy,
+        "num_minimizers": 2**mset.k,
+        "degenerate": mset.degenerate,
+    }
+    parts = enumerate_critical_partitions(nus)
+    report["census"] = [
+        {"partition": cli._partition_1based(p.blocks, p.signs), "value": v}
+        for p, v in zip(parts, critical_values(parts, nus))
+    ]
+    return json.dumps(report) + "\n"
+
+
+def census_spectra():
+    rng = np.random.default_rng(2301)
+    yield [4.47, 3.56, 3.31, 2.88, 2.16, 1.69, 1.07, 0.62]  # the benchmark's base
+    for n in range(1, 9):
+        yield rng.uniform(0.05, 4.5, n).tolist()  # any order: the command sorts
+    yield [2.25, 1.5, 0.5, 0.25]  # 1.5 + 0.5 == 2.0 exactly: a pair on the boundary
+    yield [3.5, 1.5, 0.75]  # 3.5 - 1.5 == 2.0 exactly: no reflection pair yet
+
+
+def test_ndim_census_is_byte_identical_to_one_dumps(capsys):
+    for nus in census_spectra():
+        code, out, err = run(["ndim", "--census", *map(repr, nus)], capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out == reference_ndim_census_stdout(nus)
+
+
+@pytest.mark.parametrize(
+    "nus, field", [(["1e200", "1e199", "3"], "wred"), (["1.5e154", "1e154", "3"], "census")]
+)
+def test_an_overflowing_census_names_the_first_field_that_overflows(nus, field, capsys):
+    # 1e200 overflows wred and the census; at 1.5e154 only the census's
+    # reflection-pair values (nu_1 + nu_2)^2 / 2 do
+    code, out, err = run(["ndim", "--census", *nus], capsys)
+    assert (code, out) == (cli.EXIT_DOMAIN, "")
+    assert err == f"error: {field} overflows float64: the input scale is too large\n"
 
 
 @pytest.mark.parametrize(

@@ -346,6 +346,20 @@ class TestPrunedCensus:
             got = enumerate_critical_partitions(d, require_rotation=require_rotation)
             assert [(p.blocks, p.signs) for p in got] == reference_census(d, require_rotation)
 
+    @pytest.mark.parametrize("require_rotation", [True, False])
+    def test_unvalidated_partitions_are_the_validated_ones(self, require_rotation):
+        # the enumerator skips CriticalPartition's validation: what it builds
+        # must be what validation would have built, down to the types
+        rng = np.random.default_rng(83)
+        for n in range(1, 9):
+            d = np.sort(rng.uniform(0.05, 4.0, n))[::-1].tolist()
+            for p in enumerate_critical_partitions(d, require_rotation=require_rotation):
+                q = CriticalPartition(blocks=p.blocks, signs=p.signs)
+                assert p == q and hash(p) == hash(q)
+                assert type(p.blocks) is tuple and type(p.signs) is tuple
+                assert all(type(b) is tuple for b in p.blocks)
+                assert all(type(i) is int for i in itertools.chain(*p.blocks, p.signs))
+
     def test_matchings_build_no_inadmissible_pair(self):
         rng = np.random.default_rng(82)
         for n in range(1, 9):

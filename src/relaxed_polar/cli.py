@@ -212,6 +212,8 @@ def cmd_solve(args) -> int:
             "gap": res.best_energy - report["reduced_energy"],
             "grad_norm": res.grad_norm_at_best,
             "restarts_converged": res.restarts_converged,
+            "restarts_stalled": res.restarts_stalled,
+            "restarts_capped": res.restarts_capped,
         }
     print(_dumps(report))
     return EXIT_OK

@@ -20,11 +20,10 @@ reads F's distance to the rotation group off the singular values.
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +65,7 @@ class CosseratWeights:
     muc: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.mu) and np.isfinite(self.muc)):
+        if not (math.isfinite(self.mu) and math.isfinite(self.muc)):
             raise ValueError("weights must be finite")
         if self.mu <= 0.0:
             raise ValueError("shear weight mu must be positive")
@@ -209,17 +208,22 @@ def rescale(W: CosseratWeights, F: DeformationGradient) -> DeformationGradient:
     return ft
 
 
+_W10 = CosseratWeights(1.0, 0.0)
+_W11 = CosseratWeights(1.0, 1.0)
+
+
 def reduce_parameters(
     W: CosseratWeights, F: DeformationGradient
 ) -> tuple[Regime, CosseratWeights, DeformationGradient]:
     """Map (W, F) to the canonical limit case with the same minimizers.
 
     Classical weights reduce to (1, 1) on F unchanged; non-classical
-    weights reduce to (1, 0) on the rescaled gradient.
+    weights reduce to (1, 0) on the rescaled gradient. Each canonical
+    weight pair is one shared frozen instance, not built per call.
     """
     if W.is_classical:
-        return Regime.CLASSICAL, CosseratWeights(1.0, 1.0), F
-    return Regime.NON_CLASSICAL, CosseratWeights(1.0, 0.0), rescale(W, F)
+        return Regime.CLASSICAL, _W11, F
+    return Regime.NON_CLASSICAL, _W10, rescale(W, F)
 
 
 def relative_rotation(R, F: DeformationGradient) -> np.ndarray:
@@ -324,7 +328,7 @@ def reduced_energy(W: CosseratWeights, F: DeformationGradient) -> float:
     For classical weights the minimum is mu ||U - 1||^2 (the skew part
     vanishes at the polar factor).
     """
-    return reduced_energy_values(W, F.singular_values)[1]
+    return reduced_energy_values(W, F.singular_values.tolist())[1]
 
 
 def dist_sq_so_n(F: DeformationGradient) -> float:
@@ -342,7 +346,9 @@ def pair_block(s, rho):
     c = rho / s and sine^2 = ((s - rho) / s) (1 + c), with s - rho exact for
     rho <= s <= 2 rho (Sterbenz): next to the band this keeps the digits that
     sqrt(1 - c^2) and arccos(c) lose, about log10(rho / (s - rho)) of them.
-    fmin maps s = inf to (0, 1, pi/2). Elementwise on scalars and arrays.
+    fmin maps s = inf to (0, 1, pi/2). Elementwise on scalars and arrays, on
+    numpy for one pair too: ``math.atan2`` can differ in the last bit from
+    the ``np.arctan2`` that sweep-planar's array rows take.
     """
     c = rho / s
     sine = np.sqrt(np.fmin((s - rho) / s, 1.0) * (1.0 + c))
@@ -355,22 +361,25 @@ def pair_rotations(n: int, blocks, signs) -> np.ndarray:
     Rotation j turns each plane (2p, 2p + 1) by signs[j][p] times the angle
     of ``blocks[p]``, a :func:`pair_block` triple (c, sine, angle), and
     leaves the rest fixed. Block p is [[c, -t], [t, c]] with
-    t = signs[j][p] * sine, so no angle is read.
+    t = signs[j][p] * sine, so no angle is read; each rotation is a copy of
+    one identity with the cosines, with its sines set.
     """
+    pos = range(0, n * n, 2 * n + 2)  # flat index of entry (2p, 2p) of pair p
+    base = [0.0] * (n * n)
+    base[:: n + 1] = [1.0] * n
+    for i, (c, _, _) in zip(pos, blocks):
+        base[i] = base[i + n + 1] = c
     flat: list[float] = []
     for sign_tuple in signs:
-        r = [0.0] * (n * n)
-        r[:: n + 1] = [1.0] * n
-        for p, ((c, sine, _), sign) in enumerate(zip(blocks, sign_tuple)):
-            i = 2 * p * (n + 1)  # flat index of entry (2p, 2p)
-            r[i] = r[i + n + 1] = c
+        r = base.copy()
+        for i, (_, sine, _), sign in zip(pos, blocks, sign_tuple):
             r[i + 1] = -sign * sine
             r[i + n] = sign * sine
         flat += r
     return np.array(flat).reshape(-1, n, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MinimizerSet:
     """All energy-minimizing rotations for one (weights, values) instance.
 
@@ -380,10 +389,10 @@ class MinimizerSet:
     per sign tuple of :attr:`signs`, ordered as
     ``itertools.product((1, -1), repeat=k)`` with pair 0 most significant:
     minimizer sigma has the relative rotation that turns plane p by
-    sigma_p * angles[p]. ``minimizers`` is built on first read, and no other
-    field builds a rotation. From :func:`solve` they are rotations of F (the
-    polar factor alone for k = 0), from :func:`solve_values` the relative
-    rotations themselves (the identity for k = 0).
+    sigma_p * angles[p]. ``minimizers`` is built on first read and kept;
+    no other field builds a rotation. From :func:`solve` they are rotations
+    of F (the polar factor alone for k = 0), from :func:`solve_values` the
+    relative rotations themselves (the identity for k = 0).
 
     ``domain`` labels nu_1 + nu_2 against rho, with a band of
     ``BOUNDARY_RTOL`` on both sides; it does not decide k. ``degenerate``
@@ -391,6 +400,8 @@ class MinimizerSet:
     sample from the cached frame rather than exhaustive: for classical
     weights nu_1 - nu_n <= ``DEGENERACY_RTOL`` nu_1; otherwise a branching
     pair whose own gap, or whose gap to the next value, is that small.
+    Frozen to callers, compared and printed by these five fields; the
+    constructor fills them and what ``minimizers`` reads in one dict update.
     """
 
     domain: Domain
@@ -398,18 +409,23 @@ class MinimizerSet:
     angles: tuple[float, ...]
     reduced_energy: float
     degenerate: bool
-    _blocks: list = field(repr=False, compare=False)
-    _dim: int = field(repr=False, compare=False)
-    _gradient: DeformationGradient | None = field(repr=False, compare=False)
 
-    @functools.cached_property
+    def __init__(self, domain, k, angles, reduced_energy, degenerate, blocks, dim, gradient):
+        vars(self).update(domain=domain, k=k, angles=angles, reduced_energy=reduced_energy,
+                          degenerate=degenerate, _blocks=blocks, _dim=dim, _gradient=gradient, _minimizers=None)
+
+    @property
     def minimizers(self) -> tuple[np.ndarray, ...]:
         """The 2^k rotations, in the order of :attr:`signs`; built on first read."""
-        F = self._gradient
-        if F is not None and not self.k:
-            return (F.polar.rotation.copy(),)
-        rel = pair_rotations(self._dim, self._blocks, self.signs)
-        return tuple(rel if F is None else absolute_rotation(rel, F))
+        if self._minimizers is None:
+            F = self._gradient
+            if F is not None and not self.k:
+                rotations = (F.polar.rotation.copy(),)
+            else:
+                rel = pair_rotations(self._dim, self._blocks, self.signs)
+                rotations = tuple(rel if F is None else absolute_rotation(rel, F))
+            vars(self)["_minimizers"] = rotations
+        return self._minimizers
 
     @property
     def signs(self) -> list[tuple[int, ...]]:

@@ -21,25 +21,30 @@ Indices here are 0-based; command-line reports translate to 1-based.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import CosseratWeights, _minimizer_set, pair_block, reduced_energy_values
+from .energy import _W10, _minimizer_set, pair_block, reduced_energy_values
 from .errors import InadmissiblePartition, OrientationError, TooLarge
 
 ENUMERATION_MAX_DIM = 10
-_W10 = CosseratWeights(1.0, 0.0)
 
 
-def _as_descending(nus) -> np.ndarray:
-    d = np.asarray(nus, dtype=float)
-    if d.ndim != 1 or d.size < 1:
+def _as_descending(nus) -> list[float]:
+    """``nus``, a non-empty 1-d sequence or array of positive, finite,
+    descending values, as a list of floats; otherwise ``ValueError``."""
+    try:
+        d = [float(v) for v in (nus.tolist() if isinstance(nus, np.ndarray) else nus)]
+    except TypeError:  # a scalar, or a row that float() refuses
+        d = []
+    if not d:
         raise ValueError("expected a 1-d array of diagonal entries")
-    if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
+    if not all(0.0 < v < math.inf for v in d):
         raise ValueError("diagonal entries must be positive and finite")
-    if np.any(np.diff(d) > 0.0):
+    if any(a < b for a, b in zip(d, d[1:])):
         raise ValueError("diagonal entries must be sorted in descending order")
     return d
 
@@ -151,7 +156,7 @@ def enumerate_critical_partitions(
     canonical and is not re-validated; :func:`critical_values` still
     validates the partitions that callers build.
     """
-    d = _as_descending(nus).tolist()
+    d = _as_descending(nus)
     n = len(d)
     if n > ENUMERATION_MAX_DIM:
         raise TooLarge(f"exhaustive enumeration guarded to n <= {ENUMERATION_MAX_DIM}")
@@ -173,7 +178,7 @@ def critical_values(parts, nus) -> list[float]:
     partition's value is bit-identical to the pairing rule's
     :func:`~relaxed_polar.energy.reduced_energy_values` at (1, 0).
     """
-    d = _as_descending(nus).tolist()
+    d = _as_descending(nus)
     for p in parts:
         _check_admissible(p, d)
     return _block_sums(parts, d)
@@ -203,7 +208,7 @@ def realize_rotation(p: CriticalPartition, nus) -> np.ndarray:
     energy). Raises ``OrientationError`` when the sign pattern has odd
     -1 count and therefore overall determinant -1.
     """
-    d = _as_descending(nus).tolist()
+    d = _as_descending(nus)
     _check_admissible(p, d)
     if p.overall_det() != 1:
         raise OrientationError("sign pattern has overall determinant -1")
@@ -235,7 +240,7 @@ def traversal_path(start: CriticalPartition, nus) -> list[CriticalPartition]:
     Returns the list of visited partitions, starting with ``start`` and
     ending at the canonical global minimizer.
     """
-    d = _as_descending(nus).tolist()
+    d = _as_descending(nus)
     _check_admissible(start, d)
     path = [start]
 
@@ -331,13 +336,13 @@ def global_minimizers_nd(nus, *, with_rotations: bool = True) -> GlobalMinimizer
     Pass ``with_rotations=False`` to skip materializing the rotations (k
     grows with n and the list is exponential in k).
     """
-    d = _as_descending(nus).tolist()
+    d = _as_descending(nus)
     n = len(d)
     mset = _minimizer_set(_W10, d)
     k = mset.k
     blocks = canonical_blocks(k, n)
     return GlobalMinimizers(
-        partition=CriticalPartition(blocks=blocks, signs=(1,) * len(blocks)),
+        partition=CriticalPartition._canonical(blocks, (1,) * len(blocks)),
         rotations=mset.minimizers if with_rotations else (),
         reduced_energy=mset.reduced_energy,
         k=k,

@@ -468,7 +468,8 @@ def riemannian_descent(
 
     The one-start case of ``_search``; pass ``energy_trace`` to record the
     energy after each accepted step of both phases. Returns the rotation,
-    its energy and its gradient norm.
+    its energy and its gradient norm. The rotation is not projected: in odd
+    n at large scale it is off SO(n) by up to about 1e-10 (Frobenius).
     """
     r = np.asarray(R0, dtype=float)
     if r.shape != (F.dim, F.dim):
@@ -538,9 +539,11 @@ def critical_scan(
     to saddles; each runs all the starts as one stack, the Haar samples
     shared with ``global_minimize``. An endpoint is kept when the ||G|| its
     search returns is at most ``_KEEP`` c, so the test means the same at
-    every input scale. Kept endpoints, each start's ``_search`` before its Newton, are clustered
-    (same point = energies e within 1e-6 (1 + |e|) and Frobenius distance
-    within 1e-4; the first stays) and sorted by energy.
+    every input scale. Kept endpoints, each start's ``_search`` before its
+    Newton, are clustered (same point = energies e within 1e-6 (1 + |e|)
+    and Frobenius distance within 1e-4; the first stays) and sorted by
+    energy. They are not projected: in odd n at large scale they are off
+    SO(n) by up to about 1e-10 (Frobenius).
     """
     c = _check_scale(W, F)
     n, eye = F.dim, np.eye(F.dim)

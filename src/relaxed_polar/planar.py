@@ -20,11 +20,9 @@ from .errors import DimensionMismatch
 
 
 def wrap_angle(a: float) -> float:
-    """Wrap to (-pi, pi], choosing +pi over -pi."""
-    w = float(np.remainder(a + np.pi, 2.0 * np.pi) - np.pi)
-    if w == -np.pi:
-        return np.pi
-    return w
+    """Wrap to (-pi, pi], choosing +pi over -pi; floored ``%``, as ``np.remainder``."""
+    w = (a + math.pi) % (2.0 * math.pi) - math.pi
+    return math.pi if w == -math.pi else w
 
 
 @dataclass(frozen=True)

@@ -182,14 +182,22 @@ class TestSolve:
         assert_rotations_equal(rep["minimizers"], [F.polar.rotation])
 
     def test_verify_reports_the_oracle(self, capsys):
-        code, out, _ = run(
-            ["solve", "--shear", "2.0", "--verify", "--samples", "3", "--seed", "5"], capsys
-        )
-        assert code == cli.EXIT_OK
-        rep = json.loads(out)
-        assert set(rep["oracle"]) == {"best_energy", "gap", "grad_norm", "restarts_converged"}
-        assert rep["oracle"]["gap"] == rep["oracle"]["best_energy"] - rep["reduced_energy"]
-        assert rep["oracle"]["gap"] >= -1e-9
+        ends = ("restarts_converged", "restarts_stalled", "restarts_capped")
+        for muc in ("0.0", "0.5", "2.0"):
+            code, out, _ = run(
+                ["solve", "--shear", "2.0", "--muc", muc, "--verify", "--samples", "3", "--seed", "5"],
+                capsys,
+            )
+            assert code == cli.EXIT_OK
+            rep = json.loads(out)
+            assert set(rep["oracle"]) == {"best_energy", "gap", "grad_norm", *ends}
+            assert rep["oracle"]["gap"] == rep["oracle"]["best_energy"] - rep["reduced_energy"]
+            assert rep["oracle"]["gap"] >= -1e-9
+            # every start ends one way: the samples, the polar factor and, for
+            # non-classical weights, up to 8 closed-form minimizers
+            classical = rep["regime"] == "classical"
+            warm = 1 + (0 if classical else min(len(rep["minimizers"]), 8))
+            assert sum(rep["oracle"][e] for e in ends) == 3 + warm
 
     def test_verify_in_odd_dimension_at_large_scale(self, capsys):
         # the oracle's descent steps stay rotations in odd n at any scale

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -48,6 +49,15 @@ class TestWeights:
             CosseratWeights(1.0, -0.1)
         with pytest.raises(ValueError):
             CosseratWeights(np.nan, 0.0)
+
+    def test_finite_check_takes_ints_and_numpy_scalars(self):
+        for mu, muc in [(2, 1), (np.float64(2.0), np.int64(1)), (np.float32(1.5), np.float64(0.0))]:
+            w = CosseratWeights(mu, muc)
+            assert (w.mu, w.muc) == (mu, muc)
+        for mu, muc in [(np.float64("inf"), 0.0), (1.0, np.float64("inf")), (np.float64("nan"), 0.0),
+                        (1.0, np.nan), (float("inf"), 0.0), (-np.inf, 0.0)]:
+            with pytest.raises(ValueError, match="weights must be finite"):
+                CosseratWeights(mu, muc)
 
     def test_regime_boundary_is_classical(self):
         assert CosseratWeights(1.0, 1.0).regime is Regime.CLASSICAL
@@ -300,6 +310,7 @@ class TestReduceParameters:
         regime, canon, same = reduce_parameters(CosseratWeights(2.0, 5.0), F)
         assert regime is Regime.CLASSICAL
         assert (canon.mu, canon.muc) == (1.0, 1.0)
+        assert canon == CosseratWeights(1, 1) and canon.is_classical
         assert same is F
 
     def test_limit_case_is_fixed_point(self):
@@ -307,7 +318,17 @@ class TestReduceParameters:
         regime, canon, same = reduce_parameters(W10, F)
         assert regime is Regime.NON_CLASSICAL
         assert (canon.mu, canon.muc) == (1.0, 0.0)
+        assert canon == CosseratWeights(1, 0) and canon.singular_radius == 2.0
         assert same is F
+
+    def test_canonical_weights_are_shared_and_frozen(self):
+        F = DeformationGradient(np.diag([2.0, 1.0, 0.5]))
+        for w, expected in [(CosseratWeights(1.7, 0.3), (1, 0)), (CosseratWeights(1.0, 4.0), (1, 1))]:
+            canon = reduce_parameters(w, F)[1]
+            assert canon == CosseratWeights(*expected)
+            assert reduce_parameters(w, F)[1] is canon
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                canon.mu = 2.0
 
     def test_argmin_equivalence_via_oracle(self):
         # argmin of W_{3,1}(.; F) equals argmin of W_{1,0}(.; (2/3) F)

@@ -16,6 +16,7 @@ from relaxed_polar.ndim import (
     CriticalPartition,
     _matchings,
     _pair_signs,
+    canonical_blocks,
     critical_value,
     critical_values,
     enumerate_critical_partitions,
@@ -71,6 +72,43 @@ class TestPartitionType:
         p = CriticalPartition(blocks=((2,), (1, 0)), signs=(-1, 1))
         assert p.blocks == ((0, 1), (2,))
         assert p.signs == (1, -1)
+
+
+def reference_as_descending(nus):
+    """The diagonal check as written on numpy arrays before it took lists."""
+    d = np.asarray(nus, dtype=float)
+    if d.ndim != 1 or d.size < 1:
+        raise ValueError("expected a 1-d array of diagonal entries")
+    if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
+        raise ValueError("diagonal entries must be positive and finite")
+    if np.any(np.diff(d) > 0.0):
+        raise ValueError("diagonal entries must be sorted in descending order")
+    return d
+
+
+class TestDiagonalValidation:
+    BAD = [
+        [2.0, np.nan], [np.nan, 1.0], [np.inf, 1.0], [2.0, -np.inf], [1.0, 0.0], [1.0, -0.0],
+        [-0.0], [2.0, -1.0], [1.0, 2.0], [3.0, 1.0, 1.0 + 1e-15], [[2.0, 1.0]], [[2.0], [1.0]],
+        np.ones((2, 2)), np.ones((3, 1)), [], np.array([]), np.float64(2.0), 2.0,
+    ]
+
+    @pytest.mark.parametrize("nus", BAD, ids=repr)
+    def test_bad_diagonals_raise_the_messages_of_the_array_check(self, nus):
+        with pytest.raises(ValueError) as ref:
+            reference_as_descending(nus)
+        for check in (global_minimizers_nd, lambda d: critical_values([], d)):
+            with pytest.raises(ValueError) as got:
+                check(nus)
+            assert str(got.value) == str(ref.value)
+
+    def test_arrays_and_lists_give_the_same_floats(self):
+        for nus in ([3, 2, 2, 1], np.array([3.0, 2.0, 0.5], dtype=np.float32), np.arange(6, 0, -1)):
+            expected = reference_as_descending(nus)
+            gm = global_minimizers_nd(nus)
+            ref = global_minimizers_nd(expected)
+            assert (gm.k, gm.reduced_energy, gm.partition) == (ref.k, ref.reduced_energy, ref.partition)
+            assert critical_values([gm.partition], nus) == critical_values([gm.partition], expected)
 
 
 class TestEnumerate:
@@ -498,6 +536,20 @@ class TestOneBranchRule:
             assert gm.degenerate is solve(W10, DeformationGradient(np.diag(d))).degenerate
             flags.append(gm.degenerate)
         assert True in flags and False in flags
+
+
+    def test_partition_equals_and_hashes_as_the_validated_partition(self):
+        rng = np.random.default_rng(2403)
+        dims = set()
+        for d in spectra_with_repeats(rng, 400):
+            gm = global_minimizers_nd(d, with_rotations=False)
+            blocks = canonical_blocks(gm.k, len(d))
+            ref = CriticalPartition(blocks=blocks, signs=[1.0] * len(blocks))
+            assert gm.partition == ref and hash(gm.partition) == hash(ref)
+            assert (gm.partition.blocks, gm.partition.signs) == (ref.blocks, ref.signs)
+            assert all(type(s) is int for s in gm.partition.signs)
+            dims.add(len(d))
+        assert dims == set(range(1, 9))
 
 
 class TestStructuralLemmas:

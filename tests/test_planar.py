@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from relaxed_polar.planar import (
     optimal_angles,
     polar_angle,
     simple_shear,
+    wrap_angle,
 )
 
 from conftest import (
@@ -62,6 +65,25 @@ class TestPolarAngle:
     def test_dim_guard(self):
         with pytest.raises(DimensionMismatch):
             polar_angle(DeformationGradient(np.eye(3)))
+
+
+def reference_wrap_angle(a):
+    """wrap_angle as written on np.remainder before it took Python's %."""
+    w = float(np.remainder(a + np.pi, 2.0 * np.pi) - np.pi)
+    return np.pi if w == -np.pi else w
+
+
+def test_wrap_angle_matches_np_remainder_bitwise():
+    pi, tiny = math.pi, 5e-324
+    edges = [0.0, -0.0, tiny, -tiny, pi, -pi, 2 * pi, -2 * pi, 3 * pi, -3 * pi, 1e300, -1e300,
+             math.nextafter(pi, 0.0), math.nextafter(-pi, 0.0), math.nextafter(pi, 4.0),
+             math.nextafter(-pi, -4.0), 1e16, -1e16, 2.5, -2.5]
+    rng = np.random.default_rng(2402)
+    wide = rng.standard_normal(50_000) * 10.0 ** rng.integers(-300, 301, 50_000)
+    angles = edges + rng.uniform(-8.0, 8.0, 50_000).tolist() + wide.tolist()
+    got = [wrap_angle(a) for a in angles]
+    assert all(type(w) is float and -pi < w <= pi for w in got)
+    assert np.array(got).tobytes() == np.array([reference_wrap_angle(a) for a in angles]).tobytes()
 
 
 class TestRelativeAngles:

@@ -1,6 +1,7 @@
 """solve(W, F): one minimizer set for every dimension and weight regime."""
 
 import csv
+import dataclasses
 import decimal
 import importlib
 import itertools
@@ -24,7 +25,13 @@ from relaxed_polar import (
     solve_values,
 )
 from relaxed_polar import cli
-from relaxed_polar.energy import BOUNDARY_RTOL, DEGENERACY_RTOL, reduced_energy_values
+from relaxed_polar.energy import (
+    BOUNDARY_RTOL,
+    DEGENERACY_RTOL,
+    pair_block,
+    pair_rotations,
+    reduced_energy_values,
+)
 from relaxed_polar.ndim import CriticalPartition, realize_rotation
 from relaxed_polar.spatial import mean_planar_stretch
 
@@ -136,6 +143,56 @@ def test_minimizers_are_built_on_first_read_only(monkeypatch):
     assert optimal_angles(W, DeformationGradient(np.diag([3.0, 1.0]))).bifurcated
     assert global_minimizers_nd(sorted(nus, reverse=True), with_rotations=False).k == 2
     assert calls == []
+
+
+def test_minimizer_set_is_frozen_and_compares_by_its_five_fields():
+    W, nus = CosseratWeights(1.0, 0.0), [0.5, 2.0, 4.0, 3.0, 2.5]
+    a, b = solve(W, DeformationGradient(np.diag(nus))), solve_values(W, nus)
+    assert a == b and hash(a) == hash(b)  # F and the rotations take no part
+    assert a != solve_values(W, [4.0, 3.0, 2.5])
+    assert repr(a) == (
+        f"MinimizerSet(domain={Domain.NON_CLASSICAL!r}, k=2, angles={a.angles!r}, "
+        f"reduced_energy={a.reduced_energy!r}, degenerate=False)"
+    )
+    first = a.minimizers
+    for name in ("k", "angles", "reduced_energy", "minimizers", "_minimizers", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(a, name)
+    assert a.minimizers is first and a.k == 2
+
+
+def reference_pair_rotations(n, blocks, signs):
+    """The per-tuple builder pair_rotations replaced: every rotation from a
+    fresh identity, its cosines and sines set pair by pair."""
+    flat = []
+    for sign_tuple in signs:
+        r = [0.0] * (n * n)
+        r[:: n + 1] = [1.0] * n
+        for p, ((c, sine, _), sign) in enumerate(zip(blocks, sign_tuple)):
+            i = 2 * p * (n + 1)
+            r[i] = r[i + n + 1] = c
+            r[i + 1] = -sign * sine
+            r[i + n] = sign * sine
+        flat += r
+    return np.array(flat).reshape(-1, n, n)
+
+
+def test_pair_rotations_match_the_per_tuple_builder_bitwise():
+    rng = np.random.default_rng(2401)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        k = int(rng.integers(0, n // 2 + 1))
+        # pair_block on floats gives np.float64 sines and angles, as test_ndim passes them
+        raw = [pair_block(s, 2.0) for s in rng.uniform(2.0, 9.0, k).tolist()]
+        for blocks in (raw, [(c, float(t), float(b)) for c, t, b in raw]):
+            signs = list(itertools.product((1, -1), repeat=k))
+            expected = reference_pair_rotations(n, blocks, signs)
+            assert expected.shape == (2**k, n, n)
+            for given in (signs, iter(signs), itertools.product((1, -1), repeat=k)):
+                assert pair_rotations(n, blocks, given).tobytes() == expected.tobytes()
+    assert pair_rotations(3, [], []).shape == (0, 3, 3)
 
 
 def test_solve_values_is_solve_in_the_principal_frame():

@@ -376,7 +376,7 @@ def pair_rotations(n: int, blocks, signs) -> np.ndarray:
             r[i + 1] = -sign * sine
             r[i + n] = sign * sine
         flat += r
-    return np.array(flat).reshape(-1, n, n)
+    return np.fromiter(flat, float, len(flat)).reshape(-1, n, n)
 
 
 @dataclass(frozen=True, init=False)

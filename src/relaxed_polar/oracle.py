@@ -12,11 +12,15 @@ for skew A: one real linear solve per step, where the exact exponential
 needs an eigendecomposition for n >= 4. C agrees with expm to second order
 (Absil, Mahony and Sepulchre, *Optimization Algorithms on Matrix
 Manifolds*, 2008, sec. 4.1), so the Newton steps keep their exact
-Jacobian and Hessian. ``critical_scan`` perturbs its corner starts by a
-small Cayley step too, so the oracle moves on the rotation group only by
-C(A), in every dimension. The rotation group is compact, so enough
-restarts make this a credible global oracle at the small dimensions the
-closed forms are verified at. Every restart draws its own random stream
+Jacobian and Hessian. A Cayley step of large norm, as descent takes far
+from a critical point, leaves R off SO(n) by rounding, so ``_search``
+projects each descent endpoint onto SO(n) once, by SVD (U V^T), before
+its Newton phase: the oracle projects there and nowhere else.
+``critical_scan`` perturbs its corner starts by a small Cayley step too,
+so the oracle moves on the rotation group only by C(A), in every
+dimension. The rotation group is compact, so enough restarts make this a
+credible global oracle at the small dimensions the closed forms are
+verified at. Every restart draws its own random stream
 from (seed, restart index), and the restarts of one (n, seed, samples) are
 built once, as one stack, and shared. Each phase runs its starts as one
 stack, each with its own step and stopping rule, so results do not depend
@@ -52,7 +56,7 @@ _MIN_STEP = 1e-18
 # overshoots anyway, and nearly flat modes (repeated singular values) need
 # steps far above unity to converge. A Cayley step turns a plane of angle
 # theta by 2 atan(theta / 2), so at the cap a step saturates just short of pi
-# rather than wrapping around, and its orthogonality error stays near 1e-10
+# rather than wrapping around
 _MAX_STEP = 1e6
 # Fractions of the module docstring's scale c. Descent hands a start to
 # saddle-free Newton at ||G|| <= _HANDOVER c: first order does the global part
@@ -233,15 +237,9 @@ def _cayley(a: np.ndarray, eye: np.ndarray) -> np.ndarray:
     A rotation for every skew A, since 1 - A/2 is then invertible; each
     slice is solved on its own, so a slice's result does not depend on the
     stack. A is not checked: every caller builds it skew. The orthogonality
-    error is a few ulps for ||A|| <= 10. 1 - A/2 has condition number about
-    ||A|| / 2, so at ||A|| = 1e6, the descent's cap at any input scale, the
-    error grows to about 1e-10 in odd n, where a skew A is singular. The
-    descent's SVD re-projection every 64 steps does not remove it: over
-    diag(linspace(3, 1, n)) s, n = 3, 5, s = 1e3..1e9 and three weight
-    pairs, the points ``critical_scan`` and ``riemannian_descent`` return
-    are off SO(n) by up to 9.3e-11 and 9.6e-11 (Frobenius), the same with
-    the re-projection switched off, so the error is left by the last large
-    steps, not accumulated. ``global_minimize`` projects its winner onto SO(n).
+    error is a few ulps for ||A|| <= 10 and grows with ||A||, the condition
+    number of 1 - A/2 being about ||A|| / 2, most in odd n, where a skew A
+    is singular.
     """
     half = 0.5 * a
     return np.linalg.solve(eye - half, eye + half)
@@ -261,8 +259,7 @@ def _descend(
     Each start keeps its own step t: the trial R C(-min(t, ``_MAX_STEP`` /
     ||G||) G), C the Cayley retraction ``_cayley``, is accepted if the
     energy strictly decreases, else t is halved; after acceptance t doubles
-    up to ``_MAX_STEP``, and every 64 accepted steps R is re-projected onto
-    the rotations by SVD. A start stops at ||G|| <= tol, at t < ``_MIN_STEP``
+    up to ``_MAX_STEP``. A start stops at ||G|| <= tol, at t < ``_MIN_STEP``
     or after max_iters accepted steps. A round evaluates only the running
     starts, slice by slice, so no start depends on the rest of the stack.
     ``energy_trace`` needs one start. Returns the rotations, energies and
@@ -307,13 +304,6 @@ def _descend(
         steps += ok
         if energy_trace is not None:
             energy_trace.append(float(e[0]))
-        due = ok & (steps % 64 == 0)
-        if due.any():
-            # re-project to kill accumulated orthogonality drift
-            u, _, vt = np.linalg.svd(r[due])
-            r[due] = u @ vt
-            y[due], x[due] = _stretch(r[due], f, eye)
-            e[due] = _energy(mu, muc, x[due])
         # a rejected start keeps its rotation, so its gradient is unchanged
         g = _gradient(mu, muc, y, x)
         gn = _norm(g)
@@ -446,19 +436,21 @@ def _search(
 
     The scale c from ``_check_scale`` sets every threshold: ``_descend``
     runs each start until ||G|| <= ``_HANDOVER`` c, or until it stalls or
-    reaches max_iters; ``_sfn``, with its eigenvalue floor ``_EIG_FLOOR`` c,
-    then takes every start on to ||G|| <= max(tol_grad, ``_FLOOR`` c), the
-    rounding floor where tol_grad lies below it, so a start converges at
-    any input scale. ``energy_trace`` needs one start and records the
-    energy after every accepted step of both phases: it strictly
-    decreases, except across the descent's SVD re-projection every 64
-    steps, which can move it by rounding. Returns the rotations, energies,
-    gradient norms and how each start ended, as ``_sfn`` does, converged
-    meaning at that tolerance.
+    reaches max_iters; one SVD, U V^T, projects the endpoints onto SO(n);
+    ``_sfn``, with its eigenvalue floor ``_EIG_FLOOR`` c, then takes every
+    start on to ||G|| <= max(tol_grad, ``_FLOOR`` c), the rounding floor
+    where tol_grad lies below it, so a start converges at any input scale. ``energy_trace`` needs one start and records the
+    energy after every accepted step of both phases, which strictly
+    decreases; the projection adds no entry. Returns the rotations,
+    energies, gradient norms and how each start ended, as ``_sfn`` does,
+    converged meaning at that tolerance. The energy returned is that of
+    the projected point, so where ``_sfn`` accepts no step it can differ
+    from the trace's last entry by the projection's rounding-level move.
     """
     tol = max(cfg.tol_grad, _FLOOR * c)
     r, _, _ = _descend(W, F, starts, max(tol, _HANDOVER * c), cfg.max_iters, energy_trace)
-    return _sfn(W, F, r, tol, c, energy_trace)
+    u, _, vt = np.linalg.svd(r)
+    return _sfn(W, F, u @ vt, tol, c, energy_trace)
 
 
 def riemannian_descent(
@@ -468,8 +460,9 @@ def riemannian_descent(
 
     The one-start case of ``_search``; pass ``energy_trace`` to record the
     energy after each accepted step of both phases. Returns the rotation,
-    its energy and its gradient norm. The rotation is not projected: in odd
-    n at large scale it is off SO(n) by up to about 1e-10 (Frobenius).
+    its energy and its gradient norm; as ``_search`` states, that energy
+    is the projected point's and can differ slightly from the trace's last
+    entry.
     """
     r = np.asarray(R0, dtype=float)
     if r.shape != (F.dim, F.dim):
@@ -496,9 +489,8 @@ def global_minimize(
     descent crawls. So a start ends where it would alone and the result
     does not depend on how the stack is split or ordered. The Haar
     restarts are built once per (n, seed, samples) and reused. The lowest
-    energy wins, ties broken by start index; one SVD, U V^T, projects it
-    onto the rotations, and Newton on the gradient field finishes it
-    towards the rounding floor ||G|| <= ``_FLOOR`` c.
+    energy wins, ties broken by start index, and Newton on the gradient
+    field finishes it towards the rounding floor ||G|| <= ``_FLOOR`` c.
     """
     c = _check_scale(W, F)
     starts = _haar_starts(F.dim, cfg.seed, cfg.samples)
@@ -510,9 +502,7 @@ def global_minimize(
 
     r, e, _, end = _search(W, F, starts, cfg, c)
     best = int(np.argmin(e))  # the first of equal energies: lowest start index
-    # the descent's Cayley steps leave up to about 1e-10 of drift at large scale
-    u, _, vt = np.linalg.svd(r[best])
-    r_best, gn_best = _newton(W, F, (u @ vt)[None], _FLOOR * c)
+    r_best, gn_best = _newton(W, F, r[best : best + 1], _FLOOR * c)
     tally = np.bincount(end, minlength=3)
     return OracleResult(
         best_rotation=r_best[0],
@@ -542,8 +532,7 @@ def critical_scan(
     every input scale. Kept endpoints, each start's ``_search`` before its
     Newton, are clustered (same point = energies e within 1e-6 (1 + |e|)
     and Frobenius distance within 1e-4; the first stays) and sorted by
-    energy. They are not projected: in odd n at large scale they are off
-    SO(n) by up to about 1e-10 (Frobenius).
+    energy.
     """
     c = _check_scale(W, F)
     n, eye = F.dim, np.eye(F.dim)

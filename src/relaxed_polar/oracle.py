@@ -6,7 +6,9 @@ and ``critical_scan``: Riemannian gradient descent while a start is far
 from any critical point, then, from the handover on, saddle-free Newton
 steps (Dauphin et al., arXiv:1406.2572) on the energy's Hessian, which
 converge quadratically near a minimum and step down off a saddle; Newton
-on the gradient field with its exact Jacobian finishes the winner. All
+on the gradient field with its exact Jacobian finishes the winner.
+Descent does the global part, in at most 32 steps by default: a start
+still above the handover after them crawls a valley Newton crosses. All
 step by the Cayley retraction R <- R C(A), C(A) = (1 - A/2)^-1 (1 + A/2)
 for skew A: one real linear solve per step, where the exact exponential
 needs an eigendecomposition for n >= 4. C agrees with expm to second order
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,18 +81,24 @@ class OracleConfig:
     """Multi-start search configuration. The seed is always explicit.
 
     ``max_iters`` caps a start's accepted descent steps, and ``tol_grad``
-    is the gradient norm at which its search ends.
+    is the gradient norm at which its search ends. Descent does the global
+    part of the search: a start still above the handover after the default
+    32 steps crawls a valley that saddle-free Newton crosses in a few.
     """
 
     seed: int
     samples: int = 2000
-    max_iters: int = 500
+    max_iters: int = 32
     tol_grad: float = 1e-10
 
     def __post_init__(self):
-        if self.seed < 0:
+        try:  # any integer type, numpy's too; 2.0 and 2.5 are refused
+            seed, samples, max_iters = map(operator.index, (self.seed, self.samples, self.max_iters))
+        except TypeError:
+            raise ValueError("seed, samples and max_iters must be integers") from None
+        if seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.samples < 1 or self.max_iters < 1:
+        if samples < 1 or max_iters < 1:
             raise ValueError("samples and max_iters must be positive")
         if not self.tol_grad > 0.0:
             raise ValueError("tol_grad must be positive")

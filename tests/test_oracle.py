@@ -1,5 +1,7 @@
 """The descent oracle: stacked restarts against one start at a time, and the critical scan."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,23 @@ def test_haar_sample_is_a_reproducible_rotation(n):
 def test_haar_sample_rejects_dimension_zero():
     with pytest.raises(ValueError):
         haar_sample(0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "field, value", [("seed", 1.5), ("samples", 2.5), ("max_iters", 2.5), ("samples", 2.0)]
+)
+def test_oracle_config_refuses_counts_that_are_not_integers(field, value):
+    with pytest.raises(ValueError, match="must be integers"):
+        OracleConfig(**{"seed": 1, field: value})
+
+
+def test_oracle_config_takes_numpy_integers():
+    W, F = CosseratWeights(1.7, 0.4), DeformationGradient(np.diag([2.0, 1.0, 0.5]))
+    cfg = OracleConfig(seed=np.int64(5), samples=np.int64(4), max_iters=np.int64(32))
+    res = global_minimize(W, F, cfg, warm_starts=False)
+    ref = global_minimize(W, F, OracleConfig(seed=5, samples=4), warm_starts=False)
+    np.testing.assert_array_equal(res.best_rotation, ref.best_rotation)
+    assert res.best_energy == ref.best_energy and res.restarts_converged == ref.restarts_converged
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -272,17 +291,20 @@ def test_search_started_at_a_closed_form_minimizer_stays_there(n, mu, muc):
         assert gn.max() <= 1e-9 and np.isin(end, (0, 1)).all()
 
 
+# 3D at weights (1.2805, 0): from Haar start (2017, 9) the descent's step
+# settles where t ||G|| is about 2.5 and its Cayley steps bounce across a
+# valley, lowering the energy by about 1e-11 a step, until max_iters;
+# saddle-free Newton then takes the start to the minimum in a few steps
+BOUNCE_W = CosseratWeights(1.28054218472887, 0.0)
+BOUNCE_F = DeformationGradient([
+    [0.4980019907066836, 0.16838397041321, 0.014143307318551705],
+    [-0.16975972949625515, -0.20353191918421748, -0.5656411922140945],
+    [-0.10418743745045066, 0.5026598515754087, 0.1654284167570435],
+])
+
+
 def test_search_gets_out_of_a_cayley_bounce():
-    # 3D at weights (1.2805, 0), from Haar start (2017, 9): the descent's
-    # step settles where t ||G|| is about 2.5 and its Cayley steps bounce
-    # across a valley, lowering the energy by about 1e-11 a step, until
-    # max_iters; saddle-free Newton takes it on to the minimum
-    W = CosseratWeights(1.28054218472887, 0.0)
-    F = DeformationGradient([
-        [0.4980019907066836, 0.16838397041321, 0.014143307318551705],
-        [-0.16975972949625515, -0.20353191918421748, -0.5656411922140945],
-        [-0.10418743745045066, 0.5026598515754087, 0.1654284167570435],
-    ])
+    W, F = BOUNCE_W, BOUNCE_F
     cfg = OracleConfig(seed=2017, samples=16, tol_grad=1e-9)
     r0 = haar_sample(3, np.random.default_rng((2017, 9)))
     wred = reduced_energy(W, F)
@@ -292,6 +314,29 @@ def test_search_gets_out_of_a_cayley_bounce():
     r, e, gn = riemannian_descent(W, F, r0, cfg, energy_trace=trace)
     assert abs(e - wred) <= 1e-12 * (1.0 + wred) and gn <= 1e-9
     assert len(trace) - 1 > cfg.max_iters and is_rotation(r, tol=1e-12)
+
+
+def test_global_minimize_hands_a_bouncing_start_to_newton_at_the_step_cap(monkeypatch):
+    W, F = BOUNCE_W, BOUNCE_F
+    cfg = OracleConfig(seed=2017, samples=16, tol_grad=1e-9)
+    r0 = haar_sample(3, np.random.default_rng((2017, 9)))
+    trace = []
+    oracle._descend(W, F, r0[None], oracle._HANDOVER * oracle._check_scale(W, F), cfg.max_iters, trace)
+    assert len(trace) == cfg.max_iters + 1
+    # one _cayley call per descent round, and the stack runs until its
+    # slowest start ends: the default cap keeps the bounce from setting the op's cost
+    callers, cayley = [], oracle._cayley
+
+    def counted(a, eye):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return cayley(a, eye)
+
+    monkeypatch.setattr(oracle, "_cayley", counted)
+    res = global_minimize(W, F, cfg, warm_starts=False)
+    wred = reduced_energy(W, F)
+    assert callers.count("_descend") <= 64
+    assert abs(res.best_energy - wred) <= 1e-12 * (1.0 + wred)
+    assert res.restarts_converged == 16
 
 
 @pytest.mark.parametrize("W, F", problems())

@@ -26,7 +26,10 @@ verified at. Every restart draws its own random stream
 from (seed, restart index), and the restarts of one (n, seed, samples) are
 built once, as one stack, and shared. Each phase runs its starts as one
 stack, each with its own step and stopping rule, so results do not depend
-on how the stack is split and are bit-identical for a fixed seed.
+on how the stack is split and are bit-identical for a fixed seed. A point
+is evaluated once: Y = R^T F and the weighted stretch N(X) = mu sym X -
+muc skew X, X = Y - 1, serve the energy <X, N(X)^T>, the gradient and the
+Hessian.
 
 Stationarity has one measure, the gradient norm ||G|| every search
 returns: for mu > muc it is mu lam ||skew((Rhat D / lam - 1)^2)||, the
@@ -74,6 +77,10 @@ _EIG_FLOOR = 5e-9
 _KEEP = 1e-11
 # saddle-free Newton converges in a few steps or stalls; the cap ends the rest
 _SFN_STEPS = 60
+# cap on the norm of a Newton step's coordinates, its angle in one plane: a
+# Cayley step of norm 100 already turns that plane by 2 atan(50) ~ 0.987 pi,
+# and a pseudo-inverse step far above it leaves R off SO(n) by rounding
+_NEWTON_STEP = 100.0
 
 
 @dataclass(frozen=True)
@@ -181,37 +188,38 @@ def _check_scale(W: CosseratWeights, F: DeformationGradient) -> float:
     return c
 
 
-def _stretch(r: np.ndarray, f: np.ndarray, eye: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Y = R^T F and X = Y - 1 at R (or a stack): the kernels below take these."""
+def _stretch(
+    mu: float, muc: float, r: np.ndarray, f: np.ndarray, eye: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Y = R^T F and N(X), X = Y - 1, at R (or a stack): the kernels below take these."""
     y = r.swapaxes(-1, -2) @ f
-    return y, y - eye
+    return y, _weigh(mu, muc, y - eye)
 
 
-def _energy(mu: float, muc: float, x: np.ndarray) -> np.ndarray:
-    # mu||sym X||^2 + muc||skew X||^2 = ((mu+muc)||X||^2 + (mu-muc) tr X^2)/2
-    nsq = (x * x).sum(axis=(-2, -1))
-    q = (x * x.swapaxes(-1, -2)).sum(axis=(-2, -1))
-    return 0.5 * ((mu + muc) * nsq + (mu - muc) * q)
+def _energy(x: np.ndarray, n: np.ndarray) -> np.ndarray:
+    # mu||sym X||^2 + muc||skew X||^2 = <X, N(X)^T>, for a stack of X and its N(X)
+    return np.einsum("sij,sji->s", x, n)
 
 
 def _weigh(mu: float, muc: float, x: np.ndarray) -> np.ndarray:
     # N(X) = mu sym(X) - muc skew(X) = ((mu-muc) X + (mu+muc) X^T) / 2, linear in X
-    return 0.5 * ((mu - muc) * x + (mu + muc) * x.swapaxes(-1, -2))
+    return 0.5 * (mu - muc) * x + 0.5 * (mu + muc) * x.swapaxes(-1, -2)
 
 
-def _gradient(mu: float, muc: float, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _gradient(y: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Riemannian gradient G at R (or a stack), in the left trivialization.
 
     Along R(s) = R expm(s A) with skew A the energy changes at rate <G, A>:
-    G = 2 skew( Y N(X) ),  Y = R^T F,  X = Y - 1,  N(X) = mu sym(X) - muc skew(X).
+    G = 2 skew( Y N(X) ),  Y = R^T F,  X = Y - 1,  N(X) = mu sym(X) - muc skew(X),
+    the N(X) that ``_stretch`` forms once per point for the energy too.
     """
-    b = y @ _weigh(mu, muc, x)
+    b = y @ n
     return b - b.swapaxes(-1, -2)  # = 2 skew(B)
 
 
-def _jacobian(mu: float, muc: float, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _jacobian(mu: float, muc: float, y: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Exact Jacobian (S, m, m) of the gradient field at a stack R (S, n, n),
-    given by its ``_stretch`` (Y, X).
+    given by its ``_stretch`` (Y, N(X)).
 
     Skew G is a vector by its lower triangle G[jj, ii]; basis element k has
     +1 at (jj[k], ii[k]) and -1 at (ii[k], jj[k]). Along R expm(s B), Y =
@@ -221,18 +229,18 @@ def _jacobian(mu: float, muc: float, y: np.ndarray, x: np.ndarray) -> np.ndarray
     k = np.arange(len(ii))
     dy = np.zeros((len(y), len(k)) + y.shape[1:])
     dy[:, k, jj], dy[:, k, ii] = -y[:, ii], y[:, jj]  # rows of -B Y
-    d = dy @ _weigh(mu, muc, x)[:, None] + y[:, None] @ _weigh(mu, muc, dy)
+    d = dy @ n[:, None] + y[:, None] @ _weigh(mu, muc, dy)
     return (d - d.swapaxes(-1, -2))[..., jj, ii].swapaxes(-1, -2)
 
 
-def _hessian(mu: float, muc: float, y: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _hessian(mu: float, muc: float, y: np.ndarray, n: np.ndarray) -> np.ndarray:
     """Symmetric part (S, m, m) of ``_jacobian`` at a stack R (S, n, n).
 
     Along R(s) = R expm(s A) the energy has second derivative <dG[A], A> =
     2 a^T J a, a the lower triangle of A, so this is half the energy's
     Hessian in that basis; at a critical point J itself is symmetric.
     """
-    jac = _jacobian(mu, muc, y, x)
+    jac = _jacobian(mu, muc, y, n)
     return 0.5 * (jac + jac.swapaxes(-1, -2))
 
 
@@ -276,9 +284,9 @@ def _descend(
     """
     mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
     r = np.array(starts, dtype=float)
-    y, x = _stretch(r, f, eye)
-    e = _energy(mu, muc, x)
-    g = _gradient(mu, muc, y, x)
+    y, n = _stretch(mu, muc, r, f, eye)
+    e = _energy(y - eye, n)
+    g = _gradient(y, n)
     gn = _norm(g)
     out_r, out_e, out_gn = r.copy(), e.copy(), gn.copy()
     t = np.full(len(r), _STEP_INIT)
@@ -290,31 +298,30 @@ def _descend(
     while True:
         if stop.any():
             # write out the starts that ended and drop them from the stack
-            out_r[pos[stop]], out_e[pos[stop]], out_gn[pos[stop]] = r[stop], e[stop], gn[stop]
-            keep = ~stop
-            pos, r, y, x, e, g, gn, t, steps = (
-                a[keep] for a in (pos, r, y, x, e, g, gn, t, steps)
-            )
+            out, keep = pos[stop], np.flatnonzero(~stop)
+            out_r[out], out_e[out], out_gn[out] = r[stop], e[stop], gn[stop]
+            pos, r, y, n, e, g, gn, t, steps = (a.take(keep, 0) for a in (pos, r, y, n, e, g, gn, t, steps))
         if not len(pos):
             return out_r, out_e, out_gn
         r_try = r @ _cayley(-np.minimum(t, _MAX_STEP / gn)[:, None, None] * g, eye)
-        y_try, x_try = _stretch(r_try, f, eye)
-        e_try = _energy(mu, muc, x_try)
+        y_try, n_try = _stretch(mu, muc, r_try, f, eye)
+        e_try = _energy(y_try - eye, n_try)
         ok = e_try < e
-        t = np.where(ok, np.minimum(2.0 * t, _MAX_STEP), 0.5 * t)
-        if not ok.any():
+        t = np.minimum(t * np.where(ok, 2.0, 0.5), _MAX_STEP)
+        moved = np.count_nonzero(ok)
+        if not moved:
             stop = t < _MIN_STEP
             continue
-        if not ok.all():
+        if moved < len(ok):
             pick = ok[:, None, None]
-            r_try, y_try, x_try = (np.where(pick, a, b) for a, b in ((r_try, r), (y_try, y), (x_try, x)))
+            r_try, y_try, n_try = (np.where(pick, a, b) for a, b in ((r_try, r), (y_try, y), (n_try, n)))
             e_try = np.where(ok, e_try, e)
-        r, y, x, e = r_try, y_try, x_try, e_try
+        r, y, n, e = r_try, y_try, n_try, e_try
         steps += ok
         if energy_trace is not None:
             energy_trace.append(float(e[0]))
         # a rejected start keeps its rotation, so its gradient is unchanged
-        g = _gradient(mu, muc, y, x)
+        g = _gradient(y, n)
         gn = _norm(g)
         stop = (t < _MIN_STEP) | (gn <= tol) | (steps >= max_iters)
 
@@ -324,19 +331,21 @@ def _newton(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton iteration on G(R) = 0 for a stack of starts (S, n, n).
 
-    Each start solves J dx = -G by least squares on the exact Jacobian and
-    tries R C(f dx), C the Cayley retraction ``_cayley``, with the factor f
-    halved until ||G|| shrinks. C has the velocity of expm at 0, so the
-    Jacobian taken along R expm(s B) is exact for it too. A start stops at
-    ||G|| <= tol, after 60 steps or once f falls to 1e-6. It converges
-    quadratically to whichever critical point (minimum, saddle or maximum)
-    it starts near. As in ``_descend``, a start's result does not depend on
-    the rest of the stack. Returns the rotations and gradient norms.
+    Each start solves J dx = -G by least squares on the exact Jacobian,
+    cuts dx to norm ``_NEWTON_STEP`` and tries R C(f dx), C the Cayley
+    retraction ``_cayley``, with the factor f halved until ||G|| shrinks. C
+    has the velocity of expm at 0, so the Jacobian taken along R expm(s B)
+    is exact for it too. A start stops at ||G|| <= tol, after 60 steps or
+    once f falls to 1e-6. It converges quadratically to whichever critical
+    point (minimum, saddle or maximum) it starts near. As in ``_descend``, a
+    start's result does not depend on the rest of the stack. Returns the
+    rotations and gradient norms.
     """
     mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
     ii, jj = _pairs(F.dim)
     r = np.array(starts, dtype=float)
-    g = _gradient(mu, muc, *_stretch(r, f, eye))
+    y, n = _stretch(mu, muc, r, f, eye)
+    g = _gradient(y, n)
     gn = _norm(g)
     out_r, out_gn = r.copy(), gn.copy()
     pos, steps, factor = np.arange(len(r)), np.zeros(len(r), dtype=int), np.ones(len(r))
@@ -344,26 +353,29 @@ def _newton(
     stop = gn <= tol
     while True:
         if stop.any():
-            out_r[pos[stop]], out_gn[pos[stop]] = r[stop], gn[stop]
-            keep = ~stop
-            pos, r, g, gn, steps, factor, step, fresh = (
-                a[keep] for a in (pos, r, g, gn, steps, factor, step, fresh)
+            out, keep = pos[stop], np.flatnonzero(~stop)
+            out_r[out], out_gn[out] = r[stop], gn[stop]
+            pos, r, y, n, g, gn, steps, factor, step, fresh = (
+                a.take(keep, 0) for a in (pos, r, y, n, g, gn, steps, factor, step, fresh)
             )
         if not len(pos):
             return out_r, out_gn
         if fresh.any():
-            # the minimum-norm solution of J dx = -G, as a skew step
-            jac = _jacobian(mu, muc, *_stretch(r[fresh], f, eye))
-            dx = (np.linalg.pinv(jac) @ -g[fresh][:, jj, ii, None])[..., 0]
-            new = np.flatnonzero(fresh)[:, None]
-            step[new, jj, ii], step[new, ii, jj], factor[fresh] = dx, -dx, 1.0
+            # the minimum-norm solution of J dx = -G, cut to norm _NEWTON_STEP, as a skew step
+            new = np.flatnonzero(fresh)
+            jac = _jacobian(mu, muc, y[new], n[new])
+            dx = (np.linalg.pinv(jac) @ -g[new][:, jj, ii, None])[..., 0]
+            dx *= (_NEWTON_STEP / np.maximum(np.linalg.norm(dx, axis=-1), _NEWTON_STEP))[:, None]
+            step[new[:, None], jj, ii], step[new[:, None], ii, jj], factor[new] = dx, -dx, 1.0
         r_try = r @ _cayley(factor[:, None, None] * step, eye)
-        g_try = _gradient(mu, muc, *_stretch(r_try, f, eye))
+        y_try, n_try = _stretch(mu, muc, r_try, f, eye)
+        g_try = _gradient(y_try, n_try)
         gn_try = _norm(g_try)
         fresh = gn_try < gn
-        r[fresh], g[fresh], gn[fresh] = r_try[fresh], g_try[fresh], gn_try[fresh]
+        pick = fresh[:, None, None]
+        r, y, n, g = (np.where(pick, a, b) for a, b in ((r_try, r), (y_try, y), (n_try, n), (g_try, g)))
+        gn, factor = np.where(fresh, gn_try, gn), np.where(fresh, factor, 0.5 * factor)
         steps += fresh
-        factor[~fresh] *= 0.5
         stop = (gn <= tol) | (steps >= 60) | (factor <= 1e-6)
 
 
@@ -395,9 +407,9 @@ def _sfn(
     ii, jj = _pairs(F.dim)
     floor = _EIG_FLOOR * c
     r = np.array(starts, dtype=float)
-    y, x = _stretch(r, f, eye)
-    e = _energy(mu, muc, x)
-    g = _gradient(mu, muc, y, x)
+    y, n = _stretch(mu, muc, r, f, eye)
+    e = _energy(y - eye, n)
+    g = _gradient(y, n)
     gn = _norm(g)
     out_r, out_e, out_gn = r.copy(), e.copy(), gn.copy()
     out_end, end = np.zeros(len(r), dtype=int), np.zeros(len(r), dtype=int)
@@ -405,28 +417,29 @@ def _sfn(
     stop = gn <= tol
     while True:
         if stop.any():
-            out = pos[stop]
+            out, keep = pos[stop], np.flatnonzero(~stop)
             out_r[out], out_e[out], out_gn[out], out_end[out] = r[stop], e[stop], gn[stop], end[stop]
-            keep = ~stop
-            pos, r, y, x, e, g, gn, steps = (a[keep] for a in (pos, r, y, x, e, g, gn, steps))
+            pos, r, y, n, e, g, gn, steps = (a.take(keep, 0) for a in (pos, r, y, n, e, g, gn, steps))
         if not len(pos):
             return out_r, out_e, out_gn, out_end
-        lam, v = np.linalg.eigh(_hessian(mu, muc, y, x))
+        lam, v = np.linalg.eigh(_hessian(mu, muc, y, n))
         # products and sums, not matmul, whose rounding can depend on the stack
-        vg = (v * g[:, jj, ii, None]).sum(axis=1) / np.maximum(np.abs(lam), floor)
-        dx = -(v * vg[:, None, :]).sum(axis=-1)
+        vg = np.einsum("sij,si->sj", v, g[:, jj, ii]) / np.maximum(np.abs(lam), floor)
+        dx = -np.einsum("sij,sj->si", v, vg)
         step = np.zeros_like(r)
         step[:, jj, ii], step[:, ii, jj] = dx, -dx
         r_try = r @ _cayley(step, eye)
-        y_try, x_try = _stretch(r_try, f, eye)
-        e_try = _energy(mu, muc, x_try)
+        y_try, n_try = _stretch(mu, muc, r_try, f, eye)
+        e_try = _energy(y_try - eye, n_try)
         ok = e_try < e
-        r[ok], y[ok], x[ok], e[ok] = r_try[ok], y_try[ok], x_try[ok], e_try[ok]
+        pick = ok[:, None, None]
+        r, y, n = (np.where(pick, a, b) for a, b in ((r_try, r), (y_try, y), (n_try, n)))
+        e = np.where(ok, e_try, e)
         steps += ok
         if energy_trace is not None and ok[0]:
             energy_trace.append(float(e[0]))
         # a stalled start keeps its rotation, so its gradient is unchanged
-        g = _gradient(mu, muc, y, x)
+        g = _gradient(y, n)
         gn = _norm(g)
         end = np.where(gn <= tol, 0, np.where(ok, 2, 1))
         stop = (gn <= tol) | ~ok | (steps >= _SFN_STEPS)

@@ -38,9 +38,9 @@ def reference_descent(W, F, r0, cfg):
     """
     mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
     r = np.array(r0, dtype=float)[None]
-    y, x = oracle._stretch(r, f, eye)
-    e = oracle._energy(mu, muc, x)
-    g = oracle._gradient(mu, muc, y, x)
+    y, nx = oracle._stretch(mu, muc, r, f, eye)
+    e = oracle._energy(y - eye, nx)
+    g = oracle._gradient(y, nx)
     gn = oracle._norm(g)
     t = oracle._STEP_INIT
     for _ in range(cfg.max_iters):
@@ -49,7 +49,8 @@ def reference_descent(W, F, r0, cfg):
         moved = False
         while t >= oracle._MIN_STEP:
             r_try = r @ oracle._cayley(-min(t, oracle._MAX_STEP / gn[0]) * g, eye)
-            e_try = oracle._energy(mu, muc, oracle._stretch(r_try, f, eye)[1])
+            y_try, n_try = oracle._stretch(mu, muc, r_try, f, eye)
+            e_try = oracle._energy(y_try - eye, n_try)
             if e_try[0] < e[0]:
                 r, e, moved = r_try, e_try, True
                 break
@@ -57,7 +58,7 @@ def reference_descent(W, F, r0, cfg):
         if not moved:
             break
         t = min(t * 2.0, oracle._MAX_STEP)
-        g = oracle._gradient(mu, muc, *oracle._stretch(r, f, eye))
+        g = oracle._gradient(*oracle._stretch(mu, muc, r, f, eye))
         gn = oracle._norm(g)
     return r[0], e[0], gn[0]
 
@@ -137,16 +138,20 @@ def test_haar_starts_are_the_per_start_samples_in_one_read_only_stack(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_stacked_energy_identity_matches_the_definition(n):
-    # ((mu+muc)||X||^2 + (mu-muc) tr X^2) / 2 against mu||sym X||^2 + muc||skew X||^2
+    # <X, N(X)^T>, N(X) = mu sym X - muc skew X, against mu||sym X||^2 + muc||skew X||^2,
+    # at the scale of F and at F scaled by 1e-6 and 1e6
     rng, eye = np.random.default_rng(90 + n), np.eye(n)
     for lo, hi in ((1.0, 3.0), (0.0, 0.0), (0.01, 0.99)):  # classical, muc = 0, 0 < muc < mu
         for _ in range(25):
             mu = float(rng.uniform(0.1, 3.0))
             muc = mu * float(rng.uniform(lo, hi))
             W, F, r = CosseratWeights(mu, muc), random_gl_plus(n, rng), haar_sample(n, rng)
-            x = r.T @ F.matrix - eye
-            e = oracle._energy(mu, muc, x[None])[0]
-            assert abs(e - energy(W, r, F)) <= 1e-13 * (1.0 + (mu + muc) * np.sum(x * x))
+            for scale in (1.0, 1e-6, 1e6):
+                Fs = DeformationGradient(scale * F.matrix)
+                x = r.T @ Fs.matrix - eye
+                y, nx = oracle._stretch(mu, muc, r[None], Fs.matrix, eye)
+                e = oracle._energy(y - eye, nx)[0]
+                assert abs(e - energy(W, r, Fs)) <= 1e-13 * (1.0 + (mu + muc) * np.sum(x * x))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -223,8 +228,8 @@ def test_riemannian_descent_is_the_one_start_case(W, F):
         ri, ei, gi = riemannian_descent(W, F, r0, CFG, energy_trace=trace)
         np.testing.assert_array_equal(ri, r[i])
         assert ei == e[i] and gi == gn[i]
-        x0 = oracle._stretch(r0[None], F.matrix, np.eye(F.dim))[1]
-        assert trace[0] == oracle._energy(W.mu, W.muc, x0)[0]
+        y0, n0 = oracle._stretch(W.mu, W.muc, r0[None], F.matrix, np.eye(F.dim))
+        assert trace[0] == oracle._energy(y0 - np.eye(F.dim), n0)[0]
         assert trace[-1] == ei
         # accepted steps of both phases strictly decrease the energy
         assert all(b < a for a, b in zip(trace, trace[1:]))
@@ -262,15 +267,18 @@ def test_hessian_quadratic_form_matches_second_differences(n, mu, muc):
     F = random_gl_plus(n, rng, lo=0.3, hi=3.0)
     f, eye = F.matrix, np.eye(n)
     r = haar_starts(n, 3)
-    hess = oracle._hessian(mu, muc, *oracle._stretch(r, f, eye))
+    hess = oracle._hessian(mu, muc, *oracle._stretch(mu, muc, r, f, eye))
     np.testing.assert_array_equal(hess, hess.swapaxes(-1, -2))
     ii, jj = np.triu_indices(n, 1)
     h = 1e-4
     for a in random_skew(n, 4, 1.0, rng):
         quad = 2.0 * np.einsum("i,sij,j->s", a[jj, ii], hess, a[jj, ii])
         ep, em, e0 = (
-            oracle._energy(mu, muc, oracle._stretch(q, f, eye)[1])
-            for q in (r @ matcore.skew_exp(h * a), r @ matcore.skew_exp(-h * a), r)
+            oracle._energy(y - eye, nx)
+            for y, nx in (
+                oracle._stretch(mu, muc, q, f, eye)
+                for q in (r @ matcore.skew_exp(h * a), r @ matcore.skew_exp(-h * a), r)
+            )
         )
         second = (ep - 2.0 * e0 + em) / (h * h)
         np.testing.assert_allclose(second, quad, rtol=0, atol=1e-5 * (1.0 + np.abs(quad).max()))
@@ -389,7 +397,7 @@ def symmetric_square_defect(W, r, F):
 def reference_certificate(W, r, F):
     """The defect for mu > muc, the gradient norm for classical weights."""
     if W.is_classical:
-        return oracle._norm(oracle._gradient(W.mu, W.muc, *oracle._stretch(r, F.matrix, np.eye(F.dim))))
+        return oracle._norm(oracle._gradient(*oracle._stretch(W.mu, W.muc, r, F.matrix, np.eye(F.dim))))
     return symmetric_square_defect(W, r, F)
 
 
@@ -403,7 +411,7 @@ def test_symmetric_square_defect_is_the_scaled_gradient_norm(n, positive_muc):
         W = CosseratWeights(mu, rng.uniform(0.0, mu) if positive_muc else 0.0)
         F = random_gl_plus(n, rng, lo=0.3, hi=3.0)
         r = haar_sample(n, rng)
-        gn = oracle._norm(oracle._gradient(W.mu, W.muc, *oracle._stretch(r, F.matrix, np.eye(n))))
+        gn = oracle._norm(oracle._gradient(*oracle._stretch(W.mu, W.muc, r, F.matrix, np.eye(n))))
         assert gn == pytest.approx(W.mu * W.scaling * symmetric_square_defect(W, r, F), rel=1e-12)
 
 
@@ -462,14 +470,14 @@ def test_jacobian_matches_central_differences(n, mu, muc):
     rng = np.random.default_rng(n)
     f, eye = random_gl_plus(n, rng, lo=0.3, hi=3.0).matrix, np.eye(n)
     r = haar_starts(n, 3)
-    jac = oracle._jacobian(mu, muc, *oracle._stretch(r, f, eye))
+    jac = oracle._jacobian(mu, muc, *oracle._stretch(mu, muc, r, f, eye))
     ii, jj = np.triu_indices(n, 1)
     h = 1e-6
     for k in range(len(ii)):
         b = np.zeros((n, n))
         b[jj[k], ii[k]], b[ii[k], jj[k]] = 1.0, -1.0
         gp, gm = (
-            oracle._gradient(mu, muc, *oracle._stretch(r @ matcore.skew_exp(s * b), f, eye))
+            oracle._gradient(*oracle._stretch(mu, muc, r @ matcore.skew_exp(s * b), f, eye))
             for s in (h, -h)
         )
         np.testing.assert_allclose(jac[:, :, k], (gp - gm)[:, jj, ii] / (2 * h), rtol=0, atol=1e-7)
@@ -529,6 +537,30 @@ def test_searches_stay_on_the_rotations_at_large_scale_in_odd_n(n, mu, muc, scal
     assert found and all(is_rotation(r, tol=1e-13) for r, _ in found)
     for r0 in haar_starts(n, 4):
         assert is_rotation(riemannian_descent(W, F, r0, cfg)[0], tol=1e-13)
+
+
+# two 5D inputs at (1, 0), ||F|| about 3e7 and 3e2, where Newton from the raw
+# starts took pseudo-inverse steps far above the cap _NEWTON_STEP and kept
+# critical_scan points 3.6e-13 and 7.2e-13 off SO(n)
+NEWTON_JUMP_F = (
+    [[2710290.4794224855, 482605.7993699003, -12726921.392228907, 1897312.049154061, 1213814.7909068256],
+     [241120.86622393882, -10016036.550871614, 300817.68785185996, 2861998.051259361, 8558178.237917889],
+     [-6123393.152460637, -1436496.7051040104, 322208.1485204169, -9210313.132157227, 1613221.9948158872],
+     [-7337619.069164939, 6872054.613916104, -4873751.319025519, 3384969.742231582, 3287240.1986113107],
+     [11019523.401030907, 2823284.8241866888, 6305253.354575877, -4321938.677904849, 9082474.912157683]],
+    [[46.59097651703986, 58.34090355764327, -10.548129638759328, -38.49891594716342, 15.183993868042897],
+     [4.334198707234297, 2.6138932643681425, 5.669656041902466, -93.6529973456608, 43.647243596724685],
+     [-33.85017919095482, -38.203043051492, 8.036594655159213, 57.98830003566245, 89.38314938280504],
+     [-46.35049654413516, 80.94710511732897, 11.783873946893564, -64.56810205870299, 22.953105324657727],
+     [-76.22105574345349, 46.92905289629667, -101.84845638932791, 9.754262990788597, 39.59450841236088]],
+)
+
+
+@pytest.mark.parametrize("m", NEWTON_JUMP_F, ids=["large", "small"])
+def test_critical_scan_newton_steps_keep_its_points_on_the_rotations(m):
+    W, F = CosseratWeights(1.0, 0.0), DeformationGradient(m)
+    found = critical_scan(W, F, OracleConfig(seed=7, samples=8))
+    assert found and all(is_rotation(r, tol=1e-13) for r, _ in found)
 
 
 @pytest.mark.parametrize("n", [3, 5])

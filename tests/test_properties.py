@@ -156,12 +156,12 @@ def test_closed_form_minimizers_are_second_order_critical_points(data, W, seed):
     d = data.draw(spectra(radius(W)))
     _, _, F = rotated(d, seed)
     r = np.array(solve(W, F).minimizers)
-    y, x = _stretch(r, F.matrix, np.eye(len(d)))
+    y, nx = _stretch(W.mu, W.muc, r, F.matrix, np.eye(len(d)))
     # rounding of the energy's terms, which grow like mu |d|^2
     tol = 1e-12 * W.mu * (1.0 + float(d @ d))
-    assert _norm(_gradient(W.mu, W.muc, y, x)).max() <= tol
+    assert _norm(_gradient(y, nx)).max() <= tol
     # at a critical point the Hessian is the symmetric part of the gradient's Jacobian
-    jac = _jacobian(W.mu, W.muc, y, x)
+    jac = _jacobian(W.mu, W.muc, y, nx)
     assert np.linalg.eigvalsh(0.5 * (jac + jac.swapaxes(1, 2))).min(initial=0.0) >= -tol
 
 

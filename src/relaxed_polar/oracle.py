@@ -5,8 +5,8 @@ one search, ``_search``, behind ``global_minimize``, ``riemannian_descent``
 and ``critical_scan``: Riemannian gradient descent while a start is far
 from any critical point, then, from the handover on, saddle-free Newton
 steps (Dauphin et al., arXiv:1406.2572) on the energy's Hessian, which
-converge quadratically near a minimum and step down off a saddle; Newton
-on the gradient field with its exact Jacobian finishes the winner.
+converge quadratically near a minimum and step down off a saddle; the
+same loop, ``_newton``, in root mode (G = 0) finishes the winner.
 Descent does the global part, in at most 32 steps by default: a start
 still above the handover after them crawls a valley Newton crosses. All
 step by the Cayley retraction R <- R C(A), C(A) = (1 - A/2)^-1 (1 + A/2)
@@ -47,6 +47,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -75,8 +77,10 @@ _FLOOR = 1e-13
 _EIG_FLOOR = 5e-9
 # critical_scan keeps an endpoint at ||G|| <= _KEEP c
 _KEEP = 1e-11
-# saddle-free Newton converges in a few steps or stalls; the cap ends the rest
-_SFN_STEPS = 60
+# Newton converges in a few steps or stalls; the cap on accepted steps ends the rest
+_ACCEPT_CAP = 60
+# root-mode Newton halves a rejected step's factor down to this, then stalls
+_LEAST_FACTOR = 1e-6
 # cap on the norm of a Newton step's coordinates, its angle in one plane: a
 # Cayley step of norm 100 already turns that plane by 2 atan(50) ~ 0.987 pi,
 # and a pseudo-inverse step far above it leaves R off SO(n) by rounding
@@ -107,22 +111,23 @@ class OracleConfig:
             raise ValueError("seed must be a non-negative integer")
         if samples < 1 or max_iters < 1:
             raise ValueError("samples and max_iters must be positive")
-        if not self.tol_grad > 0.0:
-            raise ValueError("tol_grad must be positive")
+        # inf would end every start where it begins, counted as converged
+        if not isinstance(self.tol_grad, numbers.Real) or not 0.0 < self.tol_grad < math.inf:
+            raise ValueError("tol_grad must be a positive finite real number")
 
 
 @dataclass(frozen=True)
 class OracleResult:
     """What :func:`global_minimize` found.
 
-    ``best_rotation`` is the lowest-energy search endpoint after Newton,
-    ``best_energy`` its energy by :func:`~relaxed_polar.energy.energy` and
-    ``grad_norm_at_best`` its gradient norm ||G||, which Newton takes
+    ``best_rotation`` is the lowest-energy search endpoint after root-mode
+    Newton, ``best_energy`` its energy by :func:`~relaxed_polar.energy.energy`
+    and ``grad_norm_at_best`` its gradient norm ||G||, which that takes
     towards the rounding floor 1e-13 c, c the module docstring's scale.
     The other three count how the starts' searches ended, before Newton:
     ``restarts_converged`` at ||G|| <= max(tol_grad, 1e-13 c),
     ``restarts_stalled`` at a saddle-free Newton step that did not lower
-    the energy and ``restarts_capped`` at that phase's step cap; they add
+    the energy and ``restarts_capped`` at Newton's step cap; they add
     up to the number of starts. A start stalls where a full step
     overshoots, far from any critical point, or where the energy no longer
     resolves a step's decrease, at ||G|| of about 1e-11 c to 5e-9 c; so a
@@ -182,9 +187,10 @@ def _check_scale(W: CosseratWeights, F: DeformationGradient) -> float:
     """The module docstring's scale c >= ||G||; ``ValueError`` where c^2 overflows."""
     with np.errstate(over="ignore"):  # an overflowing ||F|| reads inf and is refused
         fn = float(np.linalg.norm(F.matrix))
-    c = 2.0 * max(W.mu, W.muc) * fn * (fn + F.dim**0.5)
+    w = max(W.mu, W.muc)
+    c = 2.0 * w * fn * (fn + F.dim**0.5)
     if not np.isfinite(c * c):  # a product of Python floats: inf, no warning
-        raise ValueError(f"input scale ||F|| = {fn:g} overflows the oracle's gradient norm")
+        raise ValueError(f"input scale ||F|| = {fn:g}, max(mu, muc) = {w:g} overflows the gradient norm")
     return c
 
 
@@ -327,122 +333,75 @@ def _descend(
 
 
 def _newton(
-    W: CosseratWeights, F: DeformationGradient, starts: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Damped Newton iteration on G(R) = 0 for a stack of starts (S, n, n).
-
-    Each start solves J dx = -G by least squares on the exact Jacobian,
-    cuts dx to norm ``_NEWTON_STEP`` and tries R C(f dx), C the Cayley
-    retraction ``_cayley``, with the factor f halved until ||G|| shrinks. C
-    has the velocity of expm at 0, so the Jacobian taken along R expm(s B)
-    is exact for it too. A start stops at ||G|| <= tol, after 60 steps or
-    once f falls to 1e-6. It converges quadratically to whichever critical
-    point (minimum, saddle or maximum) it starts near. As in ``_descend``, a
-    start's result does not depend on the rest of the stack. Returns the
-    rotations and gradient norms.
-    """
-    mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
-    ii, jj = _pairs(F.dim)
-    r = np.array(starts, dtype=float)
-    y, n = _stretch(mu, muc, r, f, eye)
-    g = _gradient(y, n)
-    gn = _norm(g)
-    out_r, out_gn = r.copy(), gn.copy()
-    pos, steps, factor = np.arange(len(r)), np.zeros(len(r), dtype=int), np.ones(len(r))
-    step, fresh = np.zeros_like(r), np.ones(len(r), dtype=bool)
-    stop = gn <= tol
-    while True:
-        if stop.any():
-            out, keep = pos[stop], np.flatnonzero(~stop)
-            out_r[out], out_gn[out] = r[stop], gn[stop]
-            pos, r, y, n, g, gn, steps, factor, step, fresh = (
-                a.take(keep, 0) for a in (pos, r, y, n, g, gn, steps, factor, step, fresh)
-            )
-        if not len(pos):
-            return out_r, out_gn
-        if fresh.any():
-            # the minimum-norm solution of J dx = -G, cut to norm _NEWTON_STEP, as a skew step
-            new = np.flatnonzero(fresh)
-            jac = _jacobian(mu, muc, y[new], n[new])
-            dx = (np.linalg.pinv(jac) @ -g[new][:, jj, ii, None])[..., 0]
-            dx *= (_NEWTON_STEP / np.maximum(np.linalg.norm(dx, axis=-1), _NEWTON_STEP))[:, None]
-            step[new[:, None], jj, ii], step[new[:, None], ii, jj], factor[new] = dx, -dx, 1.0
-        r_try = r @ _cayley(factor[:, None, None] * step, eye)
-        y_try, n_try = _stretch(mu, muc, r_try, f, eye)
-        g_try = _gradient(y_try, n_try)
-        gn_try = _norm(g_try)
-        fresh = gn_try < gn
-        pick = fresh[:, None, None]
-        r, y, n, g = (np.where(pick, a, b) for a, b in ((r_try, r), (y_try, y), (n_try, n), (g_try, g)))
-        gn, factor = np.where(fresh, gn_try, gn), np.where(fresh, factor, 0.5 * factor)
-        steps += fresh
-        stop = (gn <= tol) | (steps >= 60) | (factor <= 1e-6)
-
-
-def _sfn(
     W: CosseratWeights,
     F: DeformationGradient,
     starts: np.ndarray,
     tol: float,
     c: float,
+    *,
+    saddle_free: bool,
     energy_trace: list | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Saddle-free Newton on the energy for a stack of starts (S, n, n).
+    """Newton steps R <- R C(dx), C the Cayley retraction, for a stack of
+    starts (S, n, n); C has expm's velocity at 0, so J and H stay exact.
 
-    Each step is dx = -V diag(1 / max(|lam|, ``_EIG_FLOOR`` c)) V^T g,
-    (lam, V) the eigenpairs of ``_hessian``, g the lower triangle of G and c
-    the module docstring's scale, which the Hessian shares with the
-    gradient (Dauphin et al., arXiv:1406.2572): Newton near a minimum, a
-    descent direction everywhere, and a way down off a
-    saddle, where plain Newton is drawn to it. The trial R C(dx), C the
-    Cayley retraction ``_cayley``, is accepted only if the energy strictly
-    falls. A start ends at ||G|| <= tol, at the first step that does not
-    lower the energy (stall) or after ``_SFN_STEPS`` steps. As in
-    ``_descend``, a start's result does not depend on the rest of the
-    stack, and ``energy_trace`` needs one start. Returns the rotations,
-    energies, gradient norms and how each start ended: 0 at tol, 1 by
-    stall, 2 at the cap.
+    Saddle-free: dx = -V diag(1 / max(|lam|, ``_EIG_FLOOR`` c)) V^T g,
+    (lam, V) the eigenpairs of ``_hessian``, g the lower triangle of G: a
+    descent direction everywhere, and a way down off a saddle. A trial
+    must lower the energy, else the start stalls. Root: dx solves J dx = -G
+    by least squares on ``_jacobian``, cut to norm ``_NEWTON_STEP``, and
+    converges to any critical point near it. A trial must lower ||G||, else
+    its factor halves; the start stalls below ``_LEAST_FACTOR``. A start
+    ends at ||G|| <= tol, by stall or after ``_ACCEPT_CAP`` accepted steps,
+    whatever the rest of the stack; ``energy_trace`` needs one start.
+    Returns the rotations, energies, gradient norms and endings: 0 at tol,
+    1 by stall, 2 at the cap.
     """
     mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
     ii, jj = _pairs(F.dim)
-    floor = _EIG_FLOOR * c
+    floor, least = _EIG_FLOOR * c, 1.0 if saddle_free else _LEAST_FACTOR
     r = np.array(starts, dtype=float)
     y, n = _stretch(mu, muc, r, f, eye)
-    e = _energy(y - eye, n)
-    g = _gradient(y, n)
+    e, g = _energy(y - eye, n), _gradient(y, n)
     gn = _norm(g)
-    out_r, out_e, out_gn = r.copy(), e.copy(), gn.copy()
-    out_end, end = np.zeros(len(r), dtype=int), np.zeros(len(r), dtype=int)
-    pos, steps = np.arange(len(r)), np.zeros(len(r), dtype=int)
+    out_r, out_e, out_gn, out_end = r.copy(), e.copy(), gn.copy(), np.zeros(len(r), dtype=int)
+    pos, steps, factor = np.arange(len(r)), np.zeros(len(r), dtype=int), np.ones(len(r))
     stop = gn <= tol
     while True:
         if stop.any():
             out, keep = pos[stop], np.flatnonzero(~stop)
-            out_r[out], out_e[out], out_gn[out], out_end[out] = r[stop], e[stop], gn[stop], end[stop]
-            pos, r, y, n, e, g, gn, steps = (a.take(keep, 0) for a in (pos, r, y, n, e, g, gn, steps))
+            out_r[out], out_e[out], out_gn[out] = r[stop], e[stop], gn[stop]
+            out_end[out] = np.where(gn[stop] <= tol, 0, np.where(factor[stop] < least, 1, 2))
+            pos, r, y, n, e, g, gn, steps, factor = (
+                a.take(keep, 0) for a in (pos, r, y, n, e, g, gn, steps, factor)
+            )
         if not len(pos):
             return out_r, out_e, out_gn, out_end
-        lam, v = np.linalg.eigh(_hessian(mu, muc, y, n))
-        # products and sums, not matmul, whose rounding can depend on the stack
-        vg = np.einsum("sij,si->sj", v, g[:, jj, ii]) / np.maximum(np.abs(lam), floor)
-        dx = -np.einsum("sij,sj->si", v, vg)
+        if saddle_free:
+            lam, v = np.linalg.eigh(_hessian(mu, muc, y, n))
+            # products and sums, not matmul, whose rounding can depend on the stack
+            vg = np.einsum("sij,si->sj", v, g[:, jj, ii]) / np.maximum(np.abs(lam), floor)
+            dx = -np.einsum("sij,sj->si", v, vg)
+        else:
+            # a rejected trial leaves the state as it was; the factor, a power of two, scales exactly
+            dx = (np.linalg.pinv(_jacobian(mu, muc, y, n)) @ -g[:, jj, ii, None])[..., 0]
+            cut = _NEWTON_STEP / np.maximum(np.linalg.norm(dx, axis=-1), _NEWTON_STEP)
+            dx *= (factor * cut)[:, None]
         step = np.zeros_like(r)
         step[:, jj, ii], step[:, ii, jj] = dx, -dx
         r_try = r @ _cayley(step, eye)
         y_try, n_try = _stretch(mu, muc, r_try, f, eye)
         e_try = _energy(y_try - eye, n_try)
-        ok = e_try < e
+        g_try = _gradient(y_try, n_try)
+        gn_try = _norm(g_try)
+        ok = e_try < e if saddle_free else gn_try < gn
         pick = ok[:, None, None]
-        r, y, n = (np.where(pick, a, b) for a, b in ((r_try, r), (y_try, y), (n_try, n)))
-        e = np.where(ok, e_try, e)
+        r, y, n, g = (np.where(pick, a, b) for a, b in ((r_try, r), (y_try, y), (n_try, n), (g_try, g)))
+        e, gn, factor = np.where(ok, e_try, e), np.where(ok, gn_try, gn), np.where(ok, 1.0, 0.5 * factor)
         steps += ok
         if energy_trace is not None and ok[0]:
             energy_trace.append(float(e[0]))
-        # a stalled start keeps its rotation, so its gradient is unchanged
-        g = _gradient(y, n)
-        gn = _norm(g)
-        end = np.where(gn <= tol, 0, np.where(ok, 2, 1))
-        stop = (gn <= tol) | ~ok | (steps >= _SFN_STEPS)
+        stop = (gn <= tol) | (factor < least) | (steps >= _ACCEPT_CAP)
 
 
 def _search(
@@ -459,20 +418,20 @@ def _search(
     The scale c from ``_check_scale`` sets every threshold: ``_descend``
     runs each start until ||G|| <= ``_HANDOVER`` c, or until it stalls or
     reaches max_iters; one SVD, U V^T, projects the endpoints onto SO(n);
-    ``_sfn``, with its eigenvalue floor ``_EIG_FLOOR`` c, then takes every
-    start on to ||G|| <= max(tol_grad, ``_FLOOR`` c), the rounding floor
-    where tol_grad lies below it, so a start converges at any input scale. ``energy_trace`` needs one start and records the
+    ``_newton`` in saddle-free mode, its eigenvalue floor ``_EIG_FLOOR`` c,
+    then takes every start on to ||G|| <= max(tol_grad, ``_FLOOR`` c), the
+    rounding floor where tol_grad lies below it, so a start converges at
+    any input scale. ``energy_trace`` needs one start and records the
     energy after every accepted step of both phases, which strictly
-    decreases; the projection adds no entry. Returns the rotations,
-    energies, gradient norms and how each start ended, as ``_sfn`` does,
-    converged meaning at that tolerance. The energy returned is that of
-    the projected point, so where ``_sfn`` accepts no step it can differ
+    decreases; the projection adds no entry. Returns what ``_newton``
+    does, converged meaning at that tolerance. The energy returned is that
+    of the projected point, so where Newton accepts no step it can differ
     from the trace's last entry by the projection's rounding-level move.
     """
     tol = max(cfg.tol_grad, _FLOOR * c)
     r, _, _ = _descend(W, F, starts, max(tol, _HANDOVER * c), cfg.max_iters, energy_trace)
     u, _, vt = np.linalg.svd(r)
-    return _sfn(W, F, u @ vt, tol, c, energy_trace)
+    return _newton(W, F, u @ vt, tol, c, saddle_free=True, energy_trace=energy_trace)
 
 
 def riemannian_descent(
@@ -511,8 +470,8 @@ def global_minimize(
     descent crawls. So a start ends where it would alone and the result
     does not depend on how the stack is split or ordered. The Haar
     restarts are built once per (n, seed, samples) and reused. The lowest
-    energy wins, ties broken by start index, and Newton on the gradient
-    field finishes it towards the rounding floor ||G|| <= ``_FLOOR`` c.
+    energy wins, ties broken by start index, and the same Newton loop in
+    root mode finishes it towards the rounding floor ||G|| <= ``_FLOOR`` c.
     """
     c = _check_scale(W, F)
     starts = _haar_starts(F.dim, cfg.seed, cfg.samples)
@@ -524,7 +483,7 @@ def global_minimize(
 
     r, e, _, end = _search(W, F, starts, cfg, c)
     best = int(np.argmin(e))  # the first of equal energies: lowest start index
-    r_best, gn_best = _newton(W, F, r[best : best + 1], _FLOOR * c)
+    r_best, _, gn_best, _ = _newton(W, F, r[best : best + 1], _FLOOR * c, c, saddle_free=False)
     tally = np.bincount(end, minlength=3)
     return OracleResult(
         best_rotation=r_best[0],
@@ -546,9 +505,9 @@ def critical_scan(
     exact and perturbed by the Cayley step C(0.025 (G - G^T)) of a
     Gaussian G): ``_search``, descent to the handover and then saddle-free
     Newton, which lands on minima and stays put when started exactly at a
-    critical point, and damped Newton on the gradient field to the rounding
-    floor ``_FLOOR`` c, c the module docstring's scale, which also converges
-    to saddles; each runs all the starts as one stack, the Haar samples
+    critical point, and ``_newton`` in root mode to the rounding floor
+    ``_FLOOR`` c, c the module docstring's scale, which also converges to
+    saddles; each runs all the starts as one stack, the Haar samples
     shared with ``global_minimize``. An endpoint is kept when the ||G|| its
     search returns is at most ``_KEEP`` c, so the test means the same at
     every input scale. Kept endpoints, each start's ``_search`` before its
@@ -565,7 +524,7 @@ def critical_scan(
     starts = np.concatenate((corners, nudged, _haar_starts(n, cfg.seed, cfg.samples)))
 
     r_search, _, gn_search, _ = _search(W, F, starts, cfg, c)
-    r_newt, gn_newt = _newton(W, F, starts, _FLOOR * c)
+    r_newt, _, gn_newt, _ = _newton(W, F, starts, _FLOOR * c, c, saddle_free=False)
     r = np.stack((r_search, r_newt), axis=1).reshape(-1, n, n)
     gn = np.stack((gn_search, gn_newt), axis=1).ravel()
 

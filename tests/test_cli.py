@@ -460,6 +460,11 @@ OVERFLOWING = [
         ["solve", "--matrix", "[[1e77, 0], [0, 1e77]]", "--verify", "--samples", "4"],
         "input scale ||F|| = 1.41421e+77",
     ),
+    # a small F whose weights overflow the same scale
+    (
+        ["solve", "--matrix", "[[2, 0], [0, 1]]", "--mu", "1e300", "--verify", "--samples", "4"],
+        "input scale ||F|| = 2.23607, max(mu, muc) = 1e+300",
+    ),
 ]
 
 

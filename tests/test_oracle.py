@@ -1,5 +1,6 @@
 """The descent oracle: stacked restarts against one start at a time, and the critical scan."""
 
+import functools
 import sys
 
 import numpy as np
@@ -112,6 +113,13 @@ def test_haar_sample_rejects_dimension_zero():
 def test_oracle_config_refuses_counts_that_are_not_integers(field, value):
     with pytest.raises(ValueError, match="must be integers"):
         OracleConfig(**{"seed": 1, field: value})
+
+
+@pytest.mark.parametrize("tol_grad", [float("inf"), float("nan"), "1e-9", 0.0, -1e-9])
+def test_oracle_config_refuses_a_tolerance_that_is_not_positive_and_finite(tol_grad):
+    # an infinite tolerance would end every start where it begins, as converged
+    with pytest.raises(ValueError, match="tol_grad"):
+        OracleConfig(seed=1, tol_grad=tol_grad)
 
 
 def test_oracle_config_takes_numpy_integers():
@@ -237,7 +245,7 @@ def test_riemannian_descent_is_the_one_start_case(W, F):
 
 
 def handed_over(W, F, count):
-    """Haar starts and their descents to the handover, where ``_sfn`` takes over."""
+    """Haar starts and their descents to the handover, where saddle-free Newton takes over."""
     starts = haar_starts(F.dim, count)
     tol = oracle._HANDOVER * oracle._check_scale(W, F)
     return np.concatenate((starts, oracle._descend(W, F, starts, tol, OracleConfig.max_iters)[0]))
@@ -246,12 +254,13 @@ def handed_over(W, F, count):
 @pytest.mark.parametrize("W, F", problems())
 def test_sfn_stack_is_bit_identical_to_single_starts(W, F):
     starts, c = handed_over(W, F, 8), oracle._check_scale(W, F)
-    r, e, gn, end = oracle._sfn(W, F, starts, CFG.tol_grad, c)
+    sfn = functools.partial(oracle._newton, W, F, tol=CFG.tol_grad, c=c, saddle_free=True)
+    r, e, gn, end = sfn(starts)
     for i, r0 in enumerate(starts):
-        ri, ei, gi, endi = oracle._sfn(W, F, r0[None], CFG.tol_grad, c)
+        ri, ei, gi, endi = sfn(r0[None])
         np.testing.assert_array_equal(ri[0], r[i])
         assert ei[0] == e[i] and gi[0] == gn[i] and endi[0] == end[i]
-    split = [oracle._sfn(W, F, starts[:5], CFG.tol_grad, c), oracle._sfn(W, F, starts[5:], CFG.tol_grad, c)]
+    split = [sfn(starts[:5]), sfn(starts[5:])]
     for whole, a, b in zip((r, e, gn, end), *split):
         np.testing.assert_array_equal(np.concatenate([a, b]), whole)
     # an ending at tolerance is the only one with ||G|| <= tol
@@ -489,13 +498,14 @@ def test_newton_stack_is_bit_identical_to_single_starts(W, F, tol):
     # tol = 0 is never reached: every start ends at the rounding floor,
     # where no step shrinks ||G||, or at the step cap
     starts = haar_starts(F.dim, CFG.samples)
-    r, gn = oracle._newton(W, F, starts, tol)
+    root = functools.partial(oracle._newton, W, F, tol=tol, c=oracle._check_scale(W, F), saddle_free=False)
+    r, _, gn, _ = root(starts)
     for i, r0 in enumerate(starts):
-        ri, gi = oracle._newton(W, F, r0[None], tol)
+        ri, _, gi, _ = root(r0[None])
         np.testing.assert_array_equal(ri[0], r[i])
         assert gi[0] == gn[i]
-    ra, ga = oracle._newton(W, F, starts[:5], tol)
-    rb, gb = oracle._newton(W, F, starts[5:], tol)
+    ra, _, ga, _ = root(starts[:5])
+    rb, _, gb, _ = root(starts[5:])
     np.testing.assert_array_equal(np.concatenate([ra, rb]), r)
     np.testing.assert_array_equal(np.concatenate([ga, gb]), gn)
     assert all(is_rotation(x, tol=1e-12) for x in r)
@@ -561,6 +571,19 @@ def test_critical_scan_newton_steps_keep_its_points_on_the_rotations(m):
     W, F = CosseratWeights(1.0, 0.0), DeformationGradient(m)
     found = critical_scan(W, F, OracleConfig(seed=7, samples=8))
     assert found and all(is_rotation(r, tol=1e-13) for r, _ in found)
+
+
+def test_critical_scan_saddle_free_pass_finds_the_global_minimum_at_scale():
+    # a 4D input at (1, 0) scaled by 1e3 where no root-mode Newton endpoint
+    # is the global minimum: the lowest of them reads 593,951 against 57,459.6
+    m = [[0.5143250199754756, 0.6210399608696832, 1.6420416048570143, 1.3773487320485445],
+         [-0.8146735654099031, 1.9531775772298834, -0.3502067686998757, -1.2256891915124224],
+         [1.5707891831479792, -0.2703300644270496, 1.4188103287250111, -0.9831638267597336],
+         [-1.9022595850181516, -1.2166560662116621, 1.1451522985837257, -0.5821662666483438]]
+    W, F = CosseratWeights(1.0, 0.0), DeformationGradient(1e3 * np.array(m))
+    found = critical_scan(W, F, OracleConfig(seed=7, samples=60))
+    wred = reduced_energy(W, F)
+    assert abs(found[0][1] - wred) <= 1e-12 * wred
 
 
 @pytest.mark.parametrize("n", [3, 5])

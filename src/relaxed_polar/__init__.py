@@ -4,7 +4,14 @@ Closed-form relaxed polar factors in every dimension from one
 ``solve(W, F)`` (or ``solve_values(W, nus)`` from singular values alone),
 the reduced energies in terms of singular values, and an independent
 stochastic Riemannian-descent oracle that verifies every closed form.
+
+Importing the package loads ``energy``, ``errors`` and ``matcore``; the
+names of ``ndim``, ``oracle``, ``planar`` and ``spatial`` load their
+module on first use.
 """
+
+import importlib as _importlib
+import types as _types
 
 from .energy import (
     CosseratWeights,
@@ -34,80 +41,54 @@ from .errors import (
     TooLarge,
 )
 from .matcore import skew_exp
-from .ndim import (
-    CriticalPartition,
-    GlobalMinimizers,
-    critical_value,
-    enumerate_critical_partitions,
-    global_minimizers_nd,
-    realize_rotation,
-    traversal_path,
-)
-from .oracle import (
-    OracleConfig,
-    OracleResult,
-    critical_scan,
-    global_minimize,
-    haar_sample,
-    riemannian_descent,
-)
-from .planar import PlanarSolution, optimal_angles, polar_2d_explicit, polar_angle, simple_shear
-from .spatial import (
-    classical_neighborhood_check,
-    plane_of_max_stretch,
-    rpolar_3d,
-    sl3_criterion,
-    wred_3d,
-)
+
+_LAZY = {
+    "ndim": (
+        "CriticalPartition",
+        "GlobalMinimizers",
+        "critical_value",
+        "enumerate_critical_partitions",
+        "global_minimizers_nd",
+        "realize_rotation",
+        "traversal_path",
+    ),
+    "oracle": (
+        "OracleConfig",
+        "OracleResult",
+        "critical_scan",
+        "global_minimize",
+        "haar_sample",
+        "riemannian_descent",
+    ),
+    "planar": ("PlanarSolution", "optimal_angles", "polar_2d_explicit", "polar_angle", "simple_shear"),
+    "spatial": (
+        "classical_neighborhood_check",
+        "plane_of_max_stretch",
+        "rpolar_3d",
+        "sl3_criterion",
+        "wred_3d",
+    ),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CosseratWeights",
-    "CriticalPartition",
-    "DeformationGradient",
-    "DegenerateSpectrum",
-    "DimensionMismatch",
-    "Domain",
-    "GlobalMinimizers",
-    "InadmissiblePartition",
-    "MatrixParseError",
-    "MinimizerSet",
-    "NotSkew",
-    "OracleConfig",
-    "OracleResult",
-    "OrientationError",
-    "PlanarSolution",
-    "PolarData",
-    "Regime",
-    "RegimeError",
-    "TooLarge",
-    "absolute_rotation",
-    "classical_neighborhood_check",
-    "critical_scan",
-    "critical_value",
-    "dist_sq_so_n",
-    "energy",
-    "enumerate_critical_partitions",
-    "global_minimize",
-    "global_minimizers_nd",
-    "haar_sample",
-    "optimal_angles",
-    "plane_of_max_stretch",
-    "polar_2d_explicit",
-    "polar_angle",
-    "realize_rotation",
-    "reduce_parameters",
-    "reduced_energy",
-    "relative_rotation",
-    "rescale",
-    "riemannian_descent",
-    "rpolar_3d",
-    "simple_shear",
-    "skew_exp",
-    "sl3_criterion",
-    "solve",
-    "solve_values",
-    "traversal_path",
-    "wred_3d",
-]
+__all__ = sorted(
+    [n for n, v in globals().items() if n[0] != "_" and not isinstance(v, _types.ModuleType)]
+    + list(_OWNER)
+)
+
+
+def __getattr__(name: str):
+    """Import a lazy module, or the module owning a lazy name, and bind the name here."""
+    if name in _LAZY:
+        return _importlib.import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY, *_OWNER})

@@ -38,6 +38,8 @@ and the output is byte-identical to formatting every row on its own. Range
 options (MIN MAX COUNT) need finite MIN < MAX and a whole COUNT >= 2.
 scatter-mc's ``beta_predicted`` is ``solve``'s pair angle on the row's
 own F, signed like ``beta_mc`` (0.0 when F does not branch).
+Each subcommand imports only the modules it calls: the oracle only for
+``solve --verify`` and scatter-mc, ``ndim`` only for the census.
 Exit codes: 0 success, 2 parse error, 3 invalid weights/domain input (also
 an input scale too large for the oracle of ``--verify`` and scatter-mc,
 about ||F|| > 5e76 at unit weights), 4 unwritable output.
@@ -54,10 +56,10 @@ import sys
 
 import numpy as np
 
-from . import ndim, oracle, planar, spatial
 from .energy import (
     CosseratWeights,
     DeformationGradient,
+    canonical_blocks,
     pair_block,
     reduced_energy_stack,
     relative_rotation,
@@ -130,7 +132,9 @@ def parse_matrix_text(text: str) -> list[list[float]]:
 
 def load_gradient(args) -> DeformationGradient:
     if getattr(args, "shear", None) is not None:
-        return planar.simple_shear(args.shear)
+        from .planar import simple_shear
+
+        return simple_shear(args.shear)
     if args.matrix is not None:
         rows = parse_matrix_text(args.matrix)
     elif args.file is not None:
@@ -176,11 +180,15 @@ def _solve_report(W: CosseratWeights, F: DeformationGradient) -> dict:
         "relative_angles": mset.relative_angles,
     }
     if n == 2:
+        from . import planar
+
         ap = planar.polar_angle(F)
         report["branch_angles"] = planar._branch_angles(ap, mset.relative_angles, mset.k)
         report["polar_angle"] = ap
     elif n == 3:
-        u = spatial.mean_planar_stretch(W, F)
+        from .spatial import mean_planar_stretch
+
+        u = mean_planar_stretch(W, F)
         report["axis"] = F.polar.frame[:, 2]
         report["u_mmp"] = u
         report["s_mmp"] = u - 1.0
@@ -196,7 +204,7 @@ def _partition_1based(blocks, signs) -> list[dict]:
 
 def _canonical_partition(k: int, n: int) -> list[dict]:
     """The n - k canonical blocks of k pairs among n values, 1-based, every sign +1."""
-    return _partition_1based(ndim.canonical_blocks(k, n), [1] * (n - k))
+    return _partition_1based(canonical_blocks(k, n), [1] * (n - k))
 
 
 def cmd_solve(args) -> int:
@@ -204,6 +212,8 @@ def cmd_solve(args) -> int:
     F = load_gradient(args)
     report = _solve_report(W, F)
     if args.verify:
+        from . import oracle
+
         _dumps(report)  # an overflowing field ends the run before the oracle sees it
         cfg = oracle.OracleConfig(seed=args.seed, samples=args.samples, tol_grad=1e-9)
         res = oracle.global_minimize(W, F, cfg)
@@ -256,6 +266,8 @@ def _z_angle(rhat: np.ndarray) -> float:
 
 
 def cmd_scatter_mc(args) -> int:
+    from . import oracle
+
     W = _weights(args)
     sums = _axis("--range", *args.range)
     nu3 = args.nu3
@@ -320,7 +332,11 @@ def cmd_ndim(args) -> int:
         "num_minimizers": 2**mset.k,
         "degenerate": mset.degenerate,
     }
-    parts = ndim.enumerate_critical_partitions(nus) if args.census else None
+    parts = None
+    if args.census:
+        from .ndim import enumerate_critical_partitions
+
+        parts = enumerate_critical_partitions(nus)
     out = _dumps(report)  # an overflowing wred is named before the census
     if parts is not None:
         out = out[:-1] + ', "census": [' + ", ".join(_census_entries(parts, nus)) + "]}"
@@ -332,7 +348,9 @@ def _census_entries(parts, nus: list[float]) -> list[str]:
     """The census entries of the enumerator's partitions as ``json.dumps``
     writes them; each of the 2n + n(n - 1) possible (block, sign) entries
     is encoded once."""
-    values = ndim._block_sums(parts, nus)  # the enumerator's partitions are admissible
+    from .ndim import _block_sums
+
+    values = _block_sums(parts, nus)  # the enumerator's partitions are admissible
     if not all(map(math.isfinite, values)):
         raise ValueError("census overflows float64: the input scale is too large")
     n = len(nus)

@@ -444,6 +444,11 @@ class MinimizerSet:
         return tuple(tuple(s * b for s, b in zip(signs, self.angles)) for signs in self.signs)
 
 
+def canonical_blocks(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Blocks of the canonical minimum: pairs (2p, 2p + 1) for p < k, then singletons."""
+    return tuple((2 * p, 2 * p + 1) for p in range(k)) + tuple((i,) for i in range(2 * k, n))
+
+
 def _minimizer_set(W: CosseratWeights, d: list[float], F=None) -> MinimizerSet:
     """The set of descending values d; its minimizers are rotations of F if given.
 

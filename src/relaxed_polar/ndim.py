@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _W10, _minimizer_set, pair_block, reduced_energy_values
+from .energy import _W10, _minimizer_set, canonical_blocks, pair_block, reduced_energy_values
 from .errors import InadmissiblePartition, OrientationError, TooLarge
 
 ENUMERATION_MAX_DIM = 10
@@ -298,11 +298,6 @@ def traversal_path(start: CriticalPartition, nus) -> list[CriticalPartition]:
         push(blocks, signs)
 
     return path
-
-
-def canonical_blocks(k: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """Blocks of the canonical minimum: pairs (2p, 2p + 1) for p < k, then singletons."""
-    return tuple((2 * p, 2 * p + 1) for p in range(k)) + tuple((i,) for i in range(2 * k, n))
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Independent numeric ground truth for the closed-form minimizers.
 
 Multi-start search over the rotation group from Haar-uniform restarts, by
-one search, ``_search``, behind ``global_minimize``, ``riemannian_descent``
-and ``critical_scan``: Riemannian gradient descent while a start is far
-from any critical point, then, from the handover on, saddle-free Newton
-steps (Dauphin et al., arXiv:1406.2572) on the energy's Hessian, which
-converge quadratically near a minimum and step down off a saddle; the
-same loop, ``_newton``, in root mode (G = 0) finishes the winner.
+one stacked loop, ``_loop``, in three modes: ``_search``, behind
+``global_minimize``, ``riemannian_descent`` and ``critical_scan``, runs
+Riemannian gradient descent while a start is far from any critical point,
+then saddle-free Newton steps (Dauphin et al., arXiv:1406.2572) on the
+energy's Hessian, which converge quadratically near a minimum and step
+down off a saddle; root mode (G = 0) finishes the winner.
 Descent does the global part, in at most 32 steps by default: a start
 still above the handover after them crawls a valley Newton crosses. All
 step by the Cayley retraction R <- R C(A), C(A) = (1 - A/2)^-1 (1 + A/2)
@@ -24,7 +24,7 @@ dimension. The rotation group is compact, so enough restarts make this a
 credible global oracle at the small dimensions the closed forms are
 verified at. Every restart draws its own random stream
 from (seed, restart index), and the restarts of one (n, seed, samples) are
-built once, as one stack, and shared. Each phase runs its starts as one
+built once, as one stack, and shared. The loop runs its starts as one
 stack, each with its own step and stopping rule, so results do not depend
 on how the stack is split and are bit-identical for a fixed seed. A point
 is evaluated once: Y = R^T F and the weighted stretch N(X) = mu sym X -
@@ -85,16 +85,24 @@ _LEAST_FACTOR = 1e-6
 # Cayley step of norm 100 already turns that plane by 2 atan(50) ~ 0.987 pi,
 # and a pseudo-inverse step far above it leaves R off SO(n) by rounding
 _NEWTON_STEP = 100.0
+# per mode of _loop, (first, growth, top, least) of its step factor: factor <-
+# min(factor * (growth if accepted else 1/2), top), and a start stalls below
+# least; an infinite growth resets a Newton factor to 1
+_FACTOR_RULE = {
+    "descent": (_STEP_INIT, 2.0, _MAX_STEP, _MIN_STEP),
+    "saddle_free": (1.0, math.inf, 1.0, 1.0),
+    "root": (1.0, math.inf, 1.0, _LEAST_FACTOR),
+}
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Multi-start search configuration. The seed is always explicit.
 
-    ``max_iters`` caps a start's accepted descent steps, and ``tol_grad``
-    is the gradient norm at which its search ends. Descent does the global
-    part of the search: a start still above the handover after the default
-    32 steps crawls a valley that saddle-free Newton crosses in a few.
+    ``max_iters`` caps a start's accepted steps in ``_loop``'s descent
+    mode, and ``tol_grad`` is the gradient norm at which its search ends.
+    A start still above the handover after the default 32 steps crawls a
+    valley that the saddle-free mode crosses in a few.
     """
 
     seed: int
@@ -120,14 +128,14 @@ class OracleConfig:
 class OracleResult:
     """What :func:`global_minimize` found.
 
-    ``best_rotation`` is the lowest-energy search endpoint after root-mode
-    Newton, ``best_energy`` its energy by :func:`~relaxed_polar.energy.energy`
+    ``best_rotation`` is the lowest-energy search endpoint after ``_loop``
+    in root mode, ``best_energy`` its energy by :func:`~relaxed_polar.energy.energy`
     and ``grad_norm_at_best`` its gradient norm ||G||, which that takes
     towards the rounding floor 1e-13 c, c the module docstring's scale.
-    The other three count how the starts' searches ended, before Newton:
+    The other three count how the starts' searches ended, before root mode:
     ``restarts_converged`` at ||G|| <= max(tol_grad, 1e-13 c),
-    ``restarts_stalled`` at a saddle-free Newton step that did not lower
-    the energy and ``restarts_capped`` at Newton's step cap; they add
+    ``restarts_stalled`` at a saddle-free step that did not lower the
+    energy and ``restarts_capped`` at that mode's step cap; they add
     up to the number of starts. A start stalls where a full step
     overshoots, far from any critical point, or where the energy no longer
     resolves a step's decrease, at ||G|| of about 1e-11 c to 5e-9 c; so a
@@ -268,140 +276,90 @@ def _cayley(a: np.ndarray, eye: np.ndarray) -> np.ndarray:
     return np.linalg.solve(eye - half, eye + half)
 
 
-def _descend(
+def _loop(
     W: CosseratWeights,
     F: DeformationGradient,
     starts: np.ndarray,
     tol: float,
-    max_iters: int,
+    c: float,
+    mode: str,
+    cap: int,
     energy_trace: list | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Backtracking descent of a stack of starts (S, n, n), each on its own:
-    the first phase of ``_search``, run to its handover.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle's one loop: steps R <- R C(A), C the Cayley retraction, of
+    a stack of starts (S, n, n), each on its own, its factor by ``_FACTOR_RULE``.
 
-    Each start keeps its own step t: the trial R C(-min(t, ``_MAX_STEP`` /
-    ||G||) G), C the Cayley retraction ``_cayley``, is accepted if the
-    energy strictly decreases, else t is halved; after acceptance t doubles
-    up to ``_MAX_STEP``. A start stops at ||G|| <= tol, at t < ``_MIN_STEP``
-    or after max_iters accepted steps. A round evaluates only the running
-    starts, slice by slice, so no start depends on the rest of the stack.
-    ``energy_trace`` needs one start. Returns the rotations, energies and
-    gradient norms.
+    The mode sets the step and what a trial must lower. "descent": A =
+    -min(t, ``_MAX_STEP`` / ||G||) G, t the factor; lower the energy.
+    "saddle_free": dx = -V diag(1 / max(|lam|, ``_EIG_FLOOR`` c)) V^T g,
+    (lam, V) the eigenpairs of ``_hessian``, g the lower triangle of G, a way
+    down off a saddle too; lower the energy. "root": dx solves J dx = -G by
+    least squares on ``_jacobian``, cut to norm ``_NEWTON_STEP``, times the
+    factor; lower ||G||, so it converges to any critical point near it. C
+    has expm's velocity at 0, so J and H stay exact. A start ends at ||G||
+    <= tol, by stall or after cap accepted steps, whatever the rest of the
+    stack; ``energy_trace`` needs one start, and descent records its first
+    energy too. Returns the rotations, energies, gradient norms and
+    endings: 0 at tol, 1 by stall, 2 at the cap.
     """
     mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
+    ii, jj = _pairs(F.dim)
+    first, grow, top, least = _FACTOR_RULE[mode]
     r = np.array(starts, dtype=float)
     y, n = _stretch(mu, muc, r, f, eye)
-    e = _energy(y - eye, n)
-    g = _gradient(y, n)
+    e, g = _energy(y - eye, n), _gradient(y, n)
     gn = _norm(g)
-    out_r, out_e, out_gn = r.copy(), e.copy(), gn.copy()
-    t = np.full(len(r), _STEP_INIT)
-    steps = np.zeros(len(r), dtype=int)
-    pos = np.arange(len(r))
-    if energy_trace is not None:
+    pos, steps, factor = np.arange(len(r)), np.zeros(len(r), dtype=int), np.full(len(r), first)
+    out_r, out_e, out_gn, out_factor = r.copy(), e.copy(), gn.copy(), factor.copy()
+    if energy_trace is not None and mode == "descent":
         energy_trace.append(float(e[0]))
-    stop = (gn <= tol) | (t < _MIN_STEP)
+    stop = gn <= tol
     while True:
         if stop.any():
             # write out the starts that ended and drop them from the stack
             out, keep = pos[stop], np.flatnonzero(~stop)
-            out_r[out], out_e[out], out_gn[out] = r[stop], e[stop], gn[stop]
-            pos, r, y, n, e, g, gn, t, steps = (a.take(keep, 0) for a in (pos, r, y, n, e, g, gn, t, steps))
+            out_r[out], out_e[out], out_gn[out], out_factor[out] = r[stop], e[stop], gn[stop], factor[stop]
+            pos, r, y, n, e, g, gn, steps, factor = (
+                a.take(keep, 0) for a in (pos, r, y, n, e, g, gn, steps, factor)
+            )
         if not len(pos):
-            return out_r, out_e, out_gn
-        r_try = r @ _cayley(-np.minimum(t, _MAX_STEP / gn)[:, None, None] * g, eye)
+            return out_r, out_e, out_gn, np.where(out_gn <= tol, 0, np.where(out_factor < least, 1, 2))
+        if mode == "descent":
+            step = -np.minimum(factor, _MAX_STEP / gn)[:, None, None] * g
+        else:
+            if mode == "saddle_free":
+                lam, v = np.linalg.eigh(_hessian(mu, muc, y, n))
+                # products and sums, not matmul, whose rounding can depend on the stack
+                vg = np.einsum("sij,si->sj", v, g[:, jj, ii]) / np.maximum(np.abs(lam), _EIG_FLOOR * c)
+                dx = -np.einsum("sij,sj->si", v, vg)
+            else:
+                # a rejected trial leaves the state as it was; the factor, a power of two, scales exactly
+                dx = (np.linalg.pinv(_jacobian(mu, muc, y, n)) @ -g[:, jj, ii, None])[..., 0]
+                cut = _NEWTON_STEP / np.maximum(np.linalg.norm(dx, axis=-1), _NEWTON_STEP)
+                dx *= (factor * cut)[:, None]
+            step = np.zeros_like(r)
+            step[:, jj, ii], step[:, ii, jj] = dx, -dx
+        r_try = r @ _cayley(step, eye)
         y_try, n_try = _stretch(mu, muc, r_try, f, eye)
         e_try = _energy(y_try - eye, n_try)
-        ok = e_try < e
-        t = np.minimum(t * np.where(ok, 2.0, 0.5), _MAX_STEP)
+        ok = _norm(_gradient(y_try, n_try)) < gn if mode == "root" else e_try < e
+        factor = np.minimum(factor * np.where(ok, grow, 0.5), top)
         moved = np.count_nonzero(ok)
         if not moved:
-            stop = t < _MIN_STEP
+            stop = factor < least
             continue
         if moved < len(ok):
             pick = ok[:, None, None]
             r_try, y_try, n_try = (np.where(pick, a, b) for a, b in ((r_try, r), (y_try, y), (n_try, n)))
             e_try = np.where(ok, e_try, e)
         r, y, n, e = r_try, y_try, n_try, e_try
-        steps += ok
-        if energy_trace is not None:
-            energy_trace.append(float(e[0]))
         # a rejected start keeps its rotation, so its gradient is unchanged
         g = _gradient(y, n)
         gn = _norm(g)
-        stop = (t < _MIN_STEP) | (gn <= tol) | (steps >= max_iters)
-
-
-def _newton(
-    W: CosseratWeights,
-    F: DeformationGradient,
-    starts: np.ndarray,
-    tol: float,
-    c: float,
-    *,
-    saddle_free: bool,
-    energy_trace: list | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Newton steps R <- R C(dx), C the Cayley retraction, for a stack of
-    starts (S, n, n); C has expm's velocity at 0, so J and H stay exact.
-
-    Saddle-free: dx = -V diag(1 / max(|lam|, ``_EIG_FLOOR`` c)) V^T g,
-    (lam, V) the eigenpairs of ``_hessian``, g the lower triangle of G: a
-    descent direction everywhere, and a way down off a saddle. A trial
-    must lower the energy, else the start stalls. Root: dx solves J dx = -G
-    by least squares on ``_jacobian``, cut to norm ``_NEWTON_STEP``, and
-    converges to any critical point near it. A trial must lower ||G||, else
-    its factor halves; the start stalls below ``_LEAST_FACTOR``. A start
-    ends at ||G|| <= tol, by stall or after ``_ACCEPT_CAP`` accepted steps,
-    whatever the rest of the stack; ``energy_trace`` needs one start.
-    Returns the rotations, energies, gradient norms and endings: 0 at tol,
-    1 by stall, 2 at the cap.
-    """
-    mu, muc, f, eye = W.mu, W.muc, F.matrix, np.eye(F.dim)
-    ii, jj = _pairs(F.dim)
-    floor, least = _EIG_FLOOR * c, 1.0 if saddle_free else _LEAST_FACTOR
-    r = np.array(starts, dtype=float)
-    y, n = _stretch(mu, muc, r, f, eye)
-    e, g = _energy(y - eye, n), _gradient(y, n)
-    gn = _norm(g)
-    out_r, out_e, out_gn, out_end = r.copy(), e.copy(), gn.copy(), np.zeros(len(r), dtype=int)
-    pos, steps, factor = np.arange(len(r)), np.zeros(len(r), dtype=int), np.ones(len(r))
-    stop = gn <= tol
-    while True:
-        if stop.any():
-            out, keep = pos[stop], np.flatnonzero(~stop)
-            out_r[out], out_e[out], out_gn[out] = r[stop], e[stop], gn[stop]
-            out_end[out] = np.where(gn[stop] <= tol, 0, np.where(factor[stop] < least, 1, 2))
-            pos, r, y, n, e, g, gn, steps, factor = (
-                a.take(keep, 0) for a in (pos, r, y, n, e, g, gn, steps, factor)
-            )
-        if not len(pos):
-            return out_r, out_e, out_gn, out_end
-        if saddle_free:
-            lam, v = np.linalg.eigh(_hessian(mu, muc, y, n))
-            # products and sums, not matmul, whose rounding can depend on the stack
-            vg = np.einsum("sij,si->sj", v, g[:, jj, ii]) / np.maximum(np.abs(lam), floor)
-            dx = -np.einsum("sij,sj->si", v, vg)
-        else:
-            # a rejected trial leaves the state as it was; the factor, a power of two, scales exactly
-            dx = (np.linalg.pinv(_jacobian(mu, muc, y, n)) @ -g[:, jj, ii, None])[..., 0]
-            cut = _NEWTON_STEP / np.maximum(np.linalg.norm(dx, axis=-1), _NEWTON_STEP)
-            dx *= (factor * cut)[:, None]
-        step = np.zeros_like(r)
-        step[:, jj, ii], step[:, ii, jj] = dx, -dx
-        r_try = r @ _cayley(step, eye)
-        y_try, n_try = _stretch(mu, muc, r_try, f, eye)
-        e_try = _energy(y_try - eye, n_try)
-        g_try = _gradient(y_try, n_try)
-        gn_try = _norm(g_try)
-        ok = e_try < e if saddle_free else gn_try < gn
-        pick = ok[:, None, None]
-        r, y, n, g = (np.where(pick, a, b) for a, b in ((r_try, r), (y_try, y), (n_try, n), (g_try, g)))
-        e, gn, factor = np.where(ok, e_try, e), np.where(ok, gn_try, gn), np.where(ok, 1.0, 0.5 * factor)
         steps += ok
-        if energy_trace is not None and ok[0]:
+        if energy_trace is not None:
             energy_trace.append(float(e[0]))
-        stop = (gn <= tol) | (factor < least) | (steps >= _ACCEPT_CAP)
+        stop = (gn <= tol) | (factor < least) | (steps >= cap)
 
 
 def _search(
@@ -415,23 +373,23 @@ def _search(
     """The oracle's one search: descent, then saddle-free Newton, for a
     stack of starts (S, n, n).
 
-    The scale c from ``_check_scale`` sets every threshold: ``_descend``
-    runs each start until ||G|| <= ``_HANDOVER`` c, or until it stalls or
-    reaches max_iters; one SVD, U V^T, projects the endpoints onto SO(n);
-    ``_newton`` in saddle-free mode, its eigenvalue floor ``_EIG_FLOOR`` c,
+    The scale c from ``_check_scale`` sets every threshold: ``_loop`` in
+    descent mode runs each start until ||G|| <= ``_HANDOVER`` c, or until it
+    stalls or reaches max_iters; one SVD, U V^T, projects the endpoints onto
+    SO(n); the saddle-free mode, its eigenvalue floor ``_EIG_FLOOR`` c,
     then takes every start on to ||G|| <= max(tol_grad, ``_FLOOR`` c), the
     rounding floor where tol_grad lies below it, so a start converges at
     any input scale. ``energy_trace`` needs one start and records the
     energy after every accepted step of both phases, which strictly
-    decreases; the projection adds no entry. Returns what ``_newton``
+    decreases; the projection adds no entry. Returns what ``_loop``
     does, converged meaning at that tolerance. The energy returned is that
     of the projected point, so where Newton accepts no step it can differ
     from the trace's last entry by the projection's rounding-level move.
     """
     tol = max(cfg.tol_grad, _FLOOR * c)
-    r, _, _ = _descend(W, F, starts, max(tol, _HANDOVER * c), cfg.max_iters, energy_trace)
+    r = _loop(W, F, starts, max(tol, _HANDOVER * c), c, "descent", cfg.max_iters, energy_trace)[0]
     u, _, vt = np.linalg.svd(r)
-    return _newton(W, F, u @ vt, tol, c, saddle_free=True, energy_trace=energy_trace)
+    return _loop(W, F, u @ vt, tol, c, "saddle_free", _ACCEPT_CAP, energy_trace)
 
 
 def riemannian_descent(
@@ -443,11 +401,16 @@ def riemannian_descent(
     energy after each accepted step of both phases. Returns the rotation,
     its energy and its gradient norm; as ``_search`` states, that energy
     is the projected point's and can differ slightly from the trace's last
-    entry.
+    entry. A start with ||R0^T R0 - 1|| > 1e-8 or det R0 <= 0, or not
+    finite, raises ``ValueError``.
     """
     r = np.asarray(R0, dtype=float)
     if r.shape != (F.dim, F.dim):
         raise DimensionMismatch(f"start shape {r.shape} does not match dim {F.dim}")
+    with np.errstate(all="ignore"):  # a start too large or not finite reads inf or NaN
+        off, det = float(np.linalg.norm(r.T @ r - np.eye(F.dim))), float(np.linalg.det(r))
+    if not (off <= 1e-8 and det > 0.0):
+        raise ValueError(f"start is not a rotation: ||R0^T R0 - 1|| = {off:g}, det R0 = {det:g}")
     r, e, gn, _ = _search(W, F, r[None], cfg, _check_scale(W, F), energy_trace)
     return r[0], float(e[0]), float(gn[0])
 
@@ -470,7 +433,7 @@ def global_minimize(
     descent crawls. So a start ends where it would alone and the result
     does not depend on how the stack is split or ordered. The Haar
     restarts are built once per (n, seed, samples) and reused. The lowest
-    energy wins, ties broken by start index, and the same Newton loop in
+    energy wins, ties broken by start index, and the same ``_loop`` in
     root mode finishes it towards the rounding floor ||G|| <= ``_FLOOR`` c.
     """
     c = _check_scale(W, F)
@@ -483,7 +446,7 @@ def global_minimize(
 
     r, e, _, end = _search(W, F, starts, cfg, c)
     best = int(np.argmin(e))  # the first of equal energies: lowest start index
-    r_best, _, gn_best, _ = _newton(W, F, r[best : best + 1], _FLOOR * c, c, saddle_free=False)
+    r_best, _, gn_best, _ = _loop(W, F, r[best : best + 1], _FLOOR * c, c, "root", _ACCEPT_CAP)
     tally = np.bincount(end, minlength=3)
     return OracleResult(
         best_rotation=r_best[0],
@@ -505,7 +468,7 @@ def critical_scan(
     exact and perturbed by the Cayley step C(0.025 (G - G^T)) of a
     Gaussian G): ``_search``, descent to the handover and then saddle-free
     Newton, which lands on minima and stays put when started exactly at a
-    critical point, and ``_newton`` in root mode to the rounding floor
+    critical point, and ``_loop`` in root mode to the rounding floor
     ``_FLOOR`` c, c the module docstring's scale, which also converges to
     saddles; each runs all the starts as one stack, the Haar samples
     shared with ``global_minimize``. An endpoint is kept when the ||G|| its
@@ -524,7 +487,7 @@ def critical_scan(
     starts = np.concatenate((corners, nudged, _haar_starts(n, cfg.seed, cfg.samples)))
 
     r_search, _, gn_search, _ = _search(W, F, starts, cfg, c)
-    r_newt, _, gn_newt, _ = _newton(W, F, starts, _FLOOR * c, c, saddle_free=False)
+    r_newt, _, gn_newt, _ = _loop(W, F, starts, _FLOOR * c, c, "root", _ACCEPT_CAP)
     r = np.stack((r_search, r_newt), axis=1).reshape(-1, n, n)
     gn = np.stack((gn_search, gn_newt), axis=1).ravel()
 

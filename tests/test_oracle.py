@@ -202,25 +202,10 @@ def test_cayley_step_turns_by_twice_the_arctangent_of_half_the_angle(theta):
 
 
 @pytest.mark.parametrize("W, F", problems())
-def test_stack_is_bit_identical_to_single_starts(W, F):
-    starts = haar_starts(F.dim, CFG.samples)
-    r, e, gn = oracle._descend(W, F, starts, CFG.tol_grad, CFG.max_iters)
-    for i, r0 in enumerate(starts):
-        ri, ei, gi = oracle._descend(W, F, r0[None], CFG.tol_grad, CFG.max_iters)
-        np.testing.assert_array_equal(ri[0], r[i])
-        assert ei[0] == e[i] and gi[0] == gn[i]
-    # splitting the stack changes nothing either
-    ra, ea, ga = oracle._descend(W, F, starts[:5], CFG.tol_grad, CFG.max_iters)
-    rb, eb, gb = oracle._descend(W, F, starts[5:], CFG.tol_grad, CFG.max_iters)
-    np.testing.assert_array_equal(np.concatenate([ra, rb]), r)
-    np.testing.assert_array_equal(np.concatenate([ea, eb]), e)
-    np.testing.assert_array_equal(np.concatenate([ga, gb]), gn)
-
-
-@pytest.mark.parametrize("W, F", problems())
 def test_stack_follows_the_one_start_rules(W, F):
     starts = haar_starts(F.dim, 4)
-    r, e, gn = oracle._descend(W, F, starts, CFG.tol_grad, CFG.max_iters)
+    c = oracle._check_scale(W, F)
+    r, e, gn, _ = oracle._loop(W, F, starts, CFG.tol_grad, c, "descent", CFG.max_iters)
     for i, r0 in enumerate(starts):
         rr, er, gr = reference_descent(W, F, r0, CFG)
         np.testing.assert_array_equal(rr, r[i])
@@ -244,28 +229,51 @@ def test_riemannian_descent_is_the_one_start_case(W, F):
         assert is_rotation(ri, tol=1e-12)
 
 
+def test_riemannian_descent_refuses_a_start_off_the_rotations():
+    # unchecked, these starts gave a det -1 matrix at energy 8.602 with
+    # ||G|| = 0, a rotation at 5.202 (the minimum is 3.769) and a LinAlgError
+    W, F = CosseratWeights(1.7, 0.4), DeformationGradient(np.diag([2.6, 1.5, 0.5]))
+    for r0 in (np.diag([1.0, 1.0, -1.0]), 3.0 * np.eye(3), np.full((3, 3), np.nan)):
+        with pytest.raises(ValueError, match="not a rotation"):
+            riemannian_descent(W, F, r0, CFG)
+    # a rotation rounded to 12 digits is within the tolerance
+    r, e, _ = riemannian_descent(W, F, np.round(haar_sample(3, np.random.default_rng(1)), 12), CFG)
+    assert is_rotation(r, tol=1e-12) and abs(e - reduced_energy(W, F)) <= 1e-12
+
+
 def handed_over(W, F, count):
     """Haar starts and their descents to the handover, where saddle-free Newton takes over."""
     starts = haar_starts(F.dim, count)
-    tol = oracle._HANDOVER * oracle._check_scale(W, F)
-    return np.concatenate((starts, oracle._descend(W, F, starts, tol, OracleConfig.max_iters)[0]))
+    c = oracle._check_scale(W, F)
+    r = oracle._loop(W, F, starts, oracle._HANDOVER * c, c, "descent", OracleConfig.max_iters)[0]
+    return np.concatenate((starts, r))
 
 
 @pytest.mark.parametrize("W, F", problems())
-def test_sfn_stack_is_bit_identical_to_single_starts(W, F):
-    starts, c = handed_over(W, F, 8), oracle._check_scale(W, F)
-    sfn = functools.partial(oracle._newton, W, F, tol=CFG.tol_grad, c=c, saddle_free=True)
-    r, e, gn, end = sfn(starts)
+@pytest.mark.parametrize(
+    "mode, tol", [("descent", CFG.tol_grad), ("saddle_free", CFG.tol_grad), ("root", 1e-12), ("root", 0.0)]
+)
+def test_stack_is_bit_identical_to_single_starts(W, F, mode, tol):
+    # root mode at tol = 0 never reaches it: every start ends at the rounding
+    # floor, where no step shrinks ||G||, or at the step cap
+    starts = handed_over(W, F, 8) if mode == "saddle_free" else haar_starts(F.dim, CFG.samples)
+    cap = CFG.max_iters if mode == "descent" else oracle._ACCEPT_CAP
+    run = functools.partial(oracle._loop, W, F, tol=tol, c=oracle._check_scale(W, F), mode=mode, cap=cap)
+    whole = run(starts)
     for i, r0 in enumerate(starts):
-        ri, ei, gi, endi = sfn(r0[None])
-        np.testing.assert_array_equal(ri[0], r[i])
-        assert ei[0] == e[i] and gi[0] == gn[i] and endi[0] == end[i]
-    split = [sfn(starts[:5]), sfn(starts[5:])]
-    for whole, a, b in zip((r, e, gn, end), *split):
-        np.testing.assert_array_equal(np.concatenate([a, b]), whole)
+        for one, out in zip(run(r0[None]), whole):
+            np.testing.assert_array_equal(one[0], out[i])
+    # splitting the stack changes nothing either
+    split = [run(starts[:5]), run(starts[5:])]
+    for out, a, b in zip(whole, *split):
+        np.testing.assert_array_equal(np.concatenate([a, b]), out)
+    r, _, gn, end = whole
     # an ending at tolerance is the only one with ||G|| <= tol
-    assert np.array_equal(end == 0, gn <= CFG.tol_grad)
-    assert (end == 0).any() and all(is_rotation(x, tol=1e-12) for x in r)
+    assert np.array_equal(end == 0, gn <= tol)
+    if mode != "descent":
+        assert all(is_rotation(x, tol=1e-12) for x in r)
+    if mode == "saddle_free":
+        assert (end == 0).any()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -325,7 +333,8 @@ def test_search_gets_out_of_a_cayley_bounce():
     cfg = OracleConfig(seed=2017, samples=16, tol_grad=1e-9)
     r0 = haar_sample(3, np.random.default_rng((2017, 9)))
     wred = reduced_energy(W, F)
-    _, e_desc, gn_desc = oracle._descend(W, F, r0[None], cfg.tol_grad, cfg.max_iters)
+    c = oracle._check_scale(W, F)
+    _, e_desc, gn_desc, _ = oracle._loop(W, F, r0[None], cfg.tol_grad, c, "descent", cfg.max_iters)
     assert e_desc[0] > wred + 0.3 and gn_desc[0] > 0.5
     trace = []
     r, e, gn = riemannian_descent(W, F, r0, cfg, energy_trace=trace)
@@ -337,21 +346,21 @@ def test_global_minimize_hands_a_bouncing_start_to_newton_at_the_step_cap(monkey
     W, F = BOUNCE_W, BOUNCE_F
     cfg = OracleConfig(seed=2017, samples=16, tol_grad=1e-9)
     r0 = haar_sample(3, np.random.default_rng((2017, 9)))
-    trace = []
-    oracle._descend(W, F, r0[None], oracle._HANDOVER * oracle._check_scale(W, F), cfg.max_iters, trace)
+    trace, c = [], oracle._check_scale(W, F)
+    oracle._loop(W, F, r0[None], oracle._HANDOVER * c, c, "descent", cfg.max_iters, trace)
     assert len(trace) == cfg.max_iters + 1
     # one _cayley call per descent round, and the stack runs until its
     # slowest start ends: the default cap keeps the bounce from setting the op's cost
-    callers, cayley = [], oracle._cayley
+    modes, cayley = [], oracle._cayley
 
     def counted(a, eye):
-        callers.append(sys._getframe(1).f_code.co_name)
+        modes.append(sys._getframe(1).f_locals.get("mode"))
         return cayley(a, eye)
 
     monkeypatch.setattr(oracle, "_cayley", counted)
     res = global_minimize(W, F, cfg, warm_starts=False)
     wred = reduced_energy(W, F)
-    assert callers.count("_descend") <= 64
+    assert 0 < modes.count("descent") <= 64
     assert abs(res.best_energy - wred) <= 1e-12 * (1.0 + wred)
     assert res.restarts_converged == 16
 
@@ -490,25 +499,6 @@ def test_jacobian_matches_central_differences(n, mu, muc):
             for s in (h, -h)
         )
         np.testing.assert_allclose(jac[:, :, k], (gp - gm)[:, jj, ii] / (2 * h), rtol=0, atol=1e-7)
-
-
-@pytest.mark.parametrize("W, F", problems())
-@pytest.mark.parametrize("tol", [1e-12, 0.0])
-def test_newton_stack_is_bit_identical_to_single_starts(W, F, tol):
-    # tol = 0 is never reached: every start ends at the rounding floor,
-    # where no step shrinks ||G||, or at the step cap
-    starts = haar_starts(F.dim, CFG.samples)
-    root = functools.partial(oracle._newton, W, F, tol=tol, c=oracle._check_scale(W, F), saddle_free=False)
-    r, _, gn, _ = root(starts)
-    for i, r0 in enumerate(starts):
-        ri, _, gi, _ = root(r0[None])
-        np.testing.assert_array_equal(ri[0], r[i])
-        assert gi[0] == gn[i]
-    ra, _, ga, _ = root(starts[:5])
-    rb, _, gb, _ = root(starts[5:])
-    np.testing.assert_array_equal(np.concatenate([ra, rb]), r)
-    np.testing.assert_array_equal(np.concatenate([ga, gb]), gn)
-    assert all(is_rotation(x, tol=1e-12) for x in r)
 
 
 @pytest.mark.parametrize("search", ["global_minimize", "critical_scan", "riemannian_descent"])

@@ -71,17 +71,22 @@ class CosseratWeights:
             raise ValueError("shear weight mu must be positive")
         if self.muc < 0.0:
             raise ValueError("couple modulus muc must be non-negative")
+        # computed once; the fields alone set ==, hash and repr
+        object.__setattr__(self, "_classical", self.muc >= self.mu)
+        if not self._classical:
+            object.__setattr__(self, "_lam", self.mu / (self.mu - self.muc))
+            object.__setattr__(self, "_rho", 2.0 * self._lam)  # not (2 mu) / ..., which overflows for mu > ~9e307
 
     @property
     def is_classical(self) -> bool:
-        return self.muc >= self.mu
+        return self._classical
 
     @property
     def regime(self) -> Regime:
         return Regime.CLASSICAL if self.is_classical else Regime.NON_CLASSICAL
 
     def _require_non_classical(self):
-        if self.is_classical:
+        if self._classical:
             raise RegimeError(
                 f"quantity undefined for classical weights (mu={self.mu}, muc={self.muc})"
             )
@@ -89,12 +94,12 @@ class CosseratWeights:
     @property
     def singular_radius(self) -> float:
         self._require_non_classical()
-        return 2.0 * self.scaling  # not (2 mu) / ..., which overflows for mu > ~9e307
+        return self._rho
 
     @property
     def scaling(self) -> float:
         self._require_non_classical()
-        return self.mu / (self.mu - self.muc)
+        return self._lam
 
     @property
     def zeta(self) -> float:
@@ -109,6 +114,14 @@ class PolarData:
 
     rotation: np.ndarray
     frame: np.ndarray
+
+
+def _det(a) -> float:
+    """Cofactor determinant of a 1 x 1, 2 x 2 or 3 x 3 nested list, in floats."""
+    if len(a) < 3:
+        return a[0][0] if len(a) == 1 else a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    (p, q, r), (s, t, u), (v, w, x) = a
+    return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
 
 
 class DeformationGradient:
@@ -130,7 +143,10 @@ class DeformationGradient:
         m = np.array(matrix, dtype=float)
         left, values, right = matcore.svd_ordered(m)
         rotation = left @ right.T
-        det_left, det_right = np.linalg.det(np.array((left, right.T)))
+        if len(values) > 3:
+            det_left, det_right = np.linalg.det(np.array((left, right.T)))
+        else:
+            det_left, det_right = _det(left.tolist()), _det(right.tolist())
         frame = right.copy()
         if det_right < 0.0:
             frame[:, -1] = -frame[:, -1]

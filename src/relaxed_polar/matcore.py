@@ -12,6 +12,8 @@ eigendecomposition in every dimension.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NotSkew
@@ -31,7 +33,9 @@ def svd_ordered(f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = np.asarray(f, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    # a non-finite entry makes the sum non-finite, and a finite sum that overflows
+    # falls through to the exact test; numpy's a.sum() would warn on that overflow
+    if not math.isfinite(sum(a.ravel().tolist())) and not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     u, s, vh = np.linalg.svd(a)
     return u, s, vh.T

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -81,6 +82,50 @@ class TestWeights:
         for attr in ("singular_radius", "scaling", "zeta"):
             with pytest.raises(RegimeError):
                 getattr(CosseratWeights(1.0, 1.0), attr)
+
+    def test_stored_constants_are_the_formulas_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        pairs = [(mu, mu * f) for mu, f in zip(rng.uniform(0.1, 10.0, 50), rng.uniform(0.0, 1.0, 50))]
+        pairs += [(2, 1), (np.float64(2.0), np.int64(1)), (np.float32(1.5), np.float64(0.0)),
+                  (1.5e308, 1e308), (1, 1 - 2.0**-52)]
+        for mu, muc in pairs:
+            w = CosseratWeights(mu, muc)
+            assert not w.is_classical
+            for got, want in [(w.scaling, mu / (mu - muc)), (w.singular_radius, 2.0 * (mu / (mu - muc)))]:
+                assert type(got) is type(want) and float(got).hex() == float(want).hex()
+
+    def test_classical_weights_raise_the_same_regime_error(self):
+        for mu, muc in [(1.0, 1.0), (2, 2), (np.float64(1.5), np.int64(2)), (1.0, 3.0), (1e308, 1.5e308)]:
+            w = CosseratWeights(mu, muc)
+            assert w.is_classical
+            for attr in ("singular_radius", "scaling", "zeta"):
+                with pytest.raises(RegimeError) as e:
+                    getattr(w, attr)
+                assert str(e.value) == f"quantity undefined for classical weights (mu={mu}, muc={muc})"
+
+    def test_fields_alone_make_equality_hash_repr_and_copies(self):
+        import pickle
+
+        w = CosseratWeights(1.7, 0.4)
+        assert [f.name for f in dataclasses.fields(w)] == ["mu", "muc"]
+        assert dataclasses.asdict(w) == {"mu": 1.7, "muc": 0.4}
+        assert w == CosseratWeights(1.7, 0.4) and w != CosseratWeights(1.7, 0.5)
+        assert hash(w) == hash(CosseratWeights(1.7, 0.4)) == hash((1.7, 0.4))
+        assert repr(w) == "CosseratWeights(mu=1.7, muc=0.4)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            w.mu = 2.0
+        moved = dataclasses.replace(w, muc=0.5)
+        assert moved == CosseratWeights(1.7, 0.5) and moved.scaling == 1.7 / (1.7 - 0.5)
+        classical = dataclasses.replace(w, muc=1.7)
+        assert classical.is_classical
+        with pytest.raises(RegimeError):
+            classical.scaling
+        for v in (w, classical, CosseratWeights(2, 1)):
+            back = pickle.loads(pickle.dumps(v))
+            assert back == v and hash(back) == hash(v) and repr(back) == repr(v)
+            assert back.is_classical == v.is_classical
+            if not v.is_classical:
+                assert (back.scaling, back.singular_radius) == (v.scaling, v.singular_radius)
 
 
 def reference_decomposition(m):
@@ -170,12 +215,13 @@ class TestDeformationGradient:
             svds.clear()
             dets.clear()
             F = DeformationGradient(m)
-            assert len(svds) == 1 and len(dets) == 1
+            # n <= 3 takes the signs by cofactors, n >= 4 from one LAPACK det
+            assert len(svds) == 1 and len(dets) == (len(m) > 3)
             # the det of the stacked factors U and V^T, never of the matrix
-            (factors,) = dets
-            assert factors.shape == (2, *m.shape)
-            eye = np.broadcast_to(np.eye(len(m)), factors.shape)
-            np.testing.assert_allclose(factors @ factors.swapaxes(-1, -2), eye, atol=1e-13)
+            for factors in dets:
+                assert factors.shape == (2, *m.shape)
+                eye = np.broadcast_to(np.eye(len(m)), factors.shape)
+                np.testing.assert_allclose(factors @ factors.swapaxes(-1, -2), eye, atol=1e-13)
             svds.clear()
             dets.clear()
             rescale(w, F)
@@ -184,6 +230,88 @@ class TestDeformationGradient:
             if F.dim == 3:
                 rpolar_3d(w, F)
             assert svds == [] and dets == []
+
+    def test_orientation_signs_match_lapack_dets_of_the_factors(self):
+        eps = np.finfo(float).eps
+
+        def outcome(make):
+            try:
+                return None, make().tobytes()
+            except ValueError as e:
+                return str(e), None
+
+        def reference(m):
+            left, values, right = matcore.svd_ordered(m)
+            frame = right.copy()
+            if np.linalg.det(right) < 0.0:
+                frame[:, -1] = -frame[:, -1]
+            if not values[-1] > len(values) * eps * values[0]:
+                raise ValueError(f"deformation gradient must be nonsingular, got singular values "
+                                 f"{values[0]:g} to {values[-1]:g}")
+            if np.linalg.det(left) * np.linalg.det(right) < 0.0:
+                raise ValueError("deformation gradient must have det > 0, got det < 0")
+            return frame
+
+        rng = np.random.default_rng(21)
+        cases = []
+        for n in (1, 2, 3, 4):
+            flip = np.diag([-1.0] + [1.0] * (n - 1))
+            for scale in (1e-300, 1e-150, 1.0, 1e150, 1e300):
+                for _ in range(8):
+                    a = random_rotation(n, rng) @ np.diag(rng.uniform(0.2, 5.0, n)) @ random_rotation(n, rng).T
+                    cases += [scale * a, scale * (flip @ a)]
+            for perm in itertools.permutations(range(n)):
+                for signs in itertools.product((1.0, -1.0), repeat=n):
+                    cases.append(np.eye(n)[list(perm)] * signs)
+            # smallest value just above, at and below n eps times the largest
+            for t in (2.0, 1.0 + 1e-6, 1.0, 1.0 - 1e-6, 0.5):
+                nus = np.linspace(1.0, t * n * eps, n)
+                q1, q2 = random_rotation(n, rng), random_rotation(n, rng)
+                cases += [q1 @ np.diag(nus) @ q2.T, np.diag(nus), np.diag(nus) @ flip]
+        refused = 0
+        for m in cases:
+            got = outcome(lambda: DeformationGradient(m).polar.frame)
+            assert got == outcome(lambda: reference(m))
+            refused += got[0] is not None
+        assert 0 < refused < len(cases)
+
+    def test_finiteness_check_refuses_exactly_the_non_finite(self):
+        eps = np.finfo(float).eps
+        overflowing = [np.diag([1e308] * 3), np.array([[1e308, 1e308], [-1e308, 1e308]]),
+                       np.array([[1e308, -1e308], [1e308, 1e308]]), np.array([[1e308, 1e308], [1e308, -1e308]]),
+                       np.full((3, 3), 1e308)]
+        non_finite = []
+        for bad in (np.nan, np.inf, -np.inf):
+            m = np.eye(3)
+            m[1, 2] = bad
+            non_finite.append(m)
+        non_finite.append(np.array([[np.inf, 0.0], [0.0, -np.inf]]))  # the sum is nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in overflowing:
+                # the entry sum overflows, yet the matrix goes to the SVD as before
+                assert np.isinf(sum(m.ravel().tolist()))
+                u, s, vh = np.linalg.svd(m)
+                left, values, right = matcore.svd_ordered(m)
+                for a, b in [(left, u), (values, s), (right, vh.T)]:
+                    assert_bits(a, b)
+                if not s[-1] > len(s) * eps * s[0]:
+                    message = f"deformation gradient must be nonsingular, got singular values {s[0]:g} to {s[-1]:g}"
+                elif np.linalg.det(u) * np.linalg.det(vh) < 0.0:
+                    message = "deformation gradient must have det > 0, got det < 0"
+                else:
+                    F = DeformationGradient(m)
+                    assert_bits(F.singular_values, s)
+                    assert_bits(F.polar.rotation, u @ vh)
+                    continue
+                with pytest.raises(ValueError) as e:
+                    DeformationGradient(m)
+                assert str(e.value) == message
+            for m in non_finite:
+                for build in (matcore.svd_ordered, DeformationGradient):
+                    with pytest.raises(ValueError) as e:
+                        build(m)
+                    assert str(e.value) == "matrix entries must be finite"
 
     def test_rescale_divides_the_cached_values(self):
         rng = np.random.default_rng(19)

@@ -12,9 +12,9 @@ minimizers can deviate from the polar factor. :func:`solve` gives the
 minimizer set of F in every dimension from one pairing rule, and
 :func:`solve_values` the same set from singular values alone, as relative
 rotations; either set builds its rotations only when they are read.
-F's one SVD gives its singular values, and :class:`PolarData` from which
-:func:`absolute_rotation` builds every rotation of F; :func:`dist_sq_so_n`
-reads F's distance to the rotation group off the singular values.
+F's one decomposition (planar closed form or SVD) gives its singular values,
+and :class:`PolarData` from which :func:`absolute_rotation` builds every
+rotation of F; :func:`dist_sq_so_n` reads F's distance to SO(n) off the values.
 """
 
 from __future__ import annotations
@@ -117,46 +117,76 @@ class PolarData:
 
 
 def _det(a) -> float:
-    """Cofactor determinant of a 1 x 1, 2 x 2 or 3 x 3 nested list, in floats."""
-    if len(a) < 3:
-        return a[0][0] if len(a) == 1 else a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    """Cofactor determinant of a 1 x 1 or 3 x 3 nested list, in floats."""
+    if len(a) == 1:
+        return a[0][0]
     (p, q, r), (s, t, u), (v, w, x) = a
     return p * (t * x - u * w) - q * (s * x - u * v) + r * (s * w - t * v)
+
+
+def _planar(a, b, c, d):
+    """Values, polar factor, frame and det of [[a, b], [c, d]]. Scaled by 2^-k,
+    F = [[e, -h], [h, e]] + [[f, g], [g, -f]], a scaled rotation and reflection:
+    nu_1 = hypot(e, h) + hypot(f, g), nu_2 = |det| / nu_1, the polar factor the
+    rotation's direction, the frame turned by half the angle between them."""
+    if not all(map(math.isfinite, (a, b, c, d))):
+        raise ValueError("matrix entries must be finite")
+    k = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    a, b, c, d = [math.ldexp(x, -k) for x in (a, b, c, d)]
+    e, f, g, h = (a + d) / 2, (a - d) / 2, (c + b) / 2, (c - b) / 2
+    r, s, det = math.hypot(e, h), math.hypot(f, g), a * d - b * c
+    nu1 = r + s
+    nu2 = min(abs(det) / nu1, nu1) if s else nu1
+    try:
+        values = np.array((math.ldexp(nu1, k), math.ldexp(nu2, k)))
+    except OverflowError:  # a value of 2^1024 or more reads inf
+        values = np.array([math.ldexp(x, k) if math.frexp(x)[1] + k <= 1024 else math.inf for x in (nu1, nu2)])
+    t = (math.atan2(g, f) - math.atan2(h, e)) / 2 if s else 0.0
+    cos, sin, r = math.cos(t), math.sin(t), r or 1.0  # r = 0: det <= 0, refused
+    return values, np.array(((e / r, -h / r), (h / r, e / r))), np.array(((cos, -sin), (sin, cos))), det
 
 
 class DeformationGradient:
     """An n x n matrix with positive determinant plus cached decompositions.
 
     The polar factor U V^T, the descending singular values and the det-+1
-    frame all come from one SVD, taken at construction: every downstream
-    formula consumes them, and a fixed decomposition keeps branch labels
-    and set comparisons reproducible. A matrix is accepted when it is
-    finite and square, nu_min > n eps nu_max (numerically nonsingular) and
-    det(U V^T) = +1; anything else is a hard constructor error rather than
-    a silent NaN path. The sign comes from the orthogonal factors, so it
-    cannot underflow or overflow at any scale.
+    frame come from one decomposition at construction (the planar closed
+    form for n = 2, else one SVD): every downstream formula consumes them,
+    and a fixed decomposition keeps branch labels and set comparisons
+    reproducible. A matrix is accepted when it is finite and square,
+    nu_min > n eps nu_max (numerically nonsingular) and det(U V^T) = +1;
+    anything else, or values that overflow, is a hard constructor error
+    rather than a silent NaN path. The sign comes from the orthogonal
+    factors or the scaled det F, so it cannot underflow or overflow.
     """
 
     __slots__ = ("_matrix", "_values", "_polar")
 
     def __init__(self, matrix):
         m = np.array(matrix, dtype=float)
-        left, values, right = matcore.svd_ordered(m)
-        rotation = left @ right.T
-        if len(values) > 3:
-            det_left, det_right = np.linalg.det(np.array((left, right.T)))
+        if m.shape == (2, 2):
+            values, rotation, frame, det = _planar(*m.ravel().tolist())
         else:
-            det_left, det_right = _det(left.tolist()), _det(right.tolist())
-        frame = right.copy()
-        if det_right < 0.0:
-            frame[:, -1] = -frame[:, -1]
+            left, values, right = matcore.svd_ordered(m)
+            rotation = left @ right.T
+            if len(values) > 3:
+                det_left, det_right = np.linalg.det(np.array((left, right.T)))
+            else:
+                det_left, det_right = _det(left.tolist()), _det(right.tolist())
+            frame = right.copy()
+            if det_right < 0.0:
+                frame[:, -1] = -frame[:, -1]
+            det = det_left * det_right
         # the rank rule in _set goes first: a singular matrix has no orientation
         self._set(m, values, rotation, frame)
-        if det_left * det_right < 0.0:
+        if det < 0.0:
             raise ValueError("deformation gradient must have det > 0, got det < 0")
 
     def _set(self, matrix, values, rotation, frame):
         if not values[-1] > len(values) * _EPS * values[0]:
+            # nu_1 = inf fails the rule; nu_n > n^2 eps max|F_ij| >= n eps nu_1 proves it
+            if values[0] == math.inf and values[-1] > len(values) ** 2 * _EPS * np.abs(matrix).max():
+                raise ValueError("deformation gradient singular values overflow float64")
             raise ValueError(
                 f"deformation gradient must be nonsingular, got singular values "
                 f"{values[0]:g} to {values[-1]:g}"

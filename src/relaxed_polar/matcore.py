@@ -3,11 +3,11 @@
 All routines operate on plain ``numpy`` arrays and are pure functions:
 nothing here mutates its inputs or keeps state, so everything is safe to
 call concurrently. Intended scale is n <= ~50; nothing is tuned beyond
-that. ``svd_ordered`` is the one SVD that ``DeformationGradient`` takes
-all its decompositions from. ``skew_exp`` is the exact exponential of a
-skew matrix, public and the reference the oracle's Cayley step is tested
-against; it takes stacks and needs no Pade approximant: one Hermitian
-eigendecomposition in every dimension.
+that. ``svd_ordered`` is the SVD a ``DeformationGradient`` with n != 2
+takes all its decompositions from. ``skew_exp`` is the exact exponential
+of a skew matrix, public and the reference the oracle's Cayley step is
+tested against; it takes stacks and needs no Pade approximant: one
+Hermitian eigendecomposition in every dimension.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ def svd_ordered(f) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``left`` and ``right`` are orthogonal (not necessarily det +1). F must
     be a finite square matrix of dim >= 1, else ``ValueError``. In the hot
     path its one caller is the ``DeformationGradient`` constructor, which
-    takes every decomposition it caches from this one SVD.
+    for n != 2 takes every decomposition it caches from this one SVD.
     """
     a = np.asarray(f, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:

@@ -5,7 +5,8 @@ corresponds to the angle alpha_p; for non-classical weights a pitchfork
 bifurcation at tr U = rho opens two optimal branches alpha_p -/+ beta
 with cos(beta) = rho / tr U: branch i is minimizer i of ``energy.solve``,
 whose relative rotation turns by +beta for i = 0 and by -beta for i = 1.
-:func:`polar_2d_explicit` reads the polar factor off two traces instead.
+A 2 x 2 ``DeformationGradient`` reads its polar factor off tr F and tr JF
+(:func:`polar_2d_explicit`) and its singular values off tr U and det F.
 """
 
 from __future__ import annotations
@@ -64,14 +65,12 @@ def polar_angle(F: DeformationGradient) -> float:
 
 
 def polar_2d_explicit(F: DeformationGradient) -> np.ndarray:
-    """Closed-form planar polar factor from the traces of F and JF.
+    """Closed-form planar polar factor from the traces of F and JF, J = [[0, -1], [1, 0]].
 
-    Uses tr(U) = sqrt(tr(F)^2 + tr(JF)^2), so no decomposition is needed.
-    """
+    [[tr F, tr JF], [-tr JF, tr F]] / hypot(tr F, tr JF) on F scaled by a power
+    of two: a copy of F's polar factor, which every 2 x 2 gradient caches."""
     _require_2d(F)
-    (a, b), (c, d) = F.matrix
-    tr_f, tr_jf = a + d, b - c
-    return np.array([[tr_f, tr_jf], [-tr_jf, tr_f]]) / np.hypot(tr_f, tr_jf)
+    return F.polar.rotation.copy()
 
 
 def _branch_angles(ap: float, relative_angles, k: int) -> tuple[float, ...]:

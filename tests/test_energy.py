@@ -1,5 +1,7 @@
 import dataclasses
+import decimal
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -140,6 +142,62 @@ def reference_decomposition(m):
     return rotation, values, frame, stretch
 
 
+def planar_reference(m):
+    """Rotation, values, frame and det of a 2 x 2 m by the planar closed form.
+
+    On the entries scaled exactly by 2^-k, with e, f, g, h = (a + d) / 2,
+    (a - d) / 2, (c + b) / 2, (c - b) / 2: nu_1 = hypot(e, h) + hypot(f, g),
+    nu_2 = min(|ad - bc| / nu_1, nu_1) (nu_1 if hypot(f, g) = 0), the polar
+    factor [[e, -h], [h, e]] / hypot(e, h) and the frame R(theta) with
+    theta = (atan2(g, f) - atan2(h, e)) / 2 (0 if hypot(f, g) = 0).
+    """
+    (a, b), (c, d) = np.asarray(m, dtype=float).tolist()
+    k = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    a, b, c, d = (math.ldexp(x, -k) for x in (a, b, c, d))
+    e, f, g, h = (a + d) / 2, (a - d) / 2, (c + b) / 2, (c - b) / 2
+    conformal, anticonformal = math.hypot(e, h), math.hypot(f, g)
+    nu1 = conformal + anticonformal
+    nu2 = min(abs(a * d - b * c) / nu1, nu1) if anticonformal else nu1
+    theta = (math.atan2(g, f) - math.atan2(h, e)) / 2 if anticonformal else 0.0
+    frame = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+    rotation = np.array([[e, -h], [h, e]]) / conformal if conformal else None
+    return rotation, np.array([math.ldexp(nu1, k), math.ldexp(nu2, k)]), frame, a * d - b * c
+
+
+def exact_polar_2d(m):
+    """The polar factor of a 2 x 2 m with det > 0, from its float entries in
+    60-digit decimals, rounded once to floats."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        (a, b), (c, d) = [[decimal.Decimal(x) for x in row] for row in m.tolist()]
+        e, h = (a + d) / 2, (c - b) / 2
+        r = (e * e + h * h).sqrt()
+        return np.array([[float(e / r), float(-h / r)], [float(h / r), float(e / r)]])
+
+
+def assert_near_lapack(F, m, relative_nu2=False, lapack_rotation=True):
+    """F against LAPACK's SVD of m: nu within 8 eps nu_1, the polar factor
+    within 8 eps, F rebuilt within 8 eps nu_1, and if asked nu_2 within 4 eps
+    relative. Subnormal values are rounded to steps of 2^-1074, so each bound
+    on values also allows one step, and the rebuilt F two. Without
+    ``lapack_rotation`` the polar factor is held to 1 eps of the exact one."""
+    eps, tiny = np.finfo(float).eps, 2.0**-1074
+    # values without vectors: with them LAPACK strays up to 8 eps nu_1 on near repeats
+    u, _, vh = np.linalg.svd(m)
+    s = np.linalg.svd(m, compute_uv=False)
+    nu = F.singular_values
+    assert np.max(np.abs(nu - s)) <= 8 * eps * s[0] + tiny
+    if relative_nu2:
+        assert abs(nu[1] - s[1]) <= 4 * eps * s[1] + tiny
+    reference = u @ vh if lapack_rotation else exact_polar_2d(m)
+    assert np.max(np.abs(F.polar.rotation - reference)) <= (8 if lapack_rotation else 1) * eps
+    # rebuilt at the scale of 1, where no product overflows or underflows
+    k = -math.frexp(s[0])[1]
+    q = F.polar.frame
+    rebuilt = F.polar.rotation @ q @ np.diag(np.ldexp(nu, k)) @ q.T
+    assert np.max(np.abs(rebuilt - np.ldexp(m, k))) <= 8 * eps * math.ldexp(s[0], k) + math.ldexp(2 * tiny, k)
+
+
 def gradients_with_repeats(rng, count):
     """Matrices q1 diag(nus) q2^T, n = 1..8, Haar q1, q2, some values repeated."""
     for n in range(1, 9):
@@ -180,7 +238,14 @@ class TestDeformationGradient:
     def test_one_svd_gives_the_former_decompositions_bitwise(self):
         for m in gradients_with_repeats(np.random.default_rng(16), 25):
             F = DeformationGradient(m)
-            rotation, values, frame, u = reference_decomposition(m)
+            if len(m) == 2:
+                # the planar closed form, bit for bit, and near LAPACK's SVD
+                rotation, values, frame, _ = planar_reference(m)
+                assert_near_lapack(F, m)
+                u = frame @ np.diag(values) @ frame.T
+                u = (u + u.T) / 2.0
+            else:
+                rotation, values, frame, u = reference_decomposition(m)
             assert_bits(F.polar.rotation, rotation)
             assert_bits(F.singular_values, values)
             assert_bits(F.polar.frame, frame)
@@ -215,8 +280,9 @@ class TestDeformationGradient:
             svds.clear()
             dets.clear()
             F = DeformationGradient(m)
-            # n <= 3 takes the signs by cofactors, n >= 4 from one LAPACK det
-            assert len(svds) == 1 and len(dets) == (len(m) > 3)
+            # n = 2 takes the planar closed form, n = 1 and 3 the signs by
+            # cofactors, n >= 4 the signs from one LAPACK det
+            assert len(svds) == (len(m) != 2) and len(dets) == (len(m) > 3)
             # the det of the stacked factors U and V^T, never of the matrix
             for factors in dets:
                 assert factors.shape == (2, *m.shape)
@@ -241,14 +307,18 @@ class TestDeformationGradient:
                 return str(e), None
 
         def reference(m):
-            left, values, right = matcore.svd_ordered(m)
-            frame = right.copy()
-            if np.linalg.det(right) < 0.0:
-                frame[:, -1] = -frame[:, -1]
+            if len(m) == 2:
+                _, values, frame, det = planar_reference(m)
+            else:
+                left, values, right = matcore.svd_ordered(m)
+                frame = right.copy()
+                if np.linalg.det(right) < 0.0:
+                    frame[:, -1] = -frame[:, -1]
+                det = np.linalg.det(left) * np.linalg.det(right)
             if not values[-1] > len(values) * eps * values[0]:
                 raise ValueError(f"deformation gradient must be nonsingular, got singular values "
                                  f"{values[0]:g} to {values[-1]:g}")
-            if np.linalg.det(left) * np.linalg.det(right) < 0.0:
+            if det < 0.0:
                 raise ValueError("deformation gradient must have det > 0, got det < 0")
             return frame
 
@@ -289,7 +359,7 @@ class TestDeformationGradient:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for m in overflowing:
-                # the entry sum overflows, yet the matrix goes to the SVD as before
+                # the entry sum overflows, yet the matrix is decomposed as before
                 assert np.isinf(sum(m.ravel().tolist()))
                 u, s, vh = np.linalg.svd(m)
                 left, values, right = matcore.svd_ordered(m)
@@ -301,8 +371,13 @@ class TestDeformationGradient:
                     message = "deformation gradient must have det > 0, got det < 0"
                 else:
                     F = DeformationGradient(m)
-                    assert_bits(F.singular_values, s)
-                    assert_bits(F.polar.rotation, u @ vh)
+                    rotation, values = u @ vh, s
+                    if len(m) == 2:
+                        # the planar closed form, bit for bit, and near LAPACK's SVD
+                        rotation, values, _, _ = planar_reference(m)
+                        assert_near_lapack(F, m)
+                    assert_bits(F.singular_values, values)
+                    assert_bits(F.polar.rotation, rotation)
                     continue
                 with pytest.raises(ValueError) as e:
                     DeformationGradient(m)
@@ -312,6 +387,35 @@ class TestDeformationGradient:
                     with pytest.raises(ValueError) as e:
                         build(m)
                     assert str(e.value) == "matrix entries must be finite"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overflowing_singular_values_have_their_own_message(self, n):
+        if n == 2:
+            overflowing = [1.5e308 * np.array([[1.0, 1.0], [-1.0, 1.0]]),
+                           1.5e308 * np.array([[1.0, 1.0], [1.0, -1.0]])]
+            singular = [np.full((2, 2), 1.5e308)]
+        else:
+            overflowing = [1.5e308 * np.array([[1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+                           0.85e308 * np.array([[-1.0, 2.0, 2.0], [2.0, -1.0, 2.0], [2.0, 2.0, -1.0]])]
+            singular = [np.full((3, 3), 1e308)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for m in overflowing:
+                # finite, well conditioned, and nu_1 past the largest float
+                assert np.isfinite(m).all()
+                assert np.linalg.svd(m / 4.0, compute_uv=False)[0] > np.finfo(float).max / 4.0
+                with pytest.raises(ValueError) as e:
+                    DeformationGradient(m)
+                assert str(e.value) == "deformation gradient singular values overflow float64"
+            # overflowing and singular: the rank rule names it
+            for m in singular:
+                with pytest.raises(ValueError) as e:
+                    DeformationGradient(m)
+                assert str(e.value).startswith("deformation gradient must be nonsingular, got singular values inf to ")
+            # just under the largest float, the same matrices are accepted
+            for m in overflowing[:1]:
+                F = DeformationGradient(m / 2.0)
+                assert np.isfinite(F.singular_values).all()
 
     def test_rescale_divides_the_cached_values(self):
         rng = np.random.default_rng(19)
@@ -346,6 +450,119 @@ class TestDeformationGradient:
             assert np.all(np.linalg.eigvalsh(u) > 0.0)
             recon = p.frame @ np.diag(F.singular_values) @ p.frame.T
             assert np.linalg.norm(recon - u) <= 1e-10 * (1.0 + np.linalg.norm(u))
+
+
+def check_planar(m, relative_nu2=False, lapack_rotation=True):
+    """The 2 x 2 gradient of m, without a warning: its decomposition is the
+    planar reference bit for bit and lies within the bounds of LAPACK's."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        F = DeformationGradient(m)
+    rotation, values, frame, _ = planar_reference(m)
+    for a, b in [(F.singular_values, values), (F.polar.rotation, rotation), (F.polar.frame, frame)]:
+        assert_bits(a, b)
+    assert_near_lapack(F, m, relative_nu2, lapack_rotation)
+    return F
+
+
+def refusal(m):
+    """The first words of the constructor's message for m, None if it accepts m."""
+    try:
+        DeformationGradient(m)
+    except ValueError as e:
+        return str(e).split(",")[0]
+    return None
+
+
+def lapack_refusal(m):
+    """The same words by the rank rule and the orientation of LAPACK's SVD."""
+    u, s, vh = np.linalg.svd(m)
+    if not s[-1] > len(s) * np.finfo(float).eps * s[0]:
+        return "deformation gradient must be nonsingular"
+    if np.linalg.det(u) * np.linalg.det(vh) < 0.0:
+        return "deformation gradient must have det > 0"
+    return None
+
+
+class TestPlanarClosedForm:
+    """The closed-form 2 x 2 path against LAPACK on the hard inputs (fixed seeds)."""
+
+    def test_exact_and_near_repeated_values(self):
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            rho = rng.uniform(0.2, 5.0)
+            # a scaled rotation has hypot(f, g) = 0: nu_1 = nu_2 and the identity frame
+            F = check_planar(rho * rotation_2d(rng.uniform(-np.pi, np.pi)))
+            assert F.singular_values[0] == F.singular_values[1]
+            assert np.array_equal(F.polar.frame, np.eye(2))
+            for gap in (1e-10, 1e-12, 1e-14):
+                q1, q2 = rotation_2d(rng.uniform(-np.pi, np.pi)), rotation_2d(rng.uniform(-np.pi, np.pi))
+                # LAPACK's U V^T strays up to 17 eps from the exact polar factor
+                # here, so the closed form's is held to the exact one
+                check_planar(q1 @ np.diag([rho, rho * (1.0 - gap)]) @ q2.T, lapack_rotation=False)
+
+    @pytest.mark.parametrize("weights", [(1.0, 0.0), (1.7, 0.4)])
+    def test_trace_of_the_stretch_on_the_bifurcation_band(self, weights):
+        W = CosseratWeights(*weights)
+        rho = W.singular_radius
+        rng = np.random.default_rng(42)
+        for side in (-1.0, 1.0):
+            for _ in range(100):
+                tr_u = rho * (1.0 + side * 1e-12)
+                nu1 = tr_u * rng.uniform(0.5, 0.95)
+                q1, q2 = rotation_2d(rng.uniform(-np.pi, np.pi)), rotation_2d(rng.uniform(-np.pi, np.pi))
+                check_planar(q1 @ np.diag([nu1, tr_u - nu1]) @ q2.T)
+
+    def test_graded_diagonal_and_triangular(self):
+        rng = np.random.default_rng(43)
+        for j in range(16):  # nu_2 / nu_1 down to 1e-15
+            for _ in range(20):
+                a = rng.uniform(0.5, 2.0)
+                d = a * 10.0**-j * rng.uniform(1.0, 2.0)
+                check_planar(np.diag([a, d]), relative_nu2=True)
+                upper = np.array([[a, a * rng.uniform(-0.5, 0.5)], [0.0, d]])
+                F = check_planar(upper, relative_nu2=True)
+                G = check_planar(upper.T, relative_nu2=True)
+                # the closed form gives F and F^T the same values, bit for bit
+                assert_bits(G.singular_values, F.singular_values)
+
+    def test_extreme_scales_and_subnormal_entries(self):
+        rng = np.random.default_rng(44)
+        tiny = 2.0**-1074
+        for _ in range(100):
+            nus = np.sort(rng.uniform(0.2, 5.0, 2))[::-1]
+            m = rotation_2d(rng.uniform(-np.pi, np.pi)) @ np.diag(nus) @ rotation_2d(rng.uniform(-np.pi, np.pi)).T
+            F = check_planar(m)
+            for j in (-1000, -997, 997, 1000):  # about 1e-301, 1e-300, 1e300 and 1e301
+                G = check_planar(np.ldexp(m, j))
+                # an exact power of two leaves every bit of the scaled form
+                assert_bits(G.singular_values, np.ldexp(F.singular_values, j))
+                assert_bits(G.polar.rotation, F.polar.rotation)
+                assert_bits(G.polar.frame, F.polar.frame)
+            check_planar(m * 1e-300)
+            check_planar(m * 1e300)
+            # subnormal entries: a whole subnormal matrix, and a few beside normal ones
+            small = rng.integers(-(2**20), 2**20, (2, 2)).astype(float)
+            if np.linalg.det(small) > 0.0:
+                check_planar(small * tiny)
+            check_planar(np.diag(nus) * 1e-300 + small * tiny)
+
+    def test_refusals_of_reflections_and_singular_matrices(self):
+        rng = np.random.default_rng(45)
+        flip = np.diag([1.0, -1.0])
+        cases = [np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones((2, 2)), np.zeros((2, 2)), flip]
+        cases += [np.diag([1.0, t * np.finfo(float).eps]) for t in (0.5, 1.0, 2.0, 4.0, 8.0)]
+        for scale in (1e-300, 1.0, 1e300):
+            for _ in range(50):
+                q1, q2 = rotation_2d(rng.uniform(-np.pi, np.pi)), rotation_2d(rng.uniform(-np.pi, np.pi))
+                nus = np.diag(np.sort(rng.uniform(0.2, 5.0, 2))[::-1])
+                cases += [scale * (q1 @ nus @ flip @ q2.T), scale * (q1 @ nus @ q2.T)]
+        refused = 0
+        for m in cases:
+            got = refusal(m)
+            assert got == lapack_refusal(m)
+            refused += got is not None
+        assert refused == 4 + 3 + 150
 
 
 class TestEnergy:

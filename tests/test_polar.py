@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -95,7 +97,24 @@ def test_polar_2d_explicit_matches_svd_route():
     rng = np.random.default_rng(36)
     for _ in range(50):
         F = random_gl_plus(2, rng)
-        assert np.linalg.norm(polar_2d_explicit(F) - F.polar.rotation) <= 1e-12
+        u, _, vh = np.linalg.svd(F.matrix)
+        assert np.linalg.norm(polar_2d_explicit(F) - u @ vh) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e308, 1e-300])
+def test_polar_2d_explicit_at_extreme_scales(scale):
+    rng = np.random.default_rng(37)
+    cases = [np.eye(2), rotation_2d(0.3), rotation_2d(2.0) @ np.diag([1.5, 0.25]) @ rotation_2d(-1.0)]
+    for m in cases + [random_gl_plus(2, rng).matrix / 5.0 for _ in range(20)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            F = DeformationGradient(scale * m)
+            r = polar_2d_explicit(F)
+        u, _, vh = np.linalg.svd(m)
+        assert np.max(np.abs(r - u @ vh)) <= 1e-15
+        # a copy of the cached factor: writing to it leaves F as it was
+        r[0, 0] = 2.0
+        assert F.polar.rotation[0, 0] != 2.0
 
 
 # the squared distance of F to SO(n)(1 + so(n)) is the (1, 0) reduced energy

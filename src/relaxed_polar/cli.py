@@ -245,8 +245,7 @@ def cmd_sweep_planar(args) -> int:
         raise ValueError("fixed singular value must be positive and below the range")
     # diag(tr_u - nu2, nu2) has those two entries as its singular values
     nus = np.stack([tr_u - nu2, np.full_like(tr_u, nu2)], axis=-1)
-    with np.errstate(over="ignore"):  # an overflowing wred reads inf
-        k, wred = reduced_energy_stack(W, nus)
+    k, wred = reduced_energy_stack(W, nus)
     bifurcated = k > 0
     beta = np.zeros_like(tr_u)
     if bifurcated.any():  # classical weights never branch and have no singular radius
@@ -308,8 +307,7 @@ def cmd_iso_grid(args) -> int:
     if not axis[0] > 0.0:
         raise ValueError("--grid needs MIN > 0")
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1)
-    with np.errstate(over="ignore"):  # an overflowing wred reads inf
-        wred = reduced_energy_stack(CosseratWeights(1.0, 0.0), grid)[1]
+    wred = reduced_energy_stack(CosseratWeights(1.0, 0.0), grid)[1]
     # each distinct value is formatted once; wred >= +0 is never NaN, so
     # np.unique merging -0.0 with 0.0 changes no row
     values, index = np.unique(wred, return_inverse=True)

@@ -316,6 +316,20 @@ def nonclassical_pair_energy(W: CosseratWeights, nu_i: float, nu_j: float) -> fl
     return total
 
 
+def _as_values(nus) -> list[float]:
+    """``nus``, a non-empty 1-d sequence or array (not a str or bytes) of
+    positive, finite values, as a list of floats; otherwise ``ValueError``."""
+    try:
+        d = list(map(float, nus.tolist() if isinstance(nus, np.ndarray) else nus))
+    except (TypeError, ValueError, OverflowError):  # a scalar, or an entry float() refuses
+        d = []
+    if not d or isinstance(nus, (str, bytes)):
+        raise ValueError("expected a 1-d array of diagonal entries")
+    if not (all(map(math.isfinite, d)) and min(d) > 0.0):
+        raise ValueError("diagonal entries must be positive and finite")
+    return d
+
+
 def reduced_energy_values(W: CosseratWeights, nus) -> tuple[int, float]:
     """Pair count k and minimum energy over rotations, from singular values.
 
@@ -342,13 +356,14 @@ def reduced_energy_values(W: CosseratWeights, nus) -> tuple[int, float]:
     return k, total
 
 
+@np.errstate(over="ignore")
 def reduced_energy_stack(W: CosseratWeights, nus) -> tuple[np.ndarray, np.ndarray]:
     """:func:`reduced_energy_values` over the last axis of a (..., n) stack.
 
     Each row is sorted in descending order; pair position p stays paired
     while every pair sum up to p exceeds rho. The terms are the same
     products added in the same order, so every row of (k, value) is
-    bit-identical to the scalar rule.
+    bit-identical to the scalar rule: inf, with no warning, if it overflows.
     """
     d = np.sort(np.asarray(nus, dtype=float), axis=-1)[..., ::-1]
     single = W.mu * ((d - 1.0) * (d - 1.0))
@@ -533,12 +548,9 @@ def solve(W: CosseratWeights, F: DeformationGradient) -> MinimizerSet:
 def solve_values(W: CosseratWeights, nus) -> MinimizerSet:
     """The minimizer set of diag(nus) as relative rotations, from the values.
 
-    The values may come in any order and must be positive and finite.
+    The values, a 1-d sequence in any order, must be positive and finite.
     Minimizer sigma turns plane (2p, 2p + 1) by sigma_p beta_p (the identity
     for k = 0); every other field is that of :func:`solve` on any F with
     these singular values.
     """
-    d = sorted(map(float, nus), reverse=True)
-    if not d or not all(0.0 < v < math.inf for v in d):
-        raise ValueError("diagonal entries must be positive and finite")
-    return _minimizer_set(W, d)
+    return _minimizer_set(W, sorted(_as_values(nus), reverse=True))

@@ -1,9 +1,9 @@
 """Critical points of the (1, 0) energy in general dimension.
 
-Critical rotations for W(R; D) = ||sym(R D - 1)||^2 with descending
-positive diagonal D are block-diagonal after an orthogonal change of
-basis: they are labeled by partitions of the index set into blocks of
-size one or two together with a sign (the block determinant). A 2-block
+Critical rotations for W(R; D) = ||sym(R D - 1)||^2, D a descending 1-d list
+of positive, finite values (else ``ValueError``), are block-diagonal after an
+orthogonal change of basis: labeled by partitions of the index set into blocks
+of size one or two with a sign each (the block determinant). A 2-block
 {i, j} exists with sign +1 when nu_i + nu_j > 2 (an in-plane rotation
 with cos(beta) = 2 / (nu_i + nu_j)) and with sign -1 when
 |nu_i - nu_j| > 2 (an in-plane reflection pair). Singleton blocks carry
@@ -21,32 +21,15 @@ Indices here are 0-based; command-line reports translate to 1-based.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import _W10, _minimizer_set, canonical_blocks, pair_block, reduced_energy_values
+from .energy import _W10, _as_values, _minimizer_set, canonical_blocks, pair_block, reduced_energy_values
 from .errors import InadmissiblePartition, OrientationError, TooLarge
 
 ENUMERATION_MAX_DIM = 10
-
-
-def _as_descending(nus) -> list[float]:
-    """``nus``, a non-empty 1-d sequence or array of positive, finite,
-    descending values, as a list of floats; otherwise ``ValueError``."""
-    try:
-        d = [float(v) for v in (nus.tolist() if isinstance(nus, np.ndarray) else nus)]
-    except TypeError:  # a scalar, or a row that float() refuses
-        d = []
-    if not d:
-        raise ValueError("expected a 1-d array of diagonal entries")
-    if not all(0.0 < v < math.inf for v in d):
-        raise ValueError("diagonal entries must be positive and finite")
-    if any(a < b for a, b in zip(d, d[1:])):
-        raise ValueError("diagonal entries must be sorted in descending order")
-    return d
 
 
 @dataclass(frozen=True)
@@ -112,19 +95,26 @@ def _pair_signs(a: float, b: float) -> tuple[int, ...]:
     return (-1, 1) if abs(a - b) > 2.0 else (1,)
 
 
-def _check_admissible(p: CriticalPartition, d):
-    if p.dim != len(d):
-        raise InadmissiblePartition(
-            f"partition covers {p.dim} indices, diagonal has {len(d)}"
-        )
-    for b, s in zip(p.blocks, p.signs):
-        if len(b) == 2 and s not in _pair_signs(d[b[0]], d[b[1]]):
-            i, j = b
-            if s == 1:
-                need, got = "nu_i + nu_j > 2", d[i] + d[j]
-            else:
-                need, got = "|nu_i - nu_j| > 2", abs(d[i] - d[j])
-            raise InadmissiblePartition(f"pair {b} with sign {s:+d} needs {need}, got {got:g}")
+def _diagonal(nus, parts=()) -> list[float]:
+    """The :func:`~relaxed_polar.energy._as_values` list of ``nus``, which must
+    descend; each partition in ``parts`` must be admissible on it."""
+    d = _as_values(nus)
+    if d != sorted(d, reverse=True):
+        raise ValueError("diagonal entries must be sorted in descending order")
+    for p in parts:
+        if p.dim != len(d):
+            raise InadmissiblePartition(
+                f"partition covers {p.dim} indices, diagonal has {len(d)}"
+            )
+        for b, s in zip(p.blocks, p.signs):
+            if len(b) == 2 and s not in _pair_signs(d[b[0]], d[b[1]]):
+                i, j = b
+                if s == 1:
+                    need, got = "nu_i + nu_j > 2", d[i] + d[j]
+                else:
+                    need, got = "|nu_i - nu_j| > 2", abs(d[i] - d[j])
+                raise InadmissiblePartition(f"pair {b} with sign {s:+d} needs {need}, got {got:g}")
+    return d
 
 
 def _matchings(indices: tuple[int, ...], d):
@@ -156,7 +146,7 @@ def enumerate_critical_partitions(
     canonical and is not re-validated; :func:`critical_values` still
     validates the partitions that callers build.
     """
-    d = _as_descending(nus)
+    d = _diagonal(nus)
     n = len(d)
     if n > ENUMERATION_MAX_DIM:
         raise TooLarge(f"exhaustive enumeration guarded to n <= {ENUMERATION_MAX_DIM}")
@@ -178,10 +168,7 @@ def critical_values(parts, nus) -> list[float]:
     partition's value is bit-identical to the pairing rule's
     :func:`~relaxed_polar.energy.reduced_energy_values` at (1, 0).
     """
-    d = _as_descending(nus)
-    for p in parts:
-        _check_admissible(p, d)
-    return _block_sums(parts, d)
+    return _block_sums(parts, _diagonal(nus, parts))
 
 
 def _block_sums(parts, d: list[float]) -> list[float]:
@@ -208,8 +195,7 @@ def realize_rotation(p: CriticalPartition, nus) -> np.ndarray:
     energy). Raises ``OrientationError`` when the sign pattern has odd
     -1 count and therefore overall determinant -1.
     """
-    d = _as_descending(nus)
-    _check_admissible(p, d)
+    d = _diagonal(nus, [p])
     if p.overall_det() != 1:
         raise OrientationError("sign pattern has overall determinant -1")
     n = len(d)
@@ -240,8 +226,7 @@ def traversal_path(start: CriticalPartition, nus) -> list[CriticalPartition]:
     Returns the list of visited partitions, starting with ``start`` and
     ending at the canonical global minimizer.
     """
-    d = _as_descending(nus)
-    _check_admissible(start, d)
+    d = _diagonal(nus, [start])
     path = [start]
 
     def push(blocks: list[tuple[int, ...]], signs: list[int]):
@@ -331,7 +316,7 @@ def global_minimizers_nd(nus, *, with_rotations: bool = True) -> GlobalMinimizer
     Pass ``with_rotations=False`` to skip materializing the rotations (k
     grows with n and the list is exponential in k).
     """
-    d = _as_descending(nus)
+    d = _diagonal(nus)
     n = len(d)
     mset = _minimizer_set(_W10, d)
     k = mset.k

@@ -17,6 +17,7 @@ from .energy import (
     CosseratWeights,
     DeformationGradient,
     MinimizerSet,
+    _as_values,
     dist_sq_so_n,
     reduced_energy_values,
     solve,
@@ -30,13 +31,15 @@ def _require_3d(F: DeformationGradient):
 
 
 def wred_3d_values(W: CosseratWeights, nus) -> float:
-    """Reduced 3D energy as a function of the singular values, in any order."""
-    return reduced_energy_values(W, nus)[1]
+    """Reduced 3D energy of three positive, finite singular values in any order."""
+    d = _as_values(nus)
+    if len(d) != 3:
+        raise DimensionMismatch(f"spatial routine requires dim 3, got {len(d)}")
+    return reduced_energy_values(W, d)[1]
 
 
 def wred_3d(W: CosseratWeights, F: DeformationGradient) -> float:
     """Reduced 3D shear-stretch energy min over all rotations."""
-    _require_3d(F)
     return wred_3d_values(W, F.singular_values)
 
 

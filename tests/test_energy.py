@@ -929,6 +929,13 @@ class TestReducedEnergyStack:
             k, values = reduced_energy_stack(w, np.zeros((0, n)))
             assert k.shape == values.shape == (0,)
 
+    def test_an_overflowing_row_reads_inf_without_a_warning(self):
+        w = CosseratWeights(1.0, 0.5)
+        rows = [[1.7e308, 1.7e308, 1.0], [1e200, 1.0, 1.0]]
+        k, values = reduced_energy_stack(w, rows)
+        got = list(zip(k.tolist(), values.tolist()))
+        assert got == [reduced_energy_values(w, row) for row in rows] == [(1, math.inf)] * 2
+
 
 class TestMinimizerSetSymmetries:
     @staticmethod

@@ -90,17 +90,21 @@ class TestDiagonalValidation:
     BAD = [
         [2.0, np.nan], [np.nan, 1.0], [np.inf, 1.0], [2.0, -np.inf], [1.0, 0.0], [1.0, -0.0],
         [-0.0], [2.0, -1.0], [1.0, 2.0], [3.0, 1.0, 1.0 + 1e-15], [[2.0, 1.0]], [[2.0], [1.0]],
-        np.ones((2, 2)), np.ones((3, 1)), [], np.array([]), np.float64(2.0), 2.0,
+        np.ones((2, 2)), np.ones((3, 1)), [], np.array([]), np.float64(2.0), 2.0, "32", b"32",
     ]
 
     @pytest.mark.parametrize("nus", BAD, ids=repr)
     def test_bad_diagonals_raise_the_messages_of_the_array_check(self, nus):
         with pytest.raises(ValueError) as ref:
             reference_as_descending(nus)
-        for check in (global_minimizers_nd, lambda d: critical_values([], d)):
+        for check in (global_minimizers_nd, enumerate_critical_partitions, lambda d: critical_values([], d)):
             with pytest.raises(ValueError) as got:
                 check(nus)
             assert str(got.value) == str(ref.value)
+
+    def test_bytes_are_not_read_as_their_code_points(self):
+        with pytest.raises(ValueError, match="expected a 1-d array of diagonal entries"):
+            enumerate_critical_partitions(b"\x03\x02")
 
     def test_arrays_and_lists_give_the_same_floats(self):
         for nus in ([3, 2, 2, 1], np.array([3.0, 2.0, 0.5], dtype=np.float32), np.arange(6, 0, -1)):

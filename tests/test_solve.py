@@ -212,9 +212,16 @@ def test_solve_values_is_solve_in_the_principal_frame():
     assert count > 300
 
 
-@pytest.mark.parametrize("nus", [[], [0.0, 1.0], [2.0, -1.0], [np.nan, 1.0], [1.0, np.inf]])
+@pytest.mark.parametrize("nus", [[0.0, 1.0], [2.0, -1.0], [np.nan, 1.0], [1.0, np.inf]])
 def test_solve_values_rejects_bad_values(nus):
     with pytest.raises(ValueError, match="positive and finite"):
+        solve_values(CosseratWeights(1.0, 0.0), nus)
+
+
+@pytest.mark.parametrize("nus", [[], "32", b"32", [[3.0, 2.0]], np.ones((2, 2)), [3 + 0j, 2], [10**400, 1]])
+def test_solve_values_refuses_what_is_not_a_list_of_values(nus):
+    # a string is not split into digits; a row, a complex or a huge int is no value
+    with pytest.raises(ValueError, match="expected a 1-d array of diagonal entries"):
         solve_values(CosseratWeights(1.0, 0.0), nus)
 
 

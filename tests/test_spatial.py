@@ -182,6 +182,22 @@ class TestWred3D:
         ) + W_QUARTER.mu * (nus[2] - 1.0) ** 2
         assert classical == pytest.approx(bifurcated, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "nus, error",
+        [
+            ([-1.0, 2.0, 3.0], ValueError), ([np.nan, 1.0, 1.0], ValueError),
+            ([0.0, 1.0, 1.0], ValueError), ([], ValueError), ("321", ValueError),
+            ([1.0, 2.0], DimensionMismatch), ([4.0, 3.0, 2.0, 1.0], DimensionMismatch),
+        ],
+    )
+    def test_values_refuse_what_is_not_three_positive_finite_values(self, nus, error):
+        with pytest.raises(error):
+            wred_3d_values(W_HALF, nus)
+
+    def test_dim_guard(self):
+        with pytest.raises(DimensionMismatch, match="requires dim 3, got 2"):
+            wred_3d(W_HALF, DeformationGradient(np.eye(2)))
+
     def test_penalty_part_vanishes_at_bifurcation(self):
         rho = W_QUARTER.singular_radius
         s = rho
